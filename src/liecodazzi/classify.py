@@ -20,6 +20,7 @@ recomputation, collecting every difference in a DiscrepancyRegister.
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from typing import Mapping, Optional, Sequence
@@ -34,12 +35,13 @@ from .liealg import (
     make_group,
     sample_constraint_point,
 )
-from .connection import KIND_ALIASES, make_connection
+from .connection import KIND_ALIASES, Connection, make_connection
 from .tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 __all__ = [
     "CheckResult",
     "Claim",
+    "Derivation",
     "DiscrepancyRegister",
     "GarbledValue",
     "PolySystem",
@@ -55,6 +57,7 @@ __all__ = [
     "check_on_family",
     "codazzi_system",
     "compute_object",
+    "derivation",
     "expand_tokens",
     "load_claims",
     "load_printed_systems",
@@ -190,8 +193,12 @@ class SolutionFamily:
                    quadratic_relations=quads)
 
     @classmethod
-    def from_text(cls, text: str) -> "SolutionFamily":
-        """Parse "a=0,b=0,g!=0" into a family."""
+    def from_text(cls, text: str, eta: Optional[int] = None) -> "SolutionFamily":
+        """Parse "a=0,b=0,g!=0" into a family.
+
+        The m/n shorthand and the sign h expand as in from_spec; h needs
+        the group's eta."""
+        text = expand_tokens(text, eta)
         assignment = {}
         nonzero = []
         for tok in text.split(","):
@@ -274,6 +281,71 @@ def _apply_rewrite(p: Polynomial, lhs: Polynomial, rhs: Polynomial,
     raise PolyError(f"rewrite by {lhs.text()} = {rhs.text()} did not terminate")
 
 
+# -- derivations ------------------------------------------------------------
+
+
+class Derivation:
+    """The objects derived from one connection table, each built on first use.
+
+    C is the connection, R its curvature, rho its Ricci tensor, omega the
+    symmetrized Ricci tensor, D = nabla omega and T the torsion; codazzi
+    and quasistatistical are the two residual systems.  Connections with
+    the same table share one Derivation (Bott and Kobayashi-Nomizu
+    coincide on G1..G7), and every consumer reads the same objects, so
+    treat them as read-only.
+    """
+
+    def __init__(self, C: Connection):
+        self.C = C
+
+    @cached_property
+    def R(self):
+        return curvature(self.C)
+
+    @cached_property
+    def rho(self):
+        return ricci(self.R)
+
+    @cached_property
+    def omega(self):
+        return symmetrize(self.rho)
+
+    @cached_property
+    def D(self):
+        return cov_deriv_02(self.C, self.omega)
+
+    @cached_property
+    def T(self):
+        return torsion(self.C)
+
+    @cached_property
+    def codazzi(self) -> dict:
+        D = self.D
+        return {(x, y, j): D.at(x, y, j) - D.at(y, x, j)
+                for x, y in PAIRS for j in (1, 2, 3)}
+
+    @cached_property
+    def quasistatistical(self) -> dict:
+        out = {}
+        for (x, y, j), f in self.codazzi.items():
+            tv = self.T.at(x, y)
+            pairing = sum((tv.c[k - 1] * self.omega.at(k, j) for k in (1, 2, 3)),
+                          Polynomial.zero())
+            out[(x, y, j)] = f + pairing
+        return out
+
+
+def derivation(L: LieAlgebra, kind: str) -> Derivation:
+    """The Derivation of a connection on L, kept in L.derived and keyed
+    by the content of the connection table."""
+    C = make_connection(L, kind)
+    key = ("table", tuple(C.gamma[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)))
+    d = L.derived.get(key)
+    if d is None:
+        d = L.derived[key] = Derivation(C)
+    return d
+
+
 # -- residual systems ------------------------------------------------------
 
 
@@ -315,40 +387,19 @@ def _display_kind(kind: str) -> str:
 
 
 def codazzi_system(L: LieAlgebra, kind: str) -> PolySystem:
-    C = make_connection(L, kind)
-    omega = symmetrize(ricci(curvature(C)))
-    D = cov_deriv_02(C, omega)
-    entries = {}
-    for x, y in PAIRS:
-        for j in (1, 2, 3):
-            entries[(x, y, j)] = D.at(x, y, j) - D.at(y, x, j)
-    case_id = f"{L.label()}/{_display_kind(kind)}/codazzi"
-    return PolySystem(case_id=case_id, entries=entries, algebra=L)
+    return build_system(L, kind, "codazzi")
 
 
 def quasistat_system(L: LieAlgebra, kind: str) -> PolySystem:
-    C = make_connection(L, kind)
-    omega = symmetrize(ricci(curvature(C)))
-    D = cov_deriv_02(C, omega)
-    T = torsion(C)
-    entries = {}
-    for x, y in PAIRS:
-        for j in (1, 2, 3):
-            f = D.at(x, y, j) - D.at(y, x, j)
-            tv = T.at(x, y)
-            pairing = sum((tv.c[k - 1] * omega.at(k, j) for k in (1, 2, 3)),
-                          Polynomial.zero())
-            entries[(x, y, j)] = f + pairing
-    case_id = f"{L.label()}/{_display_kind(kind)}/quasistatistical"
-    return PolySystem(case_id=case_id, entries=entries, algebra=L)
+    return build_system(L, kind, "quasistatistical")
 
 
 def build_system(L: LieAlgebra, kind: str, structure: str) -> PolySystem:
-    if structure == "codazzi":
-        return codazzi_system(L, kind)
-    if structure == "quasistatistical":
-        return quasistat_system(L, kind)
-    raise ValueError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+    if structure not in STRUCTURES:
+        raise ValueError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
+    entries = getattr(derivation(L, kind), structure)
+    case_id = f"{L.label()}/{_display_kind(kind)}/{structure}"
+    return PolySystem(case_id=case_id, entries=entries, algebra=L)
 
 
 # -- deciding a system on a family ------------------------------------------
@@ -672,34 +723,23 @@ def load_claims():
 
 
 def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
-    """One derived object of a connection, keyed like the data files."""
+    """One derived object of a connection, keyed like the data files.
+
+    The dict is fresh on every call; its values are shared and immutable."""
     if obj not in OBJECTS:
         raise ValueError(f"unknown object {obj!r}; expected one of {OBJECTS}")
-    C = make_connection(L, kind)
     if obj == "connection":
+        C = make_connection(L, kind)
         return {f"{i},{j}": C.entry(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+    d = derivation(L, kind)
     if obj == "torsion":
-        T = torsion(C)
-        return {f"{x},{y}": T.at(x, y) for x, y in PAIRS}
-    R = curvature(C)
+        return {f"{x},{y}": d.T.at(x, y) for x, y in PAIRS}
     if obj == "curvature":
-        return {f"{x},{y},{k}": R.at(x, y, k) for x, y in PAIRS for k in (1, 2, 3)}
-    rho = ricci(R)
+        return {f"{x},{y},{k}": d.R.at(x, y, k) for x, y in PAIRS for k in (1, 2, 3)}
     if obj == "ricci":
-        return {f"{i},{j}": rho.at(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-    omega = symmetrize(rho)
-    if obj == "ricci-sym":
-        return {key: omega.at(*map(int, key.split(",")))
-                for key in _KIND_KEYS["ricci-sym"]}
-    D = cov_deriv_02(C, omega)
-    return {key: D.at(*map(int, key.split(",")))
-            for key in _KIND_KEYS["nabla-ricci-sym"]}
-
-
-def _render(value) -> str:
-    if isinstance(value, FrameVector):
-        return value.text()
-    return value.text()
+        return {f"{i},{j}": d.rho.at(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
+    tensor = d.omega if obj == "ricci-sym" else d.D
+    return {key: tensor.at(*map(int, key.split(","))) for key in _KIND_KEYS[obj]}
 
 
 def audit_printed_tables(register: Optional[DiscrepancyRegister] = None
@@ -715,9 +755,9 @@ def audit_printed_tables(register: Optional[DiscrepancyRegister] = None
                 location = f"{tbl.id} entry ({key}){_eta_suffix(eta)}"
                 ev = engine[key]
                 if isinstance(pv, GarbledValue):
-                    reg.add(location, pv.raw, _render(ev), "typo-suspected")
+                    reg.add(location, pv.raw, ev.text(), "typo-suspected")
                 elif pv != ev:
-                    reg.add(location, _render(pv), _render(ev), "typo-suspected")
+                    reg.add(location, pv.text(), ev.text(), "typo-suspected")
     return reg
 
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .poly import PolyError
-from .liealg import ConstraintViolation, FrameVector, SamplerStarvation, make_group
+from .liealg import FAMILIES, ConstraintViolation, FrameVector, SamplerStarvation, make_group
 from .connection import KIND_ALIASES
 from .classify import (
     KIND_DISPLAY,
@@ -27,8 +27,6 @@ from .classify import (
     sample_necessity,
     verify_paper_theorems,
 )
-
-FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 
 _EPILOG = (
     "parameter names: a = alpha, b = beta, g = gamma, d = delta "
@@ -127,7 +125,7 @@ def _cmd_check(args) -> int:
     greek = not args.ascii and _greek_ok()
     L = _group(args)
     system = build_system(L, args.connection, args.structure)
-    family = SolutionFamily.from_text(args.solution)
+    family = SolutionFamily.from_text(args.solution, eta=L.eta)
     result = check_on_family(system, family)
     if args.json:
         _emit({
@@ -146,8 +144,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_sample(args) -> int:
     L = _group(args)
+    excluded = []
+    for text in args.exclude:
+        family = SolutionFamily.from_text(text, eta=L.eta)
+        if not (family.assignment or family.extra_inequations):
+            raise ValueError(f"--exclude {text!r} states no condition, so it would "
+                             "exclude every point")
+        excluded.append(family)
     system = build_system(L, args.connection, args.structure)
-    excluded = [SolutionFamily.from_text(t) for t in args.exclude]
     try:
         report = sample_necessity(system, excluded, args.trials, args.seed)
     except ValueError as exc:

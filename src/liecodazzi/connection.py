@@ -8,6 +8,10 @@ projected Levi-Civita derivatives with projected brackets.  The
 canonical and Kobayashi-Nomizu connections correct Levi-Civita by the
 covariant derivative of the product structure J = diag(1,1,-1).
 
+Bott, canonical and Kobayashi-Nomizu take an optional prebuilt
+Levi-Civita connection of the same group, so that make_connection
+builds it once per group.
+
 Everything here treats frame vectors as constant-coefficient
 combinations of the left-invariant frame, so connections are bilinear
 over ring scalars in both slots.
@@ -20,7 +24,6 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .liealg import BASIS, FrameVector, LieAlgebra, bracket, metric
-from .poly import Polynomial
 
 KINDS = ("levi_civita", "bott", "canonical", "kobayashi_nomizu")
 # CLI-facing aliases
@@ -42,14 +45,6 @@ class Connection:
 
     def entry(self, i: int, j: int) -> FrameVector:
         return self.gamma[(i, j)]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "algebra": self.algebra.label(),
-            "entries": {f"{i},{j}": self.gamma[(i, j)].to_json()
-                        for i in (1, 2, 3) for j in (1, 2, 3)},
-        }
 
 
 def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
@@ -95,9 +90,10 @@ def _proj_d_perp(v: FrameVector) -> FrameVector:
     return FrameVector(0, 0, v.c[2])
 
 
-def bott(L: LieAlgebra) -> Connection:
+def bott(L: LieAlgebra, lc: Optional[Connection] = None) -> Connection:
     """Distribution split D = span{e1,e2}, D_perp = span{e3}."""
-    lc = levi_civita(L)
+    if lc is None:
+        lc = levi_civita(L)
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -125,9 +121,10 @@ def nabla_J(L: LieAlgebra, X: FrameVector, Y: FrameVector,
     return apply(lc, X, J(Y)) - J(apply(lc, X, Y))
 
 
-def canonical(L: LieAlgebra) -> Connection:
+def canonical(L: LieAlgebra, lc: Optional[Connection] = None) -> Connection:
     """nabla^c_X Y = nabla^L_X Y - (1/2) (nabla_X J) J Y."""
-    lc = levi_civita(L)
+    if lc is None:
+        lc = levi_civita(L)
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -137,10 +134,11 @@ def canonical(L: LieAlgebra) -> Connection:
     return Connection(kind="canonical", gamma=gamma, algebra=L)
 
 
-def kobayashi_nomizu(L: LieAlgebra) -> Connection:
+def kobayashi_nomizu(L: LieAlgebra, lc: Optional[Connection] = None) -> Connection:
     """nabla^k_X Y = nabla^c_X Y - (1/4)[(nabla_Y J) J X - (nabla_{JY} J) X]."""
-    can = canonical(L)
-    lc = levi_civita(L)
+    if lc is None:
+        lc = levi_civita(L)
+    can = canonical(L, lc)
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -151,40 +149,22 @@ def kobayashi_nomizu(L: LieAlgebra) -> Connection:
 
 
 def make_connection(L: LieAlgebra, kind: str) -> Connection:
-    kind = KIND_ALIASES.get(kind.lower())
-    if kind is None:
+    """The connection of the given kind on L, built once per group.
+
+    Levi-Civita is built first and reused by the other three kinds.  The
+    result is kept in L.derived and shared, so treat it as read-only; the
+    builders above stay uncached."""
+    internal = KIND_ALIASES.get(kind.lower())
+    if internal is None:
         raise ValueError(f"unknown connection kind; expected one of {sorted(set(KIND_ALIASES))}")
-    builder = {
-        "levi_civita": levi_civita,
-        "bott": bott,
-        "canonical": canonical,
-        "kobayashi_nomizu": kobayashi_nomizu,
-    }[kind]
-    return builder(L)
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Shorthand constants used by the printed G3/G4 tables."""
-    m1: Optional[Polynomial] = None
-    m2: Optional[Polynomial] = None
-    m3: Optional[Polynomial] = None
-    n1: Optional[Polynomial] = None
-    n2: Optional[Polynomial] = None
-    n3: Optional[Polynomial] = None
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
-
-def derived_constants(L: LieAlgebra) -> DerivedConstants:
-    from .poly import parse
-
-    if L.family == "G3":
-        return DerivedConstants(
-            m1=parse("(a-b-g)/2"), m2=parse("(a-b+g)/2"), m3=parse("(a+b-g)/2"))
-    if L.family == "G4":
-        h = L.eta
-        return DerivedConstants(
-            n1=parse(f"a/2+({h})-b"), n2=parse(f"a/2-({h})"), n3=parse(f"a/2+({h})"))
-    return DerivedConstants()
+    key = ("connection", internal)
+    C = L.derived.get(key)
+    if C is None:
+        if internal == "levi_civita":
+            C = levi_civita(L)
+        else:
+            builder = {"bott": bott, "canonical": canonical,
+                       "kobayashi_nomizu": kobayashi_nomizu}[internal]
+            C = builder(L, make_connection(L, "levi_civita"))
+        L.derived[key] = C
+    return C

@@ -10,12 +10,13 @@ construction time and never appears as a ring symbol.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import Polynomial, Rational, parse
+from .poly import _VAR_ALIASES, VARS, Polynomial, Rational, parse
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 METRIC_SIGNATURE = (1, 1, -1)
@@ -132,6 +133,10 @@ class LieAlgebra:
     constraints: ConstraintSet
     params: Optional[Mapping[str, Fraction]] = None
     metric_signature: tuple = METRIC_SIGNATURE
+    # connections and the objects derived from them, filled on first
+    # request by connection.make_connection and classify.derivation; they
+    # live and die with the group and are shared, so treat them as read-only
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> FrameVector:
         if i == j:
@@ -230,7 +235,9 @@ def make_group(family: str, eta: Optional[int] = None,
 
     eta (+1 or -1) must be supplied exactly for G4.  With numeric_params
     all four parameters must be given as exact rationals; the instance
-    is checked against the family's equalities and inequations.
+    is checked against the family's equalities and inequations.  The
+    symbolic groups are built once per (family, eta) and shared, so
+    their derived objects are computed once per process.
     """
     family = family.upper()
     if family == "G4":
@@ -238,33 +245,41 @@ def make_group(family: str, eta: Optional[int] = None,
             raise ValueError("G4 requires eta=+1 or eta=-1")
     elif eta is not None:
         raise ValueError(f"{family} takes no eta")
-    brackets, constraints = _family_structure(family, eta)
-    params = None
-    if numeric_params is not None:
-        params = {}
-        for name in ("a", "b", "g", "d"):
-            aliases = {"a": ("a", "alpha"), "b": ("b", "beta"),
-                       "g": ("g", "gamma"), "d": ("d", "delta")}[name]
-            val = None
-            for k in aliases:
-                if k in numeric_params:
-                    val = numeric_params[k]
-            if val is None:
-                raise ValueError(f"numeric instance misses parameter {name!r}")
+    symbolic = _symbolic_group(family, eta)
+    if numeric_params is None:
+        return symbolic
+    constraints = symbolic.constraints
+    params = {}
+    unknown = []
+    for key, val in numeric_params.items():
+        name = _VAR_ALIASES.get(key, key)
+        if name in VARS:
             params[name] = Fraction(val)
-        extra = set(numeric_params) - {"a", "b", "g", "d", "alpha", "beta", "gamma", "delta"}
-        if extra:
-            raise ValueError(f"unknown parameters {sorted(extra)}")
-        for p in constraints.equalities:
-            if p.eval_at(params) != 0:
-                raise ConstraintViolation(p, "equality")
-        for p in constraints.inequations:
-            if p.eval_at(params) == 0:
-                raise ConstraintViolation(p, "inequation")
-        subs = {k: Polynomial.const(v) for k, v in params.items()}
-        brackets = {k: v.substitute(subs) for k, v in brackets.items()}
+        else:
+            unknown.append(key)
+    for name in VARS:
+        if name not in params:
+            raise ValueError(f"numeric instance misses parameter {name!r}")
+    if unknown:
+        raise ValueError(f"unknown parameters {sorted(unknown)}")
+    for p in constraints.equalities:
+        if p.eval_at(params) != 0:
+            raise ConstraintViolation(p, "equality")
+    for p in constraints.inequations:
+        if p.eval_at(params) == 0:
+            raise ConstraintViolation(p, "inequation")
+    subs = {k: Polynomial.const(v) for k, v in params.items()}
+    brackets = {k: v.substitute(subs) for k, v in symbolic.brackets.items()}
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
                       constraints=constraints, params=params)
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_group(family: str, eta: Optional[int]) -> LieAlgebra:
+    # at most eight entries: unknown families raise and are not cached
+    brackets, constraints = _family_structure(family, eta)
+    return LieAlgebra(family=family, eta=eta, brackets=brackets,
+                      constraints=constraints)
 
 
 def _raw_algebra(b12: FrameVector, b13: FrameVector, b23: FrameVector,

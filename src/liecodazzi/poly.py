@@ -340,6 +340,12 @@ class PolyParseError(PolyError):
     pass
 
 
+# Largest degree of any power or product that parse computes, so also
+# the largest exponent; the transcribed tables need at most 3.  Checked
+# before each operation, it bounds the work per operator in the text.
+MAX_DEGREE = 12
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -402,6 +408,11 @@ class _Parser:
             out = out + rhs if op == "+" else out - rhs
         return out
 
+    def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
+        if left.degree() + right.degree() > MAX_DEGREE:
+            raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source!r}")
+        return left * right
+
     def parse_term(self) -> Polynomial:
         out = self.parse_factor()
         while True:
@@ -410,7 +421,7 @@ class _Parser:
                 op = self.next()[0]
                 rhs = self.parse_factor()
                 if op == "*":
-                    out = out * rhs
+                    out = self.product(out, rhs)
                 else:
                     if not rhs.is_constant() or rhs.is_zero():
                         raise PolyParseError(
@@ -418,7 +429,7 @@ class _Parser:
                     out = out.scale(Fraction(1) / rhs.constant_value())
             elif kind in ("num", "var", "("):
                 # implicit multiplication, e.g. "2a" or "a(b+g)"
-                out = out * self.parse_factor()
+                out = self.product(out, self.parse_factor())
             else:
                 return out
 
@@ -433,11 +444,12 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[0] == "^":
             self.next()
-            sign = 1
             if self.peek()[0] == "-":
                 raise PolyParseError(f"negative exponent in {self.source!r}")
             tok = self.expect("num")
-            return base ** (sign * tok[1])
+            if tok[1] > MAX_DEGREE or base.degree() * tok[1] > MAX_DEGREE:
+                raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source!r}")
+            return base ** tok[1]
         return base
 
     def parse_atom(self) -> Polynomial:

@@ -35,14 +35,6 @@ class Curvature:
             return self.r[(i, j)][k - 1]
         return -self.r[(j, i)][k - 1]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "curvature",
-            "connection": self.connection.kind,
-            "entries": {f"{i},{j},{k}": self.at(i, j, k).to_json()
-                        for i, j in PAIRS for k in (1, 2, 3)},
-        }
-
 
 @dataclass(frozen=True)
 class Tensor02:
@@ -65,11 +57,6 @@ class Tensor02:
     def is_symmetric(self) -> bool:
         return all(self.w[(i, j)] == self.w[(j, i)] for i, j in PAIRS)
 
-    def to_json(self) -> dict:
-        return {"kind": "tensor02",
-                "entries": {f"{i},{j}": self.w[(i, j)].to_json()
-                            for i in (1, 2, 3) for j in (1, 2, 3)}}
-
 
 @dataclass(frozen=True)
 class Tensor03:
@@ -78,11 +65,6 @@ class Tensor03:
 
     def at(self, i: int, j: int, k: int) -> Polynomial:
         return self.d[(i, j, k)]
-
-    def to_json(self) -> dict:
-        return {"kind": "tensor03",
-                "entries": {f"{i},{j},{k}": self.d[(i, j, k)].to_json()
-                            for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)}}
 
 
 @dataclass(frozen=True)
@@ -109,10 +91,6 @@ class TorsionTensor:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.t.values())
-
-    def to_json(self) -> dict:
-        return {"kind": "torsion",
-                "entries": {f"{i},{j}": self.t[(i, j)].to_json() for i, j in PAIRS}}
 
 
 def curvature(C: Connection) -> Curvature:

@@ -147,6 +147,30 @@ def test_check_solution_conflicting_with_group_is_usage_error(capsys):
     assert "constraint violated" in err
 
 
+def test_check_solution_accepts_metric_sign_h(capsys):
+    # the README's G4 example: h is the sign eta of the chosen branch
+    for eta, sign in (("+1", "1"), ("-1", "(-1)")):
+        args = ("check", "--family", "G4", "--eta", eta, "--connection",
+                "canonical", "--structure", "codazzi", "--json", "--solution")
+        with_h = run(capsys, *args, "b=a/2+h")
+        with_sign = run(capsys, *args, f"b=a/2+{sign}")
+        assert with_h[0] in (0, 1)
+        assert with_h == with_sign
+
+
+def test_check_h_off_g4_is_usage_error(capsys):
+    code, _, err = run(capsys, "check", "--family", "G1", "--connection",
+                       "bott", "--structure", "codazzi", "--solution", "b=h")
+    assert code == 2 and "'h'" in err
+
+
+def test_check_huge_exponent_is_usage_error(capsys):
+    code, _, err = run(capsys, "check", "--family", "G1", "--connection",
+                       "bott", "--structure", "codazzi", "--solution",
+                       "a=b^99999999")
+    assert code == 2 and "degree above" in err
+
+
 def test_check_malformed_solution(capsys):
     code, _, err = run(capsys, "check", "--family", "G1", "--connection",
                        "bott", "--structure", "codazzi", "--solution", "a+b")
@@ -178,11 +202,21 @@ def test_sample_exclude_and_counterexample_fields(capsys):
 
 
 def test_sample_starvation_exit_three(capsys):
+    # a^2+1 never vanishes, so the excluded family holds every point
     code, _, err = run(capsys, "sample", "--family", "G3", "--connection",
-                       "bott", "--structure", "codazzi", "--exclude", "",
+                       "bott", "--structure", "codazzi", "--exclude", "a^2+1!=0",
                        "--trials", "5")
     assert code == 3
     assert "leave too little room" in err
+
+
+def test_sample_empty_exclude_is_usage_error(capsys):
+    for text in ("", "  ", ","):
+        code, out, err = run(capsys, "sample", "--family", "G3", "--connection",
+                             "bott", "--structure", "codazzi", "--exclude", text,
+                             "--trials", "5")
+        assert code == 2, text
+        assert "no condition" in err and out == ""
 
 
 def test_sample_rejects_nonpositive_trials(capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from liecodazzi.classify import expand_tokens
 from liecodazzi.connection import (
-    J, apply, bott, canonical, derived_constants, kobayashi_nomizu, levi_civita,
-    make_connection, nabla_J,
+    J, apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
+    nabla_J,
 )
 from liecodazzi.liealg import (
     BASIS, E1, E2, E3, FAMILIES, FrameVector, abelian, make_group,
@@ -29,6 +30,11 @@ def all_groups():
 
 def fv(c1, c2, c3):
     return FrameVector(parse(str(c1)), parse(str(c2)), parse(str(c3)))
+
+
+def shorthand(token, eta=None):
+    """One of the m/n constants of the printed G3/G4 tables."""
+    return parse(expand_tokens(token, eta))
 
 
 # -- Levi-Civita -----------------------------------------------------------
@@ -120,10 +126,9 @@ def test_canonical_g1_entries():
 
 
 def test_canonical_g3_entry_uses_m3():
-    L = make_group("G3")
-    C = canonical(L)
-    m = derived_constants(L)
-    assert C.gamma[(3, 1)] == FrameVector(Polynomial.zero(), m.m3, Polynomial.zero())
+    C = canonical(make_group("G3"))
+    assert C.gamma[(3, 1)] == FrameVector(Polynomial.zero(), shorthand("m3"),
+                                          Polynomial.zero())
 
 
 def test_canonical_g5_entry():
@@ -159,12 +164,11 @@ def test_kn_g5_table():
 
 
 def test_kn_g3_entries():
-    L = make_group("G3")
-    C = kobayashi_nomizu(L)
-    m = derived_constants(L)
+    C = kobayashi_nomizu(make_group("G3"))
+    m1, m2, m3 = (shorthand(t) for t in ("m1", "m2", "m3"))
     zero = Polynomial.zero()
-    assert C.gamma[(3, 1)] == FrameVector(zero, m.m3 - m.m1, zero)
-    assert C.gamma[(3, 2)] == FrameVector(-(m.m2 + m.m3), zero, zero)
+    assert C.gamma[(3, 1)] == FrameVector(zero, m3 - m1, zero)
+    assert C.gamma[(3, 2)] == FrameVector(-(m2 + m3), zero, zero)
 
 
 # -- apply ----------------------------------------------------------------------
@@ -192,17 +196,15 @@ def test_make_connection_aliases():
 
 
 def test_derived_constants_values():
-    m = derived_constants(make_group("G3"))
-    assert m.m1 == parse("(a-b-g)/2")
-    assert m.m2 == parse("(a-b+g)/2")
-    assert m.m3 == parse("(a+b-g)/2")
-    n = derived_constants(make_group("G4", eta=1))
-    assert n.n1 == parse("a/2+1-b")
-    assert n.n2 == parse("a/2-1")
-    assert n.n3 == parse("a/2+1")
-    n = derived_constants(make_group("G4", eta=-1))
-    assert n.n3 == parse("a/2-1")
-    assert derived_constants(make_group("G1")).as_dict() == {}
+    assert shorthand("m1") == parse("(a-b-g)/2")
+    assert shorthand("m2") == parse("(a-b+g)/2")
+    assert shorthand("m3") == parse("(a+b-g)/2")
+    assert shorthand("n1", eta=1) == parse("a/2+1-b")
+    assert shorthand("n2", eta=1) == parse("a/2-1")
+    assert shorthand("n3", eta=1) == parse("a/2+1")
+    assert shorthand("n3", eta=-1) == parse("a/2-1")
+    # the n constants carry the G4 sign h, which needs eta
+    assert expand_tokens("n3") == "(a/2+h)"
 
 
 # -- dual-path numeric oracle -----------------------------------------------------

@@ -1,0 +1,117 @@
+"""The per-group derivation store: shared, lazy, read-only, and invisible
+in the audit's output."""
+
+import gc
+import json
+import os
+import subprocess
+import sys
+import weakref
+
+import liecodazzi
+from liecodazzi import classify, connection, liealg
+from liecodazzi.classify import (
+    OBJECTS, STRUCTURES, Derivation, build_system, compute_object, derivation,
+    verify_paper_theorems,
+)
+from liecodazzi.cli import main
+from liecodazzi.connection import KINDS, bott, canonical, kobayashi_nomizu
+from liecodazzi.liealg import FAMILIES, make_group
+
+AUDITED_BUILDERS = (bott, canonical, kobayashi_nomizu)
+
+
+def all_groups():
+    return [make_group(f, eta=e) for f in FAMILIES
+            for e in ((1, -1) if f == "G4" else (None,))]
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_symbolic_groups_are_shared_numeric_ones_are_not():
+    assert make_group("G1") is make_group("g1")
+    assert make_group("G4", eta=1) is not make_group("G4", eta=-1)
+    pt = {"a": 1, "b": 2, "g": 3, "d": 4}
+    assert make_group("G1", numeric_params=pt) is not make_group("G1", numeric_params=pt)
+
+
+def test_bott_and_kn_share_one_derivation():
+    for L in all_groups():
+        assert derivation(L, "bott") is derivation(L, "kn"), L.label()
+        assert derivation(L, "bott") is not derivation(L, "canonical"), L.label()
+
+
+def test_curvature_built_once_per_distinct_table_in_an_audit(monkeypatch):
+    # the pure builders give the reference count of distinct tables
+    tables = {(L.label(), tuple(sorted(build(L).gamma.items())))
+              for L in all_groups() for build in AUDITED_BUILDERS}
+    assert len(tables) == 16
+    liealg._symbolic_group.cache_clear()  # start from a cold store
+    curvatures = counting(monkeypatch, classify, "curvature")
+    levi_civitas = counting(monkeypatch, connection, "levi_civita")
+    verify_paper_theorems(trials_per_case=20, seed=0)
+    assert len(curvatures) == len(tables)
+    assert len(levi_civitas) == len(all_groups())
+
+
+def test_connection_request_derives_nothing_else(monkeypatch):
+    curvatures = counting(monkeypatch, classify, "curvature")
+    L = make_group("G5", numeric_params={"a": 2, "b": 2, "g": 1, "d": -1})
+    compute_object(L, "bott", "connection")
+    assert not curvatures
+    assert not any(isinstance(v, Derivation) for v in L.derived.values())
+    compute_object(L, "bott", "ricci-sym")
+    d = derivation(L, "bott")
+    assert "omega" in vars(d) and "D" not in vars(d) and "T" not in vars(d)
+    assert len(curvatures) == 1
+
+
+def test_compute_object_returns_fresh_dicts():
+    L = make_group("G3")
+    for kind in KINDS:
+        for obj in OBJECTS:
+            first = compute_object(L, kind, obj)
+            want = dict(first)
+            first.clear()
+            first["1,1"] = None
+            assert compute_object(L, kind, obj) == want, (kind, obj)
+
+
+def test_numeric_instances_do_not_pile_up():
+    L = make_group("G2", numeric_params={"a": 1, "b": 2, "g": 3, "d": 0})
+    for structure in STRUCTURES:
+        build_system(L, "kn", structure)
+    ref = weakref.ref(L)
+    del L
+    gc.collect()
+    assert ref() is None
+
+
+def test_cold_cli_audit_matches_warm_in_process_audit(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecodazzi.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("LIECODAZZI_SEED", None)
+    argv = ["audit", "--json", "--trials", "200", "--seed", "0"]
+    cold = subprocess.run([sys.executable, "-m", "liecodazzi.cli", *argv],
+                          capture_output=True, env=env, check=False)
+    for L in all_groups():
+        for kind in KINDS:
+            for structure in STRUCTURES:
+                build_system(L, kind, structure)
+    capsys.readouterr()
+    code = main(argv)
+    warm = capsys.readouterr().out
+    assert cold.returncode == code == 1
+    assert len(json.loads(warm)["verdicts"]) == 42
+    assert cold.stdout.decode("utf-8") == warm

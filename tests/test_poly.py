@@ -209,6 +209,17 @@ def test_parse_rejects_junk():
             parse(bad)
 
 
+def test_parse_caps_degrees():
+    cap = poly.MAX_DEGREE
+    assert parse(f"a^{cap}") == A ** cap
+    assert parse(f"(a+b)^{cap // 2}(a-b)^{cap // 2}") == (A * A - B * B) ** (cap // 2)
+    # rejected before the power or product is computed, so each call is cheap
+    for bad in (f"a^{cap + 1}", "b^99999999", "(a+b)^99999999", f"(a^2)^{cap}",
+                f"a^{cap}*b", "(a+b+g+d)^12" * 3):
+        with pytest.raises(PolyParseError, match="degree above"):
+            parse(bad)
+
+
 def test_text_round_trip():
     rng = random.Random(109)
     for _ in range(200):
