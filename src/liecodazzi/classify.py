@@ -17,6 +17,7 @@ and audits the published tables shipped under data/ against independent
 recomputation, collecting every difference in a DiscrepancyRegister.
 """
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
@@ -32,10 +33,11 @@ from .liealg import (
     LieAlgebra,
     SamplerStarvation,
     _rand_rational,
+    branches,
     make_group,
     sample_constraint_point,
 )
-from .connection import KIND_ALIASES, Connection, make_connection
+from .connection import Connection, display_name, make_connection
 from .tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 __all__ = [
@@ -54,15 +56,14 @@ __all__ = [
     "audit_printed_systems",
     "audit_printed_tables",
     "build_system",
+    "case_id",
     "check_on_family",
-    "codazzi_system",
     "compute_object",
     "derivation",
     "expand_tokens",
     "load_claims",
     "load_printed_systems",
     "load_printed_tables",
-    "quasistat_system",
     "sample_family_member",
     "sample_necessity",
     "verify_paper_theorems",
@@ -73,19 +74,11 @@ STRUCTURES = ("codazzi", "quasistatistical")
 OBJECTS = ("connection", "curvature", "ricci", "ricci-sym",
            "nabla-ricci-sym", "torsion")
 
-# display names for connection kinds, keyed by the internal identifiers
-KIND_DISPLAY = {
-    "levi_civita": "levi-civita",
-    "bott": "bott",
-    "canonical": "canonical",
-    "kobayashi_nomizu": "kobayashi-nomizu",
-}
-
 SEVERITIES = ("typo-suspected", "verdict-conflict")
 
 _TABLE_FILES = ("printed_bott.json", "printed_canonical.json", "printed_kn.json")
 
-# shorthand constants of the G3/G4 tables, replaced before parsing;
+# shorthand constants of the printed G3/G4 tables, replaced before parsing;
 # h is the G4 metric sign and is replaced last so that n1..n3 can use it
 _TOKENS = (
     ("m1", "((a-b-g)/2)"),
@@ -115,19 +108,27 @@ def _replace_words(text: str, reps: Mapping[str, str]) -> str:
     return "".join(out)
 
 
+def _expand_sign(text: str, eta: Optional[int]) -> str:
+    if eta is None:
+        return text
+    return _replace_words(text, {"h": "(1)" if eta > 0 else "(-1)"})
+
+
 def expand_tokens(text: str, eta: Optional[int] = None) -> str:
-    """Replace the m/n shorthand and the sign h in a coefficient text.
+    """Replace the m/n shorthand of the printed tables and the sign h.
 
     The n tokens expand to expressions containing h, so h is replaced in
-    a second pass."""
-    text = _replace_words(text, dict(_TOKENS))
-    if eta is not None:
-        text = _replace_words(text, {"h": "(1)" if eta > 0 else "(-1)"})
-    return text
+    a second pass.  Solution text knows h only (see SolutionFamily)."""
+    return _expand_sign(_replace_words(text, dict(_TOKENS)), eta)
 
 
-def _parse_value(text: str, eta: Optional[int] = None) -> Polynomial:
-    return parse(expand_tokens(text, eta))
+def _key_text(key: tuple) -> str:
+    """An index tuple spelled as in the data files and reports: "x,y,j"."""
+    return ",".join(map(str, key))
+
+
+def _point_json(point: Optional[Mapping]) -> Optional[dict]:
+    return None if point is None else {v: str(point[v]) for v in sorted(point)}
 
 
 def _monomial(exps, coeff) -> Polynomial:
@@ -184,11 +185,13 @@ class SolutionFamily:
 
     @classmethod
     def from_spec(cls, spec: Mapping, eta: Optional[int] = None) -> "SolutionFamily":
-        assignment = {var: _parse_value(txt, eta)
-                      for var, txt in spec.get("assign", {}).items()}
-        nonzero = tuple(_parse_value(t, eta) for t in spec.get("require_nonzero", ()))
-        quads = tuple((_parse_value(l, eta), _parse_value(r, eta))
-                      for l, r in spec.get("quadratic", ()))
+        """A family from its data-file form; h is the sign eta."""
+        def value(text):
+            return parse(_expand_sign(text, eta))
+
+        assignment = {var: value(txt) for var, txt in spec.get("assign", {}).items()}
+        nonzero = tuple(value(t) for t in spec.get("require_nonzero", ()))
+        quads = tuple((value(l), value(r)) for l, r in spec.get("quadratic", ()))
         return cls(assignment=assignment, extra_inequations=nonzero,
                    quadratic_relations=quads)
 
@@ -196,9 +199,9 @@ class SolutionFamily:
     def from_text(cls, text: str, eta: Optional[int] = None) -> "SolutionFamily":
         """Parse "a=0,b=0,g!=0" into a family.
 
-        The m/n shorthand and the sign h expand as in from_spec; h needs
-        the group's eta."""
-        text = expand_tokens(text, eta)
+        The sign h expands as in from_spec and needs the group's eta; the
+        m/n shorthand of the printed tables is not solution text."""
+        text = _expand_sign(text, eta)
         assignment = {}
         nonzero = []
         for tok in text.split(","):
@@ -374,32 +377,21 @@ class PolySystem:
     def to_json(self) -> dict:
         return {
             "case": self.case_id,
-            "entries": {f"{x},{y},{j}": p.text()
-                        for (x, y, j), p in sorted(self.entries.items())},
+            "entries": {_key_text(k): p.text() for k, p in sorted(self.entries.items())},
         }
 
 
-def _display_kind(kind: str) -> str:
-    internal = KIND_ALIASES.get(kind.lower())
-    if internal is None:
-        raise ValueError(f"unknown connection kind {kind!r}")
-    return KIND_DISPLAY[internal]
-
-
-def codazzi_system(L: LieAlgebra, kind: str) -> PolySystem:
-    return build_system(L, kind, "codazzi")
-
-
-def quasistat_system(L: LieAlgebra, kind: str) -> PolySystem:
-    return build_system(L, kind, "quasistatistical")
+def case_id(label: str, kind: str, structure: str) -> str:
+    """The id of a case, e.g. G2/bott/codazzi or G4(eta=+1)/canonical/codazzi."""
+    return f"{label}/{display_name(kind)}/{structure}"
 
 
 def build_system(L: LieAlgebra, kind: str, structure: str) -> PolySystem:
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
     entries = getattr(derivation(L, kind), structure)
-    case_id = f"{L.label()}/{_display_kind(kind)}/{structure}"
-    return PolySystem(case_id=case_id, entries=entries, algebra=L)
+    return PolySystem(case_id=case_id(L.label(), kind, structure), entries=entries,
+                      algebra=L)
 
 
 # -- deciding a system on a family ------------------------------------------
@@ -413,8 +405,7 @@ class CheckResult:
     def to_json(self) -> dict:
         return {
             "holds": self.holds,
-            "residuals": {f"{x},{y},{j}": p.text()
-                          for (x, y, j), p in sorted(self.residuals.items())},
+            "residuals": {_key_text(k): p.text() for k, p in sorted(self.residuals.items())},
         }
 
 
@@ -462,15 +453,8 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
             for other in family.assignment:
                 probe.setdefault(other, Fraction(0))
             pt[var] = family.assignment[var].eval_at(probe)
-        if any(l.eval_at(pt) != r.eval_at(pt) for l, r in family.quadratic_relations):
-            continue
-        if any(p.eval_at(pt) != 0 for p in L.constraints.equalities):
-            continue
-        if any(p.eval_at(pt) == 0 for p in L.constraints.inequations):
-            continue
-        if any(q.eval_at(pt) == 0 for q in family.extra_inequations):
-            continue
-        return pt
+        if family.contains(pt) and L.constraints.violated(pt) is None:
+            return pt
     raise SamplerStarvation(
         f"no member of family [{family.describe()}] on {L.label()} "
         f"in {max_attempts} attempts")
@@ -488,17 +472,15 @@ class SampleReport:
     counterexample: Optional[dict]      # first point where the system holds
 
     def to_json(self) -> dict:
-        def pt(p):
-            return None if p is None else {v: str(p[v]) for v in sorted(p)}
         out = {
             "trials": self.trials,
             "violations": self.violations,
             "satisfied": self.satisfied,
-            "witness": pt(self.witness),
-            "counterexample": pt(self.counterexample),
+            "witness": _point_json(self.witness),
+            "counterexample": _point_json(self.counterexample),
         }
         if self.witness_residuals is not None:
-            out["witness_residuals"] = {f"{x},{y},{j}": str(v) for (x, y, j), v
+            out["witness_residuals"] = {_key_text(k): str(v) for k, v
                                         in sorted(self.witness_residuals.items())}
         return out
 
@@ -580,9 +562,6 @@ class DiscrepancyRegister:
     def __iter__(self):
         return iter(self._entries)
 
-    def locations(self):
-        return [e.location for e in self._entries]
-
     def to_json(self) -> dict:
         return {"schema": "1", "entries": [e.to_json() for e in self._entries]}
 
@@ -605,29 +584,36 @@ def _load_json(name: str) -> dict:
 
 _VECTOR_KINDS = ("connection", "curvature", "torsion")
 
+# the index tuples of each object, in table order, and the Derivation
+# attribute that holds it (the connection itself needs no Derivation)
 _KIND_KEYS = {
-    "connection": [f"{i},{j}" for i in (1, 2, 3) for j in (1, 2, 3)],
-    "curvature": [f"{x},{y},{k}" for x, y in PAIRS for k in (1, 2, 3)],
-    "ricci": [f"{i},{j}" for i in (1, 2, 3) for j in (1, 2, 3)],
-    "ricci-sym": ["1,1", "1,2", "1,3", "2,2", "2,3", "3,3"],
-    "nabla-ricci-sym": [f"{p},{q},{j}" for x, y in PAIRS for j in (1, 2, 3)
+    "connection": [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
+    "curvature": [(x, y, k) for x, y in PAIRS for k in (1, 2, 3)],
+    "ricci": [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
+    "ricci-sym": [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)],
+    "nabla-ricci-sym": [(p, q, j) for x, y in PAIRS for j in (1, 2, 3)
                         for p, q in ((x, y), (y, x))],
-    "torsion": [f"{x},{y}" for x, y in PAIRS],
+    "torsion": PAIRS,
 }
+_DERIVED_ATTR = {"curvature": "R", "ricci": "rho", "ricci-sym": "omega",
+                 "nabla-ricci-sym": "D", "torsion": "T"}
+
+
+class _Published:
+    """A transcribed row of the source; G4 rows hold for both signs of h."""
+
+    def branches(self) -> tuple:
+        return branches(self.family)
 
 
 @dataclass(frozen=True)
-class PrintedTable:
+class PrintedTable(_Published):
     id: str
     family: str
     connection: str
     kind: str
-    entries: Mapping[str, object]
-    eta_template: bool = False
+    entries: Mapping[str, object] = field(default_factory=dict)
     all_zero: bool = False
-
-    def branches(self):
-        return (1, -1) if self.eta_template else (None,)
 
     def materialize(self, eta: Optional[int]):
         """Parsed entries for one branch; garbled values pass through."""
@@ -635,30 +621,26 @@ class PrintedTable:
         if self.all_zero:
             zero = Polynomial.zero()
             for key in _KIND_KEYS[self.kind]:
-                out[key] = FrameVector(zero, zero, zero) \
+                out[_key_text(key)] = FrameVector(zero, zero, zero) \
                     if self.kind in _VECTOR_KINDS else zero
             return out
         for key, value in self.entries.items():
             if isinstance(value, dict) and value.get("garbled"):
                 out[key] = GarbledValue(raw=value["raw"])
             elif self.kind in _VECTOR_KINDS:
-                out[key] = FrameVector(*(_parse_value(t, eta) for t in value))
+                out[key] = FrameVector(*(parse(expand_tokens(t, eta)) for t in value))
             else:
-                out[key] = _parse_value(value, eta)
+                out[key] = parse(expand_tokens(value, eta))
         return out
 
 
 @dataclass(frozen=True)
-class PrintedSystem:
+class PrintedSystem(_Published):
     id: str
     family: str
     connection: str
     structure: str
     equations: tuple
-    eta_template: bool = False
-
-    def branches(self):
-        return (1, -1) if self.eta_template else (None,)
 
     def materialize(self, eta: Optional[int]):
         """(position, Polynomial | GarbledValue) pairs, positions 1-based."""
@@ -667,12 +649,12 @@ class PrintedSystem:
             if isinstance(eq, dict) and eq.get("garbled"):
                 out.append((pos, GarbledValue(raw=eq["raw"])))
             else:
-                out.append((pos, _parse_value(eq, eta)))
+                out.append((pos, parse(expand_tokens(eq, eta))))
         return out
 
 
 @dataclass(frozen=True)
-class Claim:
+class Claim(_Published):
     family: str
     connection: str
     structure: str
@@ -680,43 +662,31 @@ class Claim:
     status: str
     families: tuple = ()
     recomputed_families: tuple = ()
-    eta_template: bool = False
 
-    def branches(self):
-        return (1, -1) if self.eta_template else (None,)
+
+def _load_rows(name: str, key: str, cls) -> list:
+    """The rows under key in a data file as cls records, lists as tuples."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    rows = []
+    for row in _load_json(name)[key]:
+        unknown = sorted(set(row) - known)
+        if unknown:
+            raise ValueError(f"{name}: unknown keys {unknown} in a {cls.__name__} row")
+        rows.append(cls(**{k: tuple(v) if isinstance(v, list) else v
+                           for k, v in row.items()}))
+    return rows
 
 
 def load_printed_tables():
-    tables = []
-    for name in _TABLE_FILES:
-        data = _load_json(name)
-        for row in data["tables"]:
-            tables.append(PrintedTable(
-                id=row["id"], family=row["family"], connection=row["connection"],
-                kind=row["kind"], entries=row.get("entries", {}),
-                eta_template=row.get("eta_template", False),
-                all_zero=row.get("all_zero", False)))
-    return tables
+    return [t for name in _TABLE_FILES for t in _load_rows(name, "tables", PrintedTable)]
 
 
 def load_printed_systems():
-    data = _load_json("printed_systems.json")
-    return [PrintedSystem(
-        id=row["id"], family=row["family"], connection=row["connection"],
-        structure=row["structure"], equations=tuple(row["equations"]),
-        eta_template=row.get("eta_template", False))
-        for row in data["systems"]]
+    return _load_rows("printed_systems.json", "systems", PrintedSystem)
 
 
 def load_claims():
-    data = _load_json("claims.json")
-    return [Claim(
-        family=row["family"], connection=row["connection"],
-        structure=row["structure"], anchor=row["anchor"], status=row["status"],
-        families=tuple(row.get("families", ())),
-        recomputed_families=tuple(row.get("recomputed_families", ())),
-        eta_template=row.get("eta_template", False))
-        for row in data["claims"]]
+    return _load_rows("claims.json", "claims", Claim)
 
 
 # -- recomputation -----------------------------------------------------------
@@ -729,17 +699,10 @@ def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
     if obj not in OBJECTS:
         raise ValueError(f"unknown object {obj!r}; expected one of {OBJECTS}")
     if obj == "connection":
-        C = make_connection(L, kind)
-        return {f"{i},{j}": C.entry(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-    d = derivation(L, kind)
-    if obj == "torsion":
-        return {f"{x},{y}": d.T.at(x, y) for x, y in PAIRS}
-    if obj == "curvature":
-        return {f"{x},{y},{k}": d.R.at(x, y, k) for x, y in PAIRS for k in (1, 2, 3)}
-    if obj == "ricci":
-        return {f"{i},{j}": d.rho.at(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
-    tensor = d.omega if obj == "ricci-sym" else d.D
-    return {key: tensor.at(*map(int, key.split(","))) for key in _KIND_KEYS[obj]}
+        at = make_connection(L, kind).entry
+    else:
+        at = getattr(derivation(L, kind), _DERIVED_ATTR[obj]).at
+    return {_key_text(key): at(*key) for key in _KIND_KEYS[obj]}
 
 
 def audit_printed_tables(register: Optional[DiscrepancyRegister] = None
@@ -858,14 +821,12 @@ class Verdict:
             raise ValueError("a paper-discrepancy verdict carries both claims")
 
     def to_json(self) -> dict:
-        def pt(p):
-            return None if p is None else {v: str(p[v]) for v in sorted(p)}
         out = {
             "case": self.case_id,
             "anchor": self.anchor,
             "status": self.status,
             "families": list(self.families_desc),
-            "witness": pt(self.witness),
+            "witness": _point_json(self.witness),
             "explanation": self.explanation,
         }
         if self.residuals is not None:
@@ -878,17 +839,6 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class _BranchResult:
-    status: str
-    families: tuple
-    witness: Optional[dict]
-    residuals: Optional[dict]
-    explanation: str
-    paper_claim: str
-    recomputed_claim: str
-
-
 def _claim_summary(claim: Claim, families: Sequence[SolutionFamily]) -> str:
     if claim.status == "always":
         return "holds-always"
@@ -898,33 +848,32 @@ def _claim_summary(claim: Claim, families: Sequence[SolutionFamily]) -> str:
 
 
 def _residual_strings(values: Mapping) -> dict:
-    return {f"{x},{y},{j}": v for (x, y, j), v in sorted(values.items())}
+    return {_key_text(k): v for k, v in sorted(values.items())}
 
 
 def _eval_all(system: PolySystem, point: Mapping[str, Fraction]) -> dict:
     return {key: p.eval_at(point) for key, p in system.entries.items()}
 
 
-def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> _BranchResult:
+def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdict:
     system = build_system(L, claim.connection, claim.structure)
     rng = random.Random(seed ^ 0x5EED)
     eta = L.eta
     fams = tuple(SolutionFamily.from_spec(s, eta) for s in claim.families)
     rec = tuple(SolutionFamily.from_spec(s, eta) for s in claim.recomputed_families)
-    paper_claim = _claim_summary(claim, fams)
+    common = dict(case_id=system.case_id, anchor=f"{claim.anchor}{_eta_suffix(eta)}",
+                  paper_claim=_claim_summary(claim, fams))
 
     if claim.status == "always":
         if system.is_trivial():
-            return _BranchResult(
-                status="holds-always", families=(), witness=None, residuals=None,
-                explanation="all nine residuals vanish identically",
-                paper_claim=paper_claim, recomputed_claim="holds-always")
+            return Verdict(**common, status="holds-always",
+                           explanation="all nine residuals vanish identically",
+                           recomputed_claim="holds-always")
         key, p = system.nonzero()[0]
-        return _BranchResult(
-            status="paper-discrepancy", families=(), witness=None, residuals=None,
-            explanation=f"residual ({key[0]},{key[1]},{key[2]}) = {p.text()} "
+        return Verdict(
+            **common, status="paper-discrepancy",
+            explanation=f"residual ({_key_text(key)}) = {p.text()} "
                         "is not identically zero",
-            paper_claim=paper_claim,
             recomputed_claim=f"nonzero residual system: "
                              f"{'; '.join(q.text() for q in system.reduced())}")
 
@@ -950,35 +899,33 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> _Branc
                     residuals = _residual_strings(values)
         necessity = sample_necessity(system, fams, trials, seed)
         if not failed and not member_failures and necessity.counterexample is None:
-            return _BranchResult(
-                status="holds-on-family",
-                families=tuple(f.describe() for f in fams),
+            return Verdict(
+                **common, status="holds-on-family",
+                families_desc=tuple(f.describe() for f in fams),
                 witness=witness, residuals=residuals,
                 explanation=f"system vanishes identically on each family; "
                             f"{necessity.violations} sampled points outside "
                             "them all violate it",
-                paper_claim=paper_claim,
                 recomputed_claim=_claim_summary(claim, fams))
         bits = []
         if failed:
             fam, res = failed[0]
             key = sorted(res.residuals)[0]
-            bits.append(f"on [{fam.describe()}] residual "
-                        f"({key[0]},{key[1]},{key[2]}) = "
+            bits.append(f"on [{fam.describe()}] residual ({_key_text(key)}) = "
                         f"{res.residuals[key].text()}")
         if member_failures:
             fam, pt, values = member_failures[0]
             key = next(k for k, v in sorted(values.items()) if v)
             bits.append(f"member point of [{fam.describe()}] gives "
-                        f"f({key[0]},{key[1]},{key[2]}) = {values[key]}")
+                        f"f({_key_text(key)}) = {values[key]}")
         if necessity.counterexample is not None:
             cx = necessity.counterexample
             bits.append("system also holds outside the families, e.g. at "
                         + ", ".join(f"{v} = {cx[v]}" for v in sorted(cx)))
-        return _BranchResult(
-            status="paper-discrepancy", families=tuple(f.describe() for f in fams),
-            witness=necessity.counterexample, residuals=None,
-            explanation="; ".join(bits), paper_claim=paper_claim,
+        return Verdict(
+            **common, status="paper-discrepancy",
+            families_desc=tuple(f.describe() for f in fams),
+            witness=necessity.counterexample, explanation="; ".join(bits),
             recomputed_claim="solution set differs from the printed families: "
                              + "; ".join(bits))
 
@@ -990,32 +937,30 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> _Branc
             values = _eval_all(system, pt)
             necessity = sample_necessity(system, rec, trials, seed)
             desc = " | ".join(f.describe() for f in rec)
-            return _BranchResult(
-                status="paper-discrepancy",
-                families=tuple(f.describe() for f in rec),
+            return Verdict(
+                **common, status="paper-discrepancy",
+                families_desc=tuple(f.describe() for f in rec),
                 witness=pt, residuals=_residual_strings(values),
                 explanation=f"printed verdict excludes any solution, but all nine "
                             f"residuals vanish identically on [{desc}] and at the "
                             f"sampled member point; {necessity.violations} sampled "
                             "points outside the family all violate the system",
-                paper_claim=paper_claim,
                 recomputed_claim=f"holds-on-family: {desc}")
     report = sample_necessity(system, rec, trials, seed)
     if report.satisfied == 0:
         key = next(k for k, v in sorted(report.witness_residuals.items()) if v)
-        return _BranchResult(
-            status="never-holds", families=(), witness=report.witness,
+        return Verdict(
+            **common, status="never-holds", witness=report.witness,
             residuals=_residual_strings(report.witness_residuals),
             explanation=f"all {report.violations} sampled admissible points violate "
-                        f"the system; e.g. f({key[0]},{key[1]},{key[2]}) = "
+                        f"the system; e.g. f({_key_text(key)}) = "
                         f"{report.witness_residuals[key]} at the witness",
-            paper_claim=paper_claim, recomputed_claim="never-holds")
+            recomputed_claim="never-holds")
     cx = report.counterexample
-    return _BranchResult(
-        status="paper-discrepancy", families=(), witness=cx,
+    return Verdict(
+        **common, status="paper-discrepancy", witness=cx,
         residuals=_residual_strings(_eval_all(system, cx)),
         explanation="the system holds at a sampled admissible point",
-        paper_claim=paper_claim,
         recomputed_claim="the system admits solutions, e.g. at "
                          + ", ".join(f"{v} = {cx[v]}" for v in sorted(cx)))
 
@@ -1030,36 +975,19 @@ def _template_family_desc(claim: Claim) -> tuple:
     return tuple(descs)
 
 
-def _case_name(claim: Claim, label: str) -> str:
-    return f"{label}/{_display_kind(claim.connection)}/{claim.structure}"
-
-
 def _audit_claim(claim: Claim, index: int, trials: int, seed: int):
     """One or two Verdicts for a claim; G4 branches merge when they agree."""
-    results = []
-    for bi, eta in enumerate(claim.branches()):
-        L = make_group(claim.family, eta=eta)
-        case_seed = seed * 100003 + index * 101 + bi
-        results.append((eta, L, _audit_branch(claim, L, trials, case_seed)))
-    if len(results) == 1 or results[0][2].status == results[1][2].status:
-        eta, L, r = results[0]
-        merged = len(results) == 2
-        families = _template_family_desc(claim) if merged and r.families else r.families
-        explanation = r.explanation
-        if merged:
-            explanation += " (both signs of h agree)"
-        return [Verdict(case_id=_case_name(claim, claim.family), anchor=claim.anchor,
-                        status=r.status, families_desc=tuple(families),
-                        witness=r.witness, residuals=r.residuals,
-                        explanation=explanation, paper_claim=r.paper_claim,
-                        recomputed_claim=r.recomputed_claim)]
-    return [Verdict(case_id=_case_name(claim, L.label()),
-                    anchor=f"{claim.anchor}{_eta_suffix(eta)}",
-                    status=r.status, families_desc=r.families,
-                    witness=r.witness, residuals=r.residuals,
-                    explanation=r.explanation, paper_claim=r.paper_claim,
-                    recomputed_claim=r.recomputed_claim)
-            for eta, L, r in results]
+    verdicts = [_audit_branch(claim, make_group(claim.family, eta=eta), trials,
+                              seed * 100003 + index * 101 + bi)
+                for bi, eta in enumerate(claim.branches())]
+    if len(verdicts) == 2 and verdicts[0].status == verdicts[1].status:
+        v = verdicts[0]
+        return [dataclasses.replace(
+            v, case_id=case_id(claim.family, claim.connection, claim.structure),
+            anchor=claim.anchor,
+            families_desc=_template_family_desc(claim) if v.families_desc else (),
+            explanation=v.explanation + " (both signs of h agree)")]
+    return verdicts
 
 
 def verify_paper_theorems(trials_per_case: int = 200, seed: int = 0):

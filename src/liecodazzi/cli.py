@@ -14,14 +14,16 @@ import os
 import sys
 
 from .poly import PolyError
-from .liealg import FAMILIES, ConstraintViolation, FrameVector, SamplerStarvation, make_group
-from .connection import KIND_ALIASES
+from .liealg import (
+    FAMILIES, ConstraintViolation, FrameVector, SamplerStarvation, branches, make_group,
+)
+from .connection import KINDS, display_name
 from .classify import (
-    KIND_DISPLAY,
     OBJECTS,
     STRUCTURES,
     SolutionFamily,
     build_system,
+    case_id,
     check_on_family,
     compute_object,
     sample_necessity,
@@ -66,20 +68,17 @@ def _case_rows():
     for family in FAMILIES:
         for kind in ("bott", "canonical", "kobayashi_nomizu"):
             for structure in STRUCTURES:
-                yield f"{family}/{KIND_DISPLAY[kind]}/{structure}"
+                yield case_id(family, kind, structure)
 
 
 def _cmd_list(args) -> int:
     greek = not args.ascii and _greek_ok()
-    groups = []
-    for family in FAMILIES:
-        groups.extend(make_group(family, eta=e)
-                      for e in ((1, -1) if family == "G4" else (None,)))
+    groups = [make_group(family, eta=e) for family in FAMILIES for e in branches(family)]
     if args.json:
         _emit({
             "schema": "1",
             "families": [L.to_json() for L in groups],
-            "connections": sorted(set(KIND_DISPLAY.values())),
+            "connections": sorted(display_name(kind) for kind in KINDS),
             "structures": list(STRUCTURES),
             "cases": list(_case_rows()),
         })
@@ -109,13 +108,13 @@ def _cmd_compute(args) -> int:
         _emit({
             "schema": "1",
             "family": L.label(),
-            "connection": KIND_DISPLAY[KIND_ALIASES[args.connection.lower()]],
+            "connection": display_name(args.connection),
             "object": args.object,
             "entries": {key: value.to_json() if isinstance(value, FrameVector)
                         else value.text() for key, value in table.items()},
         })
         return 0
-    print(f"{args.object} of {L.label()} ({KIND_DISPLAY[KIND_ALIASES[args.connection.lower()]]})")
+    print(f"{args.object} of {L.label()} ({display_name(args.connection)})")
     for key, value in table.items():
         print(f"  ({key}): {value.text(greek=greek)}")
     return 0

@@ -8,9 +8,11 @@ projected Levi-Civita derivatives with projected brackets.  The
 canonical and Kobayashi-Nomizu connections correct Levi-Civita by the
 covariant derivative of the product structure J = diag(1,1,-1).
 
-Bott, canonical and Kobayashi-Nomizu take an optional prebuilt
-Levi-Civita connection of the same group, so that make_connection
-builds it once per group.
+Bott, canonical and Kobayashi-Nomizu are built from the Levi-Civita
+connection of their group (the group is lc.algebra), so make_connection
+builds Levi-Civita once per group.  A connection kind has one internal
+id (KINDS), a set of command-line aliases resolved by resolve_kind, and
+a display name, the id with "_" spelled "-" (display_name).
 
 Everything here treats frame vectors as constant-coefficient
 combinations of the left-invariant frame, so connections are bilinear
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .liealg import BASIS, FrameVector, LieAlgebra, bracket, metric
 
 KINDS = ("levi_civita", "bott", "canonical", "kobayashi_nomizu")
-# CLI-facing aliases
+# command-line aliases, resolved by resolve_kind
 KIND_ALIASES = {
     "lc": "levi_civita", "levi-civita": "levi_civita", "levi_civita": "levi_civita",
     "bott": "bott", "b": "bott",
@@ -34,6 +36,19 @@ KIND_ALIASES = {
     "kn": "kobayashi_nomizu", "k": "kobayashi_nomizu",
     "kobayashi-nomizu": "kobayashi_nomizu", "kobayashi_nomizu": "kobayashi_nomizu",
 }
+
+
+def resolve_kind(kind: str) -> str:
+    """The internal id (one of KINDS) of a connection kind or alias."""
+    internal = KIND_ALIASES.get(kind.lower())
+    if internal is None:
+        raise ValueError(f"unknown connection kind; expected one of {sorted(KIND_ALIASES)}")
+    return internal
+
+
+def display_name(kind: str) -> str:
+    """The printed name of a connection kind or alias, e.g. kobayashi-nomizu."""
+    return resolve_kind(kind).replace("_", "-")
 
 
 @dataclass(frozen=True)
@@ -90,10 +105,9 @@ def _proj_d_perp(v: FrameVector) -> FrameVector:
     return FrameVector(0, 0, v.c[2])
 
 
-def bott(L: LieAlgebra, lc: Optional[Connection] = None) -> Connection:
+def bott(lc: Connection) -> Connection:
     """Distribution split D = span{e1,e2}, D_perp = span{e3}."""
-    if lc is None:
-        lc = levi_civita(L)
+    L = lc.algebra
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -113,39 +127,32 @@ def J(v: FrameVector) -> FrameVector:
     return FrameVector(v.c[0], v.c[1], -v.c[2])
 
 
-def nabla_J(L: LieAlgebra, X: FrameVector, Y: FrameVector,
-            lc: Optional[Connection] = None) -> FrameVector:
+def nabla_J(lc: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
     """(nabla^L_X J) Y = nabla^L_X (J Y) - J(nabla^L_X Y)."""
-    if lc is None:
-        lc = levi_civita(L)
     return apply(lc, X, J(Y)) - J(apply(lc, X, Y))
 
 
-def canonical(L: LieAlgebra, lc: Optional[Connection] = None) -> Connection:
+def canonical(lc: Connection) -> Connection:
     """nabla^c_X Y = nabla^L_X Y - (1/2) (nabla_X J) J Y."""
-    if lc is None:
-        lc = levi_civita(L)
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             ei, ej = BASIS[i - 1], BASIS[j - 1]
-            corr = nabla_J(L, ei, J(ej), lc=lc)
+            corr = nabla_J(lc, ei, J(ej))
             gamma[(i, j)] = lc.gamma[(i, j)] - corr.scale(Fraction(1, 2))
-    return Connection(kind="canonical", gamma=gamma, algebra=L)
+    return Connection(kind="canonical", gamma=gamma, algebra=lc.algebra)
 
 
-def kobayashi_nomizu(L: LieAlgebra, lc: Optional[Connection] = None) -> Connection:
+def kobayashi_nomizu(lc: Connection) -> Connection:
     """nabla^k_X Y = nabla^c_X Y - (1/4)[(nabla_Y J) J X - (nabla_{JY} J) X]."""
-    if lc is None:
-        lc = levi_civita(L)
-    can = canonical(L, lc)
+    can = canonical(lc)
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             ei, ej = BASIS[i - 1], BASIS[j - 1]
-            corr = nabla_J(L, ej, J(ei), lc=lc) - nabla_J(L, J(ej), ei, lc=lc)
+            corr = nabla_J(lc, ej, J(ei)) - nabla_J(lc, J(ej), ei)
             gamma[(i, j)] = can.gamma[(i, j)] - corr.scale(Fraction(1, 4))
-    return Connection(kind="kobayashi_nomizu", gamma=gamma, algebra=L)
+    return Connection(kind="kobayashi_nomizu", gamma=gamma, algebra=lc.algebra)
 
 
 def make_connection(L: LieAlgebra, kind: str) -> Connection:
@@ -154,9 +161,7 @@ def make_connection(L: LieAlgebra, kind: str) -> Connection:
     Levi-Civita is built first and reused by the other three kinds.  The
     result is kept in L.derived and shared, so treat it as read-only; the
     builders above stay uncached."""
-    internal = KIND_ALIASES.get(kind.lower())
-    if internal is None:
-        raise ValueError(f"unknown connection kind; expected one of {sorted(set(KIND_ALIASES))}")
+    internal = resolve_kind(kind)
     key = ("connection", internal)
     C = L.derived.get(key)
     if C is None:
@@ -165,6 +170,6 @@ def make_connection(L: LieAlgebra, kind: str) -> Connection:
         else:
             builder = {"bott": bott, "canonical": canonical,
                        "kobayashi_nomizu": kobayashi_nomizu}[internal]
-            C = builder(L, make_connection(L, "levi_civita"))
+            C = builder(make_connection(L, "levi_civita"))
         L.derived[key] = C
     return C

@@ -16,10 +16,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import _VAR_ALIASES, VARS, Polynomial, Rational, parse
+from .poly import _VAR_ALIASES, VARS, Polynomial, Rational, _as_fraction, parse
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 METRIC_SIGNATURE = (1, 1, -1)
+
+
+def branches(family: str) -> tuple:
+    """The metric signs eta a family is built with: G4 has both signs,
+    every other family none."""
+    return (1, -1) if family.upper() == "G4" else (None,)
 
 
 class ConstraintViolation(ValueError):
@@ -122,6 +128,17 @@ BASIS = (E1, E2, E3)
 class ConstraintSet:
     equalities: tuple = ()
     inequations: tuple = ()
+
+    def violated(self, point: Mapping[str, Fraction]) -> Optional[tuple]:
+        """The first side condition the point breaks, as (polynomial,
+        "equality" | "inequation"), or None when the point is admissible."""
+        for p in self.equalities:
+            if p.eval_at(point) != 0:
+                return p, "equality"
+        for p in self.inequations:
+            if p.eval_at(point) == 0:
+                return p, "inequation"
+        return None
 
 
 @dataclass(frozen=True)
@@ -233,18 +250,18 @@ def make_group(family: str, eta: Optional[int] = None,
                numeric_params: Optional[Mapping[str, Rational]] = None) -> LieAlgebra:
     """Build one of G1..G7, symbolic or at a numeric parameter point.
 
-    eta (+1 or -1) must be supplied exactly for G4.  With numeric_params
-    all four parameters must be given as exact rationals; the instance
-    is checked against the family's equalities and inequations.  The
-    symbolic groups are built once per (family, eta) and shared, so
+    eta must be one of branches(family): +1 or -1 for G4, None otherwise.
+    With numeric_params all four parameters must be given as exact
+    rationals (int or Fraction; anything else raises PolyError); the
+    instance is checked against the family's equalities and inequations.
+    The symbolic groups are built once per (family, eta) and shared, so
     their derived objects are computed once per process.
     """
     family = family.upper()
-    if family == "G4":
-        if eta not in (1, -1):
-            raise ValueError("G4 requires eta=+1 or eta=-1")
-    elif eta is not None:
-        raise ValueError(f"{family} takes no eta")
+    signs = branches(family)
+    if eta not in signs:
+        raise ValueError(f"{family} takes no eta" if signs == (None,)
+                         else f"{family} requires eta=+1 or eta=-1")
     symbolic = _symbolic_group(family, eta)
     if numeric_params is None:
         return symbolic
@@ -254,7 +271,7 @@ def make_group(family: str, eta: Optional[int] = None,
     for key, val in numeric_params.items():
         name = _VAR_ALIASES.get(key, key)
         if name in VARS:
-            params[name] = Fraction(val)
+            params[name] = _as_fraction(val)
         else:
             unknown.append(key)
     for name in VARS:
@@ -262,12 +279,9 @@ def make_group(family: str, eta: Optional[int] = None,
             raise ValueError(f"numeric instance misses parameter {name!r}")
     if unknown:
         raise ValueError(f"unknown parameters {sorted(unknown)}")
-    for p in constraints.equalities:
-        if p.eval_at(params) != 0:
-            raise ConstraintViolation(p, "equality")
-    for p in constraints.inequations:
-        if p.eval_at(params) == 0:
-            raise ConstraintViolation(p, "inequation")
+    broken = constraints.violated(params)
+    if broken is not None:
+        raise ConstraintViolation(*broken)
     subs = {k: Polynomial.const(v) for k, v in params.items()}
     brackets = {k: v.substitute(subs) for k, v in symbolic.brackets.items()}
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
@@ -325,11 +339,8 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random,
             pt["d"] = pt["a"] * pt["g"] / pt["b"]
         elif L.family == "G7":
             pt["a" if rng.random() < 0.5 else "g"] = Fraction(0)
-        if any(p.eval_at(pt) != 0 for p in L.constraints.equalities):
-            continue
-        if any(p.eval_at(pt) == 0 for p in L.constraints.inequations):
-            continue
-        return pt
+        if L.constraints.violated(pt) is None:
+            return pt
     raise SamplerStarvation(
         f"no admissible point for {L.label()} in {max_attempts} attempts")
 

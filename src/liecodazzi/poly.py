@@ -9,14 +9,14 @@ appears anywhere.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
-Both the human text form (``-(a^2+b^2)``) and the JSON term-list form
-round-trip through :func:`parse` / :func:`from_json`.
+The human text form (``-(a^2+b^2)``) round-trips through :func:`parse`;
+``Polynomial.to_json`` writes a term list for JSON output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 VARS = ("a", "b", "g", "d")
 GREEK = {"a": "α", "b": "β", "g": "γ", "d": "δ"}
@@ -476,18 +476,3 @@ def parse(text: str) -> Polynomial:
         raise PolyParseError(f"trailing input in {text!r}")
     return out
 
-
-def from_json(data: Iterable[Mapping]) -> Polynomial:
-    """Inverse of Polynomial.to_json."""
-    terms: dict = {}
-    for item in data:
-        coeff = Fraction(item["coeff"])
-        exps = [0, 0, 0, 0]
-        for name, e in item.get("exps", {}).items():
-            name = _VAR_ALIASES.get(name, name)
-            if name not in _VAR_INDEX:
-                raise PolyError(f"unknown variable {name!r} in JSON term")
-            exps[_VAR_INDEX[name]] = int(e)
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return Polynomial(terms)

@@ -79,16 +79,6 @@ class TorsionTensor:
             return self.t[(i, j)]
         return -self.t[(j, i)]
 
-    def of(self, X: FrameVector, Y: FrameVector) -> FrameVector:
-        out = FrameVector.zero()
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                xi, yj = X.c[i - 1], Y.c[j - 1]
-                if xi.is_zero() or yj.is_zero() or i == j:
-                    continue
-                out = out + self.at(i, j).scale(xi * yj)
-        return out
-
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.t.values())
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from liecodazzi import classify
 from liecodazzi.poly import Polynomial, PolyError, parse
 from liecodazzi.liealg import ConstraintViolation, SamplerStarvation, make_group
 from liecodazzi.tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
@@ -15,13 +16,11 @@ from liecodazzi.classify import (
     Verdict,
     build_system,
     check_on_family,
-    codazzi_system,
     compute_object,
     expand_tokens,
     load_claims,
     load_printed_systems,
     load_printed_tables,
-    quasistat_system,
     sample_family_member,
     sample_necessity,
     systems_equivalent,
@@ -70,24 +69,24 @@ def test_expand_tokens_respects_word_boundaries():
 
 
 def test_g1_bott_codazzi_reduced():
-    system = codazzi_system(make_group("G1"), "bott")
+    system = build_system(make_group("G1"), "bott", "codazzi")
     assert [p.text() for p in system.reduced()] == ["a^2*b", "a^3", "a^3-a*b^2"]
 
 
 def test_g1_bott_quasistatistical_adds_pairing_equation():
-    system = quasistat_system(make_group("G1"), "bott")
+    system = build_system(make_group("G1"), "bott", "quasistatistical")
     assert [p.text() for p in system.reduced()] == [
         "a*b^2", "a^2*b", "a^3", "a^3-a*b^2"]
 
 
 def test_g3_bott_systems_trivial():
     L = make_group("G3")
-    assert codazzi_system(L, "bott").is_trivial()
-    assert quasistat_system(L, "bott").is_trivial()
+    assert build_system(L, "bott", "codazzi").is_trivial()
+    assert build_system(L, "bott", "quasistatistical").is_trivial()
 
 
 def test_case_id_includes_eta_branch():
-    system = codazzi_system(make_group("G4", eta=1), "kn")
+    system = build_system(make_group("G4", eta=1), "kn", "codazzi")
     assert system.case_id == "G4(eta=+1)/kobayashi-nomizu/codazzi"
 
 
@@ -99,8 +98,8 @@ def test_build_system_rejects_unknown_structure():
 def test_quasistat_minus_codazzi_is_torsion_pairing_everywhere():
     for L in all_groups():
         for kind in ("levi_civita", "bott", "canonical", "kobayashi_nomizu"):
-            cod = codazzi_system(L, kind)
-            qs = quasistat_system(L, kind)
+            cod = build_system(L, kind, "codazzi")
+            qs = build_system(L, kind, "quasistatistical")
             C = make_connection(L, kind)
             omega = symmetrize(ricci(curvature(C)))
             T = torsion(C)
@@ -119,7 +118,7 @@ def test_residuals_antisymmetric_in_first_pair():
             omega = symmetrize(ricci(curvature(C)))
             D = cov_deriv_02(C, omega)
             T = torsion(C)
-            qs = quasistat_system(L, kind)
+            qs = build_system(L, kind, "quasistatistical")
             for x, y in PAIRS:
                 for j in (1, 2, 3):
                     swapped = D.at(y, x, j) - D.at(x, y, j) + sum(
@@ -208,32 +207,32 @@ def test_quadratic_lhs_must_be_monomial():
 
 
 def test_check_holds_g2_bott_codazzi_on_zero_family():
-    system = codazzi_system(make_group("G2"), "bott")
+    system = build_system(make_group("G2"), "bott", "codazzi")
     result = check_on_family(system, SolutionFamily.from_text("a=0,b=0"))
     assert result.holds and not result.residuals
 
 
 def test_check_reports_residuals_g1():
-    system = codazzi_system(make_group("G1"), "bott")
+    system = build_system(make_group("G1"), "bott", "codazzi")
     result = check_on_family(system, SolutionFamily.from_text("b=0"))
     assert not result.holds
     assert all(p.monic() == parse("a^3") for p in result.residuals.values())
 
 
 def test_check_conflict_with_family_inequation():
-    system = codazzi_system(make_group("G1"), "bott")
+    system = build_system(make_group("G1"), "bott", "codazzi")
     with pytest.raises(ConstraintViolation):
         check_on_family(system, SolutionFamily.from_text("a=0"))
 
 
 def test_check_conflict_with_family_equality():
-    system = codazzi_system(make_group("G5"), "bott")
+    system = build_system(make_group("G5"), "bott", "codazzi")
     with pytest.raises(ConstraintViolation):
         check_on_family(system, SolutionFamily.from_text("a=0,d=0"))
 
 
 def test_check_uses_quadratic_rewrite_g6():
-    system = quasistat_system(make_group("G6"), "canonical")
+    system = build_system(make_group("G6"), "canonical", "quasistatistical")
     fam = SolutionFamily.from_spec({
         "assign": {"d": "0", "g": "0"},
         "require_nonzero": ["a"],
@@ -244,7 +243,7 @@ def test_check_uses_quadratic_rewrite_g6():
 
 def test_check_uses_constraint_monomial_rule():
     # on G6 with g = 0 the equality a*g - b*d = 0 forces b*d = 0
-    system = codazzi_system(make_group("G6"), "bott")
+    system = build_system(make_group("G6"), "bott", "codazzi")
     fam = SolutionFamily.from_text("g=0,b=0")
     assert check_on_family(system, fam).holds
 
@@ -270,13 +269,13 @@ def test_sample_family_member_starves_on_conflict():
 
 
 def test_sample_necessity_requires_positive_trials():
-    system = codazzi_system(make_group("G1"), "bott")
+    system = build_system(make_group("G1"), "bott", "codazzi")
     with pytest.raises(ValueError):
         sample_necessity(system, [], 0, seed=1)
 
 
 def test_sample_necessity_deterministic():
-    system = codazzi_system(make_group("G1"), "bott")
+    system = build_system(make_group("G1"), "bott", "codazzi")
     a = sample_necessity(system, [], 40, seed=11)
     b = sample_necessity(system, [], 40, seed=11)
     assert a == b
@@ -286,13 +285,13 @@ def test_sample_necessity_deterministic():
 
 
 def test_sample_necessity_starves_when_exclusion_covers_all():
-    system = codazzi_system(make_group("G3"), "bott")
+    system = build_system(make_group("G3"), "bott", "codazzi")
     with pytest.raises(SamplerStarvation):
         sample_necessity(system, [SolutionFamily()], 5, seed=0)
 
 
 def test_sample_necessity_skips_excluded_points():
-    system = codazzi_system(make_group("G2"), "bott")
+    system = build_system(make_group("G2"), "bott", "codazzi")
     fam = SolutionFamily.from_text("a=0,b=0")
     report = sample_necessity(system, [fam], 60, seed=3)
     assert report.satisfied == 0
@@ -357,7 +356,6 @@ def test_printed_tables_load_and_materialize():
         for eta in t.branches():
             t.materialize(eta)
     assert by_id["(2.9)"].kind == "connection"
-    assert by_id["(2.30)"].eta_template
     assert by_id["(2.30)"].branches() == (1, -1)
     assert by_id["(2.9)"].branches() == (None,)
 
@@ -367,6 +365,14 @@ def test_printed_systems_load():
     assert len(systems) == 31
     ids = {s.id for s in systems}
     assert "(2.21)" in ids and "(5.38)" in ids
+
+
+def test_loaders_reject_unknown_keys(monkeypatch):
+    row = {"family": "G4", "connection": "bott", "structure": "codazzi",
+           "anchor": "(0.0)", "status": "always", "eta_template": True}
+    monkeypatch.setattr(classify, "_load_json", lambda name: {"claims": [row]})
+    with pytest.raises(ValueError, match="eta_template"):
+        load_claims()
 
 
 def test_claims_cover_42_cases():

@@ -164,6 +164,16 @@ def test_check_h_off_g4_is_usage_error(capsys):
     assert code == 2 and "'h'" in err
 
 
+def test_check_table_shorthand_is_not_solution_text(capsys):
+    # m1..m3 and n1..n3 abbreviate the printed G3/G4 tables only
+    for group, text in ((("--family", "G1"), "b=m1"),
+                        (("--family", "G4", "--eta", "+1"), "b=n3")):
+        code, _, err = run(capsys, "check", *group, "--connection", "bott",
+                           "--structure", "codazzi", "--solution", text)
+        assert code == 2
+        assert f"unknown name '{text[2]}' in '{text[2:]}'" in err
+
+
 def test_check_huge_exponent_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--family", "G1", "--connection",
                        "bott", "--structure", "codazzi", "--solution",

@@ -2,6 +2,7 @@
 in the audit's output."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -15,10 +16,14 @@ from liecodazzi.classify import (
     verify_paper_theorems,
 )
 from liecodazzi.cli import main
-from liecodazzi.connection import KINDS, bott, canonical, kobayashi_nomizu
+from liecodazzi.connection import KINDS, bott, canonical, kobayashi_nomizu, levi_civita
 from liecodazzi.liealg import FAMILIES, make_group
 
 AUDITED_BUILDERS = (bott, canonical, kobayashi_nomizu)
+
+# sha256 of `liecodazzi audit --json --trials 200 --seed 0`; a change that
+# means to alter the report updates it
+AUDIT_SEED0_SHA256 = "58dd8d6f08486dab5450c265ad0a179a7741674c584ead0f24f215b180009596"
 
 
 def all_groups():
@@ -53,7 +58,7 @@ def test_bott_and_kn_share_one_derivation():
 
 def test_curvature_built_once_per_distinct_table_in_an_audit(monkeypatch):
     # the pure builders give the reference count of distinct tables
-    tables = {(L.label(), tuple(sorted(build(L).gamma.items())))
+    tables = {(L.label(), tuple(sorted(build(levi_civita(L)).gamma.items())))
               for L in all_groups() for build in AUDITED_BUILDERS}
     assert len(tables) == 16
     liealg._symbolic_group.cache_clear()  # start from a cold store
@@ -115,3 +120,4 @@ def test_cold_cli_audit_matches_warm_in_process_audit(capsys):
     assert cold.returncode == code == 1
     assert len(json.loads(warm)["verdicts"]) == 42
     assert cold.stdout.decode("utf-8") == warm
+    assert hashlib.sha256(cold.stdout).hexdigest() == AUDIT_SEED0_SHA256

@@ -10,7 +10,7 @@ from liecodazzi.liealg import (
     BASIS, ConstraintViolation, E1, E2, E3, FAMILIES, FrameVector, SamplerStarvation,
     abelian, bracket, jacobi_check, make_group, metric, sample_constraint_point,
 )
-from liecodazzi.poly import Polynomial, parse
+from liecodazzi.poly import Polynomial, PolyError, parse
 
 
 def all_groups():
@@ -62,6 +62,11 @@ def test_numeric_instance_violating_equality():
     with pytest.raises(ConstraintViolation) as exc:
         make_group("G6", numeric_params={"a": 1, "b": 1, "g": 1, "d": 2})
     assert exc.value.kind == "equality"
+
+
+def test_numeric_instance_rejects_floats():
+    with pytest.raises(PolyError):
+        make_group("G1", numeric_params={"a": 0.1, "b": 0, "g": 0, "d": 0})
 
 
 def test_numeric_instance_substitutes_brackets():

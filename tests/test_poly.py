@@ -8,7 +8,7 @@ import pytest
 from conftest import random_point, random_poly, random_rational
 from liecodazzi import poly
 from liecodazzi.poly import (
-    A, B, D, G, ONE, ZERO, Polynomial, PolyError, PolyParseError, from_json, parse,
+    A, B, D, G, ONE, ZERO, Polynomial, PolyError, PolyParseError, parse,
 )
 
 
@@ -228,12 +228,8 @@ def test_text_round_trip():
         assert parse(p.text(greek=True)) == p
 
 
-def test_json_round_trip():
-    rng = random.Random(110)
-    for _ in range(200):
-        p = random_poly(rng)
-        assert from_json(p.to_json()) == p
-    assert from_json([]) == ZERO
+def test_to_json_format():
+    assert ZERO.to_json() == []
     assert (A ** 2 * B).scale(Fraction(3, 2)).to_json() == [
         {"coeff": "3/2", "exps": {"a": 2, "b": 1}}
     ]

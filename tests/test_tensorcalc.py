@@ -31,7 +31,7 @@ def fv(c1, c2, c3):
 
 
 def test_curvature_bott_g1():
-    R = curvature(bott(make_group("G1")))
+    R = curvature(bott(levi_civita(make_group("G1"))))
     assert R.at(1, 2, 1) == fv("a*b", "a^2+b^2", 0)
     assert R.at(1, 2, 2) == fv("-(a^2+b^2)", "-a*b", 0)
     assert R.at(1, 3, 1) == fv(0, "-3*a^2", 0)
@@ -39,7 +39,7 @@ def test_curvature_bott_g1():
 
 
 def test_curvature_bott_g5_flat():
-    R = curvature(bott(make_group("G5")))
+    R = curvature(bott(levi_civita(make_group("G5"))))
     for i, j in PAIRS:
         for k in (1, 2, 3):
             assert R.at(i, j, k).is_zero()
@@ -64,7 +64,7 @@ def test_curvature_flat_connection():
 
 
 def test_ricci_bott_g1_entries():
-    rho = ricci(curvature(bott(make_group("G1"))))
+    rho = ricci(curvature(bott(levi_civita(make_group("G1")))))
     assert rho.at(1, 1) == parse("-(a^2+b^2)")
     assert rho.at(2, 3) == parse("a^2")
     assert rho.at(3, 2) == Polynomial.zero()
@@ -72,7 +72,7 @@ def test_ricci_bott_g1_entries():
 
 
 def test_ricci_bott_g2_entry():
-    rho = ricci(curvature(bott(make_group("G2"))))
+    rho = ricci(curvature(bott(levi_civita(make_group("G2")))))
     assert rho.at(2, 3) == parse("-a*g")
 
 
@@ -85,7 +85,7 @@ def test_ricci_flat_zero():
 
 
 def test_symmetrize_bott_g1():
-    rho = ricci(curvature(bott(make_group("G1"))))
+    rho = ricci(curvature(bott(levi_civita(make_group("G1")))))
     srho = symmetrize(rho)
     assert srho.at(1, 3) == parse("-a*b/2")
     assert srho.at(2, 3) == parse("a^2/2")
@@ -93,13 +93,13 @@ def test_symmetrize_bott_g1():
 
 
 def test_symmetrize_idempotent_on_symmetric():
-    rho = ricci(curvature(bott(make_group("G3"))))
+    rho = ricci(curvature(bott(levi_civita(make_group("G3")))))
     srho = symmetrize(rho)
     assert symmetrize(srho).w == srho.w
 
 
 def test_symmetrize_kn_g5_all_zero():
-    srho = symmetrize(ricci(curvature(kobayashi_nomizu(make_group("G5")))))
+    srho = symmetrize(ricci(curvature(kobayashi_nomizu(levi_civita(make_group("G5"))))))
     assert all(p.is_zero() for p in srho.w.values())
 
 
@@ -114,7 +114,7 @@ def test_symmetrize_output_symmetric_everywhere():
 
 
 def test_cov_deriv_bott_g1_entries():
-    C = bott(make_group("G1"))
+    C = bott(levi_civita(make_group("G1")))
     srho = symmetrize(ricci(curvature(C)))
     nabla = cov_deriv_02(C, srho)
     assert nabla.at(1, 2, 2) == parse("-2*a^2*b")
@@ -124,7 +124,7 @@ def test_cov_deriv_bott_g1_entries():
 def test_cov_deriv_zero_connection():
     L = abelian()
     C = levi_civita(L)
-    srho = symmetrize(ricci(curvature(bott(make_group("G1")))))
+    srho = symmetrize(ricci(curvature(bott(levi_civita(make_group("G1"))))))
     nabla = cov_deriv_02(C, srho)
     assert all(p.is_zero() for p in nabla.d.values())
 
@@ -133,14 +133,14 @@ def test_cov_deriv_zero_connection():
 
 
 def test_torsion_bott_g1():
-    T = torsion(bott(make_group("G1")))
+    T = torsion(bott(levi_civita(make_group("G1"))))
     assert T.at(1, 2) == fv(0, 0, "b")
     assert T.at(1, 3).is_zero()
     assert T.at(2, 3).is_zero()
 
 
 def test_torsion_canonical_g1():
-    T = torsion(canonical(make_group("G1")))
+    T = torsion(canonical(levi_civita(make_group("G1"))))
     assert T.at(1, 3) == fv("a", "b/2", 0)
 
 
