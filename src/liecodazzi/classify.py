@@ -215,7 +215,10 @@ class SolutionFamily:
                 nonzero.append(parse(lhs.strip()))
             elif "=" in tok:
                 var, rhs = tok.split("=", 1)
-                assignment[_var_name(var)] = parse(rhs.strip())
+                var = _var_name(var)
+                if var in assignment:
+                    raise PolyError(f"{var!r} is assigned twice in {text!r}")
+                assignment[var] = parse(rhs.strip())
             else:
                 raise PolyError(f"expected var=expr or expr!=0, got {tok!r}")
         return cls(assignment=assignment, extra_inequations=tuple(nonzero))
@@ -511,11 +514,10 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
         if any(f.contains(point) for f in excluded):
             continue
         evaluated += 1
-        values = {key: p.eval_at(point) for key, p in system.entries.items()}
-        if any(values.values()):
+        if any(p.eval_at(point) for p in system.entries.values()):
             violations += 1
             if witness is None:
-                witness, witness_res = point, values
+                witness, witness_res = point, _eval_all(system, point)
         else:
             satisfied += 1
             if counterexample is None:

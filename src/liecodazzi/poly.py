@@ -5,7 +5,9 @@ ASCII names a, b, g, d stand for the parameters alpha, beta, gamma,
 delta.  Polynomials are kept in canonical form at all times: a term map
 from exponent tuples to nonzero ``Fraction`` coefficients, so equality
 is dict equality and "is zero" is "map empty".  No floating point
-appears anywhere.
+appears anywhere.  Evaluation is exact integer arithmetic: on its first
+evaluation a polynomial clears its denominators once and keeps the
+integer form, so each value costs one ``Fraction``, not one per term.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -16,6 +18,8 @@ The human text form (``-(a^2+b^2)``) round-trips through :func:`parse`;
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import getitem
 from typing import Mapping, Union
 
 VARS = ("a", "b", "g", "d")
@@ -28,6 +32,7 @@ _VAR_ALIASES = {
 }
 
 Rational = Union[int, Fraction]
+_FRACTION_ZERO = Fraction(0)
 
 
 class PolyError(ValueError):
@@ -51,7 +56,8 @@ def _term_key(exps):
 class Polynomial:
     """Immutable multivariate polynomial over Q in the fixed variables."""
 
-    __slots__ = ("terms",)
+    # _int_form holds the cleared integer form once eval_at has built it
+    __slots__ = ("terms", "_int_form")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
         clean = {}
@@ -237,24 +243,51 @@ class Polynomial:
         return out
 
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
-        """Exact value at a total assignment of all four variables."""
-        vals = {}
+        """Exact value at a total assignment of all four variables.
+
+        The sum runs in integers over the cleared form (see
+        _cleared_form), so the value is the only Fraction built."""
+        nums = [None] * len(VARS)
+        dens = [None] * len(VARS)
         for name, v in point.items():
             name = _VAR_ALIASES.get(name, name)
             if name not in _VAR_INDEX:
                 raise PolyError(f"unknown variable {name!r}")
-            vals[_VAR_INDEX[name]] = _as_fraction(v)
-        missing = [VARS[i] for i in range(len(VARS)) if i not in vals]
+            v = _as_fraction(v)
+            i = _VAR_INDEX[name]
+            nums[i], dens[i] = v.numerator, v.denominator
+        missing = [VARS[i] for i, n in enumerate(nums) if n is None]
         if missing:
             raise PolyError(f"point misses variables {missing}")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            v = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    v *= vals[i] ** e
-            total += v
-        return total
+        try:
+            den, tops, terms = self._int_form
+        except AttributeError:
+            den, tops, terms = self._cleared_form()
+        # x_i = n_i/d_i; scaled by d_i^top, the power x_i^e becomes the
+        # integer n_i^e * d_i^(top - e)
+        tables = []
+        for i, top in tops:
+            n, d = nums[i], dens[i]
+            den *= d ** top
+            tables.append([n ** e * d ** (top - e) for e in range(top + 1)])
+        total = 0
+        for c, exps in terms:
+            total += c * prod(map(getitem, tables, exps))
+        return Fraction(total, den) if total else _FRACTION_ZERO
+
+    def _cleared_form(self) -> tuple:
+        """The polynomial as integers, built on the first evaluation and
+        kept: (den, tops, terms) with den the lcm of the coefficient
+        denominators, tops the pairs (i, highest exponent of variable i)
+        for the variables that occur, and terms the pairs (coefficient *
+        den, exponents of those variables)."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        tops = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
+        terms = tuple((c.numerator * (den // c.denominator), tuple(exps[i] for i, _ in tops))
+                      for exps, c in self.terms.items())
+        form = (den, tops, terms)
+        object.__setattr__(self, "_int_form", form)
+        return form
 
     # -- rendering -------------------------------------------------------
 
@@ -367,7 +400,8 @@ def _tokenize(text: str):
             continue
         if ch.isalpha() or ch in GREEK.values():
             j = i
-            while j < n and (text[j].isalpha() or text[j] in GREEK.values()):
+            # digits after a letter belong to the word: "a2" is a name, not 2*a
+            while j < n and (text[j].isalpha() or text[j].isdigit()):
                 j += 1
             word = text[i:j]
             name = _VAR_ALIASES.get(word, word)

@@ -1,5 +1,6 @@
 """Tests for the residual systems, family checks, sampling and audits."""
 
+import hashlib
 import json
 import random
 
@@ -296,6 +297,27 @@ def test_sample_necessity_skips_excluded_points():
     report = sample_necessity(system, [fam], 60, seed=3)
     assert report.satisfied == 0
     assert report.counterexample is None
+
+
+# sha256 of the sample_necessity reports, at 200 trials and seed 0, of every
+# claim-branch system with the families its claim excludes; a change that
+# means to alter the sampler's draws or reports updates it
+SAMPLE_SEED0_SHA256 = "bfdeb29ff5e0f1b4945e8b0cb7451846bfb40f635dcd5408d53815a4fb6e35b3"
+
+
+def test_sample_reports_of_all_claim_systems_are_pinned():
+    reports = []
+    for claim in load_claims():
+        for eta in claim.branches():
+            L = make_group(claim.family, eta=eta)
+            specs = {"families": claim.families,
+                     "never": claim.recomputed_families}.get(claim.status, ())
+            excluded = [SolutionFamily.from_spec(s, eta) for s in specs]
+            system = build_system(L, claim.connection, claim.structure)
+            reports.append(sample_necessity(system, excluded, 200, seed=0).to_json())
+    assert len(reports) == 48
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == SAMPLE_SEED0_SHA256
 
 
 # -- compute_object ----------------------------------------------------------

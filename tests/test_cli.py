@@ -171,7 +171,15 @@ def test_check_table_shorthand_is_not_solution_text(capsys):
         code, _, err = run(capsys, "check", *group, "--connection", "bott",
                            "--structure", "codazzi", "--solution", text)
         assert code == 2
-        assert f"unknown name '{text[2]}' in '{text[2:]}'" in err
+        assert f"unknown name '{text[2:]}' in '{text[2:]}'" in err
+
+
+def test_check_repeated_variable_is_usage_error(capsys):
+    for text in ("a=1,a=0,b=0", "a=1,alpha=0"):
+        code, out, err = run(capsys, "check", "--family", "G2", "--connection",
+                             "bott", "--structure", "codazzi", "--solution", text)
+        assert code == 2 and not out
+        assert "'a' is assigned twice" in err
 
 
 def test_check_huge_exponent_is_usage_error(capsys):

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_point, random_poly, random_rational
 from liecodazzi import poly
 from liecodazzi.poly import (
-    A, B, D, G, ONE, ZERO, Polynomial, PolyError, PolyParseError, parse,
+    A, B, D, G, ONE, VARS, ZERO, Polynomial, PolyError, PolyParseError, parse,
 )
 
 
@@ -139,6 +139,68 @@ def test_eval_is_ring_homomorphism():
         assert (p * q).eval_at(pt) == p.eval_at(pt) * q.eval_at(pt)
 
 
+def eval_oracle(p, point):
+    """Term-by-term Fraction reference for eval_at."""
+    vals = [Fraction(point[v]) for v in VARS]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(vals, exps):
+            value *= x ** e
+        total += value
+    return total
+
+
+def test_eval_matches_fraction_oracle():
+    rng = random.Random(110)
+    dens = (1, 2, 3, 5, 7, 12, 35)
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 4) for _ in VARS)
+            terms[exps] = Fraction(rng.randint(-20, 20), rng.choice(dens))
+        p = Polynomial(terms)
+        # negative and int coordinates next to Fractions
+        pt = {v: rng.choice((rng.randint(-6, 6), random_rational(rng)))
+              for v in VARS}
+        want = eval_oracle(p, pt)
+        got = p.eval_at(pt)
+        assert type(got) is Fraction and got == want, (p, pt)
+        assert p.eval_at(pt) == want
+    pt = {"a": Fraction(-3, 4), "b": 2, "g": Fraction(5, 6), "d": -1}
+    for p in (ZERO, ONE, Polynomial.const(Fraction(-7, 3)),
+              (A - G).scale(Fraction(1, 6)) * (B ** 2 + D).scale(Fraction(2, 5))):
+        assert p.eval_at(pt) == eval_oracle(p, pt)
+    spelled = {"alpha": Fraction(-3, 4), "β": 2, "gamma": Fraction(5, 6), "δ": -1}
+    p = parse("a^3*b/7-g*d^2/4+1/3")
+    assert p.eval_at(spelled) == p.eval_at(pt) == eval_oracle(p, pt)
+
+
+def test_eval_leaves_equality_hash_and_immutability_alone():
+    p = parse("a^2/3-b*g/5+d/2")
+    twin = parse("d/2+a^2/3-g*b/5")
+    before = hash(p)
+    pt = {"a": 1, "b": Fraction(-2, 3), "g": 4, "d": Fraction(1, 7)}
+    first = p.eval_at(pt)
+    assert p.eval_at(pt) == first == eval_oracle(p, pt)
+    assert p == twin and hash(p) == before == hash(twin)
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    with pytest.raises(AttributeError):
+        p.anything = 1
+
+
+def test_eval_rejects_bad_points():
+    p = A + B
+    full = {"a": 1, "b": 2, "g": 3, "d": 4}
+    with pytest.raises(PolyError, match="unknown variable"):
+        p.eval_at({**full, "x": 1})
+    with pytest.raises(PolyError, match="misses variables"):
+        p.eval_at({"a": 1, "b": 2, "g": 3})
+    with pytest.raises(PolyError, match="not an exact rational"):
+        p.eval_at({**full, "b": 0.5})
+
+
 # -- is_zero -----------------------------------------------------------
 
 
@@ -207,6 +269,15 @@ def test_parse_rejects_junk():
     for bad in ("", "a +", "x", "a^-2", "a/(b)", "2//3", "(a"):
         with pytest.raises(PolyParseError):
             parse(bad)
+
+
+def test_parse_reads_a_name_and_its_digits_as_one_word():
+    # "a2" is no name, not 2*a; a number before a name still multiplies
+    for text, word in (("a2", "a2"), ("2a2", "a2"), ("b+alpha1", "alpha1"), ("α2", "α2")):
+        with pytest.raises(PolyParseError, match=f"unknown name '{word}' in"):
+            parse(text)
+    assert parse("2a") == A.scale(2)
+    assert parse("a^2b") == A ** 2 * B
 
 
 def test_parse_caps_degrees():
