@@ -15,15 +15,19 @@ This module builds both systems exactly, decides them on solution
 families, samples admissible parameter points for necessity arguments,
 and audits the published tables shipped under data/ against independent
 recomputation, collecting every difference in a DiscrepancyRegister.
+The transcribed tables are read with poly.parse and the name table of
+their branch (table_names: the sign h and the abbreviations m1..m3,
+n1..n3); solution text knows the sign h only.
 """
 
 import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .poly import GREEK, VARS, Polynomial, PolyError, parse
@@ -36,6 +40,7 @@ from .liealg import (
     branches,
     make_group,
     sample_constraint_point,
+    sign_names,
 )
 from .connection import Connection, display_name, make_connection
 from .tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
@@ -60,12 +65,12 @@ __all__ = [
     "check_on_family",
     "compute_object",
     "derivation",
-    "expand_tokens",
     "load_claims",
     "load_printed_systems",
     "load_printed_tables",
     "sample_family_member",
     "sample_necessity",
+    "table_names",
     "verify_paper_theorems",
 ]
 
@@ -78,48 +83,19 @@ SEVERITIES = ("typo-suspected", "verdict-conflict")
 
 _TABLE_FILES = ("printed_bott.json", "printed_canonical.json", "printed_kn.json")
 
-# shorthand constants of the printed G3/G4 tables, replaced before parsing;
-# h is the G4 metric sign and is replaced last so that n1..n3 can use it
-_TOKENS = (
-    ("m1", "((a-b-g)/2)"),
-    ("m2", "((a-b+g)/2)"),
-    ("m3", "((a+b-g)/2)"),
-    ("n1", "(a/2+h-b)"),
-    ("n2", "(a/2-h)"),
-    ("n3", "(a/2+h)"),
-)
+# the abbreviations of the printed G3/G4 tables; n1..n3 carry the G4 sign h
+_M_SHORTHAND = (("m1", "(a-b-g)/2"), ("m2", "(a-b+g)/2"), ("m3", "(a+b-g)/2"))
+_N_SHORTHAND = (("n1", "a/2+h-b"), ("n2", "a/2-h"), ("n3", "a/2+h"))
 
 
-def _replace_words(text: str, reps: Mapping[str, str]) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            out.append(reps.get(word, word))
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _expand_sign(text: str, eta: Optional[int]) -> str:
-    if eta is None:
-        return text
-    return _replace_words(text, {"h": "(1)" if eta > 0 else "(-1)"})
-
-
-def expand_tokens(text: str, eta: Optional[int] = None) -> str:
-    """Replace the m/n shorthand of the printed tables and the sign h.
-
-    The n tokens expand to expressions containing h, so h is replaced in
-    a second pass.  Solution text knows h only (see SolutionFamily)."""
-    return _expand_sign(_replace_words(text, dict(_TOKENS)), eta)
+@cache
+def table_names(eta: Optional[int]) -> Mapping[str, Polynomial]:
+    """The words of the transcribed tables as a parse name table: m1..m3,
+    and on a G4 branch also h and n1..n3.  Built once per eta."""
+    names = sign_names(eta)
+    for word, text in _M_SHORTHAND + (_N_SHORTHAND if names else ()):
+        names[word] = parse(text, names)
+    return MappingProxyType(names)
 
 
 def _key_text(key: tuple) -> str:
@@ -148,8 +124,8 @@ def _eta_suffix(eta: Optional[int]) -> str:
 # -- solution families -----------------------------------------------------
 
 
-def _var_name(text: str) -> str:
-    p = parse(text.strip())
+def _var_name(text: str, names: Mapping[str, Polynomial]) -> str:
+    p = parse(text.strip(), names)
     for v in VARS:
         if p == Polynomial.var(v):
             return v
@@ -186,8 +162,10 @@ class SolutionFamily:
     @classmethod
     def from_spec(cls, spec: Mapping, eta: Optional[int] = None) -> "SolutionFamily":
         """A family from its data-file form; h is the sign eta."""
+        names = sign_names(eta)
+
         def value(text):
-            return parse(_expand_sign(text, eta))
+            return parse(text, names)
 
         assignment = {var: value(txt) for var, txt in spec.get("assign", {}).items()}
         nonzero = tuple(value(t) for t in spec.get("require_nonzero", ()))
@@ -199,9 +177,9 @@ class SolutionFamily:
     def from_text(cls, text: str, eta: Optional[int] = None) -> "SolutionFamily":
         """Parse "a=0,b=0,g!=0" into a family.
 
-        The sign h expands as in from_spec and needs the group's eta; the
-        m/n shorthand of the printed tables is not solution text."""
-        text = _expand_sign(text, eta)
+        h is the sign eta as in from_spec, so it needs the group's eta;
+        the m/n shorthand of the printed tables is not solution text."""
+        names = sign_names(eta)
         assignment = {}
         nonzero = []
         for tok in text.split(","):
@@ -210,15 +188,15 @@ class SolutionFamily:
                 continue
             if "!=" in tok:
                 lhs, rhs = tok.split("!=", 1)
-                if parse(rhs.strip()) != Polynomial.zero():
+                if parse(rhs.strip(), names) != Polynomial.zero():
                     raise PolyError(f"only '!= 0' conditions are supported: {tok!r}")
-                nonzero.append(parse(lhs.strip()))
+                nonzero.append(parse(lhs.strip(), names))
             elif "=" in tok:
                 var, rhs = tok.split("=", 1)
-                var = _var_name(var)
+                var = _var_name(var, names)
                 if var in assignment:
                     raise PolyError(f"{var!r} is assigned twice in {text!r}")
-                assignment[var] = parse(rhs.strip())
+                assignment[var] = parse(rhs.strip(), names)
             else:
                 raise PolyError(f"expected var=expr or expr!=0, got {tok!r}")
         return cls(assignment=assignment, extra_inequations=tuple(nonzero))
@@ -451,10 +429,9 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
     for _ in range(max_attempts):
         pt = {v: (Fraction(0) if rng.random() < 0.5 else _rand_rational(rng, nonzero=True))
               for v in free}
+        # assigned values use free variables only, so the assigned ones may read 0
+        probe = {**pt, **dict.fromkeys(family.assignment, Fraction(0))}
         for var in sorted(family.assignment):
-            probe = dict(pt)
-            for other in family.assignment:
-                probe.setdefault(other, Fraction(0))
             pt[var] = family.assignment[var].eval_at(probe)
         if family.contains(pt) and L.constraints.violated(pt) is None:
             return pt
@@ -619,6 +596,7 @@ class PrintedTable(_Published):
 
     def materialize(self, eta: Optional[int]):
         """Parsed entries for one branch; garbled values pass through."""
+        names = table_names(eta)
         out = {}
         if self.all_zero:
             zero = Polynomial.zero()
@@ -630,9 +608,9 @@ class PrintedTable(_Published):
             if isinstance(value, dict) and value.get("garbled"):
                 out[key] = GarbledValue(raw=value["raw"])
             elif self.kind in _VECTOR_KINDS:
-                out[key] = FrameVector(*(parse(expand_tokens(t, eta)) for t in value))
+                out[key] = FrameVector(*(parse(t, names) for t in value))
             else:
-                out[key] = parse(expand_tokens(value, eta))
+                out[key] = parse(value, names)
         return out
 
 
@@ -646,12 +624,13 @@ class PrintedSystem(_Published):
 
     def materialize(self, eta: Optional[int]):
         """(position, Polynomial | GarbledValue) pairs, positions 1-based."""
+        names = table_names(eta)
         out = []
         for pos, eq in enumerate(self.equations, start=1):
             if isinstance(eq, dict) and eq.get("garbled"):
                 out.append((pos, GarbledValue(raw=eq["raw"])))
             else:
-                out.append((pos, parse(expand_tokens(eq, eta))))
+                out.append((pos, parse(eq, names)))
         return out
 
 
@@ -707,10 +686,8 @@ def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
     return {_key_text(key): at(*key) for key in _KIND_KEYS[obj]}
 
 
-def audit_printed_tables(register: Optional[DiscrepancyRegister] = None
-                         ) -> DiscrepancyRegister:
-    """Diff every published table entry against recomputation."""
-    reg = register if register is not None else DiscrepancyRegister()
+def audit_printed_tables(register: DiscrepancyRegister) -> None:
+    """Add every published table entry that recomputation contradicts."""
     for tbl in load_printed_tables():
         for eta in tbl.branches():
             L = make_group(tbl.family, eta=eta)
@@ -720,10 +697,9 @@ def audit_printed_tables(register: Optional[DiscrepancyRegister] = None
                 location = f"{tbl.id} entry ({key}){_eta_suffix(eta)}"
                 ev = engine[key]
                 if isinstance(pv, GarbledValue):
-                    reg.add(location, pv.raw, ev.text(), "typo-suspected")
+                    register.add(location, pv.raw, ev.text(), "typo-suspected")
                 elif pv != ev:
-                    reg.add(location, pv.text(), ev.text(), "typo-suspected")
-    return reg
+                    register.add(location, pv.text(), ev.text(), "typo-suspected")
 
 
 def _rref(rows):
@@ -760,16 +736,14 @@ def systems_equivalent(left: Sequence[Polynomial], right: Sequence[Polynomial]) 
     return _rref(rows(left)) == _rref(rows(right))
 
 
-def audit_printed_systems(register: Optional[DiscrepancyRegister] = None
-                          ) -> DiscrepancyRegister:
-    """Diff every published reduced system against recomputation.
+def audit_printed_systems(register: DiscrepancyRegister) -> None:
+    """Add every published reduced system that recomputation contradicts.
 
     Systems are compared as rational linear spans, so scaling and
     recombination of equations never count as differences.  Garbled
     equations are registered and excluded; the remaining printed
     equations must then lie inside the recomputed span.
     """
-    reg = register if register is not None else DiscrepancyRegister()
     for ps in load_printed_systems():
         for eta in ps.branches():
             L = make_group(ps.family, eta=eta)
@@ -781,8 +755,8 @@ def audit_printed_systems(register: Optional[DiscrepancyRegister] = None
             for pos, eq in ps.materialize(eta):
                 if isinstance(eq, GarbledValue):
                     garbled = True
-                    reg.add(f"{ps.id} equation {pos}{_eta_suffix(eta)}", eq.raw,
-                            f"recomputed system: {engine_txt}", "typo-suspected")
+                    register.add(f"{ps.id} equation {pos}{_eta_suffix(eta)}", eq.raw,
+                                 f"recomputed system: {engine_txt}", "typo-suspected")
                 else:
                     parseable.append(eq)
             if garbled:
@@ -792,9 +766,8 @@ def audit_printed_systems(register: Optional[DiscrepancyRegister] = None
                 ok = systems_equivalent(parseable, engine_eqs)
             if not ok:
                 printed_txt = "; ".join(p.text() for p in parseable)
-                reg.add(f"{ps.id}{_eta_suffix(eta)}", printed_txt,
-                        engine_txt, "typo-suspected")
-    return reg
+                register.add(f"{ps.id}{_eta_suffix(eta)}", printed_txt,
+                             engine_txt, "typo-suspected")
 
 
 # -- verdicts ----------------------------------------------------------------

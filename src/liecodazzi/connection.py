@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import BASIS, FrameVector, LieAlgebra, bracket, metric
+from .liealg import BASIS, METRIC_SIGNATURE, FrameVector, LieAlgebra, bracket, metric
 
 KINDS = ("levi_civita", "bott", "canonical", "kobayashi_nomizu")
 # command-line aliases, resolved by resolve_kind
@@ -83,7 +83,6 @@ def levi_civita(L: LieAlgebra) -> Connection:
     2 g(nabla_{e_i} e_j, e_k)
         = g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)
     """
-    eps = L.metric_signature
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -92,7 +91,7 @@ def levi_civita(L: LieAlgebra) -> Connection:
                 rhs = (metric(L.bracket_basis(i, j), BASIS[k - 1])
                        - metric(L.bracket_basis(j, k), BASIS[i - 1])
                        + metric(L.bracket_basis(k, i), BASIS[j - 1]))
-                comps.append(rhs.scale(Fraction(1, 2 * eps[k - 1])))
+                comps.append(rhs.scale(Fraction(1, 2 * METRIC_SIGNATURE[k - 1])))
             gamma[(i, j)] = FrameVector(*comps)
     return Connection(kind="levi_civita", gamma=gamma, algebra=L)
 

@@ -5,7 +5,8 @@ pseudo-orthonormal frame e1, e2, e3 (e3 timelike, metric diag(1,1,-1))
 with parameters alpha, beta, gamma, delta subject to the family's
 printed side conditions.  Brackets are stored for i<j and extended by
 antisymmetry; eta (only g_4 has one) is resolved to +1 or -1 at
-construction time and never appears as a ring symbol.
+construction time and never appears as a ring symbol: texts write it h,
+which sign_names turns into the constant when they are parsed.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ def branches(family: str) -> tuple:
     """The metric signs eta a family is built with: G4 has both signs,
     every other family none."""
     return (1, -1) if family.upper() == "G4" else (None,)
+
+
+def sign_names(eta: Optional[int]) -> dict:
+    """The word h for the metric sign eta, as a poly.parse name table:
+    {"h": +1 or -1} on a G4 branch, empty otherwise."""
+    return {} if eta is None else {"h": Polynomial.const(eta)}
 
 
 class ConstraintViolation(ValueError):
@@ -149,7 +156,6 @@ class LieAlgebra:
     brackets: Mapping[tuple, FrameVector]
     constraints: ConstraintSet
     params: Optional[Mapping[str, Fraction]] = None
-    metric_signature: tuple = METRIC_SIGNATURE
     # connections and the objects derived from them, filled on first
     # request by connection.make_connection and classify.derivation; they
     # live and die with the group and are shared, so treat them as read-only
@@ -220,8 +226,7 @@ def _family_structure(family: str, eta: Optional[int]):
         b12, b13, b23 = ("0", "0", "-g"), ("0", "-b", "0"), ("a", "0", "0")
         eqs, ineqs = (), ()
     elif family == "G4":
-        h = eta
-        b12, b13, b23 = ("0", "-1", f"{2 * h}-b"), ("0", "-b", "1"), ("a", "0", "0")
+        b12, b13, b23 = ("0", "-1", "2*h-b"), ("0", "-b", "1"), ("a", "0", "0")
         eqs, ineqs = (), ()
     elif family == "G5":
         b12, b13, b23 = ("0", "0", "0"), ("a", "b", "0"), ("g", "d", "0")
@@ -234,10 +239,11 @@ def _family_structure(family: str, eta: Optional[int]):
         eqs, ineqs = ("a*g",), ("a+d",)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    names = sign_names(eta)
     brackets = {
-        (1, 2): FrameVector(*(parse(t) for t in b12)),
-        (1, 3): FrameVector(*(parse(t) for t in b13)),
-        (2, 3): FrameVector(*(parse(t) for t in b23)),
+        (1, 2): FrameVector(*(parse(t, names) for t in b12)),
+        (1, 3): FrameVector(*(parse(t, names) for t in b13)),
+        (2, 3): FrameVector(*(parse(t, names) for t in b23)),
     }
     constraints = ConstraintSet(
         equalities=tuple(parse(t) for t in eqs),

@@ -12,7 +12,9 @@ integer form, so each value costs one ``Fraction``, not one per term.
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
 The human text form (``-(a^2+b^2)``) round-trips through :func:`parse`;
-``Polynomial.to_json`` writes a term list for JSON output.
+``Polynomial.to_json`` writes a term list for JSON output.  parse reads
+all formula text; other words than the variables come from the name
+table it is given (liealg.sign_names, classify.table_names).
 """
 
 from __future__ import annotations
@@ -377,9 +379,13 @@ class PolyParseError(PolyError):
 # the largest exponent; the transcribed tables need at most 3.  Checked
 # before each operation, it bounds the work per operator in the text.
 MAX_DEGREE = 12
+# only the ASCII digits make numbers: int() would reject "²" with a bare ValueError
+_DIGITS = "0123456789"
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, names: Mapping[str, Polynomial] | None):
+    """Tokens (kind, source text, value); a word is a variable or alias,
+    else an entry of names, else an unknown name."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -388,26 +394,29 @@ def _tokenize(text: str):
             i += 1
             continue
         if ch in "+-*/^()":
-            tokens.append((ch, ch))
+            tokens.append((ch, ch, None))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("num", int(text[i:j])))
+            tokens.append(("num", text[i:j], int(text[i:j])))
             i = j
             continue
-        if ch.isalpha() or ch in GREEK.values():
+        if ch.isalpha():
             j = i
             # digits after a letter belong to the word: "a2" is a name, not 2*a
-            while j < n and (text[j].isalpha() or text[j].isdigit()):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS):
                 j += 1
             word = text[i:j]
-            name = _VAR_ALIASES.get(word, word)
-            if name not in _VAR_INDEX:
+            if _VAR_ALIASES.get(word, word) in _VAR_INDEX:
+                value = Polynomial.var(word)
+            elif names and word in names:
+                value = names[word]
+            else:
                 raise PolyParseError(f"unknown name {word!r} in {text!r}")
-            tokens.append(("var", name))
+            tokens.append(("word", word, value))
             i = j
             continue
         raise PolyParseError(f"unexpected character {ch!r} in {text!r}")
@@ -421,7 +430,7 @@ class _Parser:
         self.source = source
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
 
     def next(self):
         tok = self.peek()
@@ -461,14 +470,14 @@ class _Parser:
                         raise PolyParseError(
                             f"division only by nonzero constants in {self.source!r}")
                     out = out.scale(Fraction(1) / rhs.constant_value())
-            elif kind in ("num", "var", "("):
+            elif kind in ("num", "word", "("):
                 # implicit multiplication, e.g. "2a" or "a(b+g)"
                 out = self.product(out, self.parse_factor())
             else:
                 return out
 
     def parse_factor(self) -> Polynomial:
-        kind, val = self.peek()
+        kind = self.peek()[0]
         if kind == "-":
             self.next()
             return -self.parse_factor()
@@ -481,27 +490,30 @@ class _Parser:
             if self.peek()[0] == "-":
                 raise PolyParseError(f"negative exponent in {self.source!r}")
             tok = self.expect("num")
-            if tok[1] > MAX_DEGREE or base.degree() * tok[1] > MAX_DEGREE:
+            if tok[2] > MAX_DEGREE or base.degree() * tok[2] > MAX_DEGREE:
                 raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source!r}")
-            return base ** tok[1]
+            return base ** tok[2]
         return base
 
     def parse_atom(self) -> Polynomial:
-        kind, val = self.next()
+        kind, word, val = self.next()
         if kind == "num":
             return Polynomial.const(val)
-        if kind == "var":
-            return Polynomial.var(val)
+        if kind == "word":
+            return val
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise PolyParseError(f"unexpected {val!r} in {self.source!r}")
+        raise PolyParseError(f"unexpected {word!r} in {self.source!r}")
 
 
-def parse(text: str) -> Polynomial:
-    """Parse the human text form (also accepts alpha/beta/gamma/delta and Greek)."""
-    tokens = _tokenize(text)
+def parse(text: str, names: Mapping[str, Polynomial] | None = None) -> Polynomial:
+    """Parse the human text form (also accepts alpha/beta/gamma/delta and Greek).
+
+    names maps further words to their values, e.g. the G4 sign h
+    (liealg.sign_names); a variable name cannot be redefined."""
+    tokens = _tokenize(text, names)
     if not tokens:
         raise PolyParseError("empty polynomial text")
     parser = _Parser(tokens, text)

@@ -16,93 +16,67 @@ from fractions import Fraction
 from typing import Mapping
 
 from .connection import Connection, apply
-from .liealg import BASIS, FrameVector, metric
+from .liealg import BASIS, FrameVector, bracket, metric
 from .poly import Polynomial
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
-class Curvature:
-    # r[(i, j)][k-1] = R(e_i, e_j) e_k for i < j
-    r: Mapping[tuple, tuple]
-    connection: Connection
+class Tensor:
+    """The full table of a tensor's frame components, keyed by index tuple:
+    entries[(i, j, k)] = R(e_i, e_j) e_k, entries[(i, j)] = T(e_i, e_j) or
+    omega(e_i, e_j), entries[(i, j, k)] = (nabla_{e_i} omega)(e_j, e_k).
+    Values are FrameVectors or Polynomials."""
 
-    def at(self, i: int, j: int, k: int) -> FrameVector:
-        if i == j:
-            return FrameVector.zero()
-        if i < j:
-            return self.r[(i, j)][k - 1]
-        return -self.r[(j, i)][k - 1]
+    entries: Mapping[tuple, object]
 
-
-@dataclass(frozen=True)
-class Tensor02:
-    # w[(i, j)] = omega(e_i, e_j)
-    w: Mapping[tuple, Polynomial]
-
-    def at(self, i: int, j: int) -> Polynomial:
-        return self.w[(i, j)]
-
-    def of(self, X: FrameVector, Y: FrameVector) -> Polynomial:
-        out = Polynomial.zero()
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
-                xi, yj = X.c[i - 1], Y.c[j - 1]
-                if xi.is_zero() or yj.is_zero():
-                    continue
-                out = out + self.w[(i, j)] * xi * yj
-        return out
-
-    def is_symmetric(self) -> bool:
-        return all(self.w[(i, j)] == self.w[(j, i)] for i, j in PAIRS)
-
-
-@dataclass(frozen=True)
-class Tensor03:
-    # d[(i, j, k)] = (nabla_{e_i} omega)(e_j, e_k)
-    d: Mapping[tuple, Polynomial]
-
-    def at(self, i: int, j: int, k: int) -> Polynomial:
-        return self.d[(i, j, k)]
-
-
-@dataclass(frozen=True)
-class TorsionTensor:
-    # t[(i, j)] = T(e_i, e_j) for i < j
-    t: Mapping[tuple, FrameVector]
-
-    def at(self, i: int, j: int) -> FrameVector:
-        if i == j:
-            return FrameVector.zero()
-        if i < j:
-            return self.t[(i, j)]
-        return -self.t[(j, i)]
+    def at(self, *key):
+        return self.entries[key]
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.t.values())
+        return all(v.is_zero() for v in self.entries.values())
 
 
-def curvature(C: Connection) -> Curvature:
+def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> Tensor:
+    """The full table of a tensor antisymmetric in its first two indices,
+    from the entries (i, j, ...) with i < j."""
+    entries = dict(upper)
+    zero = FrameVector.zero()
+    for (i, j, *rest), v in upper.items():
+        entries[(j, i, *rest)] = -v
+        entries[(i, i, *rest)] = entries[(j, j, *rest)] = zero
+    return Tensor(entries)
+
+
+def _pair(omega: Tensor, X: FrameVector, Y: FrameVector) -> Polynomial:
+    """omega(X, Y) by bilinear extension of a (0,2)-tensor table."""
+    out = Polynomial.zero()
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            xi, yj = X.c[i - 1], Y.c[j - 1]
+            if xi.is_zero() or yj.is_zero():
+                continue
+            out = out + omega.at(i, j) * xi * yj
+    return out
+
+
+def curvature(C: Connection) -> Tensor:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z."""
     L = C.algebra
-    from .liealg import bracket
-
     r = {}
     for i, j in PAIRS:
         ei, ej = BASIS[i - 1], BASIS[j - 1]
         lie = bracket(L, ei, ej)
-        vals = []
         for k in (1, 2, 3):
             ek = BASIS[k - 1]
-            vals.append(apply(C, ei, apply(C, ej, ek))
-                        - apply(C, ej, apply(C, ei, ek))
-                        - apply(C, lie, ek))
-        r[(i, j)] = tuple(vals)
-    return Curvature(r=r, connection=C)
+            r[(i, j, k)] = (apply(C, ei, apply(C, ej, ek))
+                            - apply(C, ej, apply(C, ei, ek))
+                            - apply(C, lie, ek))
+    return _antisymmetric(r)
 
 
-def ricci(R: Curvature) -> Tensor02:
+def ricci(R: Tensor) -> Tensor:
     """rho(X,Y) = -g(R(X,e1)Y,e1) - g(R(X,e2)Y,e2) + g(R(X,e3)Y,e3)."""
     w = {}
     for i in (1, 2, 3):
@@ -116,19 +90,19 @@ def ricci(R: Curvature) -> Tensor02:
                     rv = rv + R.at(i, k, m).scale(ej.c[m - 1])
                 total = total + metric(rv, BASIS[k - 1]).scale(weight)
             w[(i, j)] = total
-    return Tensor02(w=w)
+    return Tensor(w)
 
 
-def symmetrize(rho: Tensor02) -> Tensor02:
+def symmetrize(rho: Tensor) -> Tensor:
     half = Fraction(1, 2)
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            w[(i, j)] = (rho.w[(i, j)] + rho.w[(j, i)]).scale(half)
-    return Tensor02(w=w)
+            w[(i, j)] = (rho.at(i, j) + rho.at(j, i)).scale(half)
+    return Tensor(w)
 
 
-def cov_deriv_02(C: Connection, omega: Tensor02) -> Tensor03:
+def cov_deriv_02(C: Connection, omega: Tensor) -> Tensor:
     """(nabla_{e_i} omega)(e_j, e_k) = -omega(nabla_i e_j, e_k) - omega(e_j, nabla_i e_k).
 
     The term X[omega(Y,Z)] is zero: omega has constant frame components.
@@ -138,32 +112,30 @@ def cov_deriv_02(C: Connection, omega: Tensor02) -> Tensor03:
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 ej, ek = BASIS[j - 1], BASIS[k - 1]
-                d[(i, j, k)] = -(omega.of(C.gamma[(i, j)], ek)
-                                 + omega.of(ej, C.gamma[(i, k)]))
-    return Tensor03(d=d)
+                d[(i, j, k)] = -(_pair(omega, C.gamma[(i, j)], ek)
+                                 + _pair(omega, ej, C.gamma[(i, k)]))
+    return Tensor(d)
 
 
-def torsion(C: Connection) -> TorsionTensor:
+def torsion(C: Connection) -> Tensor:
     """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y]."""
-    from .liealg import bracket
-
     t = {}
     for i, j in PAIRS:
         ei, ej = BASIS[i - 1], BASIS[j - 1]
         t[(i, j)] = (apply(C, ei, ej) - apply(C, ej, ei)
                      - bracket(C.algebra, ei, ej))
-    return TorsionTensor(t=t)
+    return _antisymmetric(t)
 
 
-def metric_tensor02() -> Tensor02:
+def metric_tensor02() -> Tensor:
     """The flat Lorentzian metric as a (0,2)-tensor table."""
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             w[(i, j)] = metric(BASIS[i - 1], BASIS[j - 1])
-    return Tensor02(w=w)
+    return Tensor(w)
 
 
-def cov_deriv_metric(C: Connection) -> Tensor03:
+def cov_deriv_metric(C: Connection) -> Tensor:
     """nabla g; identically zero exactly when C is metric-compatible."""
     return cov_deriv_02(C, metric_tensor02())

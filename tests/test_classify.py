@@ -18,13 +18,13 @@ from liecodazzi.classify import (
     build_system,
     check_on_family,
     compute_object,
-    expand_tokens,
     load_claims,
     load_printed_systems,
     load_printed_tables,
     sample_family_member,
     sample_necessity,
     systems_equivalent,
+    table_names,
     verify_paper_theorems,
 )
 
@@ -38,32 +38,44 @@ def all_groups():
     return out
 
 
-# -- token expansion ---------------------------------------------------------
+# -- table shorthand ---------------------------------------------------------
 
 
-def test_expand_tokens_m_constants():
-    assert parse(expand_tokens("m1+m2+m3")) == parse("(3*a-b-g)/2")
-    assert parse(expand_tokens("m3*g")) == parse("g*(a+b-g)/2")
+def test_table_names_m_constants():
+    for eta in (None, 1, -1):
+        names = table_names(eta)
+        assert parse("m1+m2+m3", names) == parse("(3*a-b-g)/2")
+        assert parse("m3*g", names) == parse("g*(a+b-g)/2")
 
 
-def test_expand_tokens_n_resolves_eta():
-    assert parse(expand_tokens("n3", eta=1)) == parse("a/2+1")
-    assert parse(expand_tokens("n3", eta=-1)) == parse("a/2-1")
-    assert parse(expand_tokens("n1-n2", eta=1)) == parse("2-b")
+def test_table_names_n_resolve_eta():
+    assert parse("n3", table_names(1)) == parse("a/2+1")
+    assert parse("n3", table_names(-1)) == parse("a/2-1")
+    assert parse("n1-n2", table_names(1)) == parse("2-b")
+    assert parse("2*h-b", table_names(-1)) == parse("-2-b")
 
 
-def test_expand_tokens_leaves_unknown_words():
-    assert expand_tokens("alpha*m1") == "alpha*((a-b-g)/2)"
+def test_table_names_mix_with_variable_aliases():
+    assert parse("alpha*m1", table_names(None)) == parse("a*(a-b-g)/2")
 
 
-def test_expand_tokens_without_eta_leaves_h():
-    with pytest.raises(PolyError):
-        parse(expand_tokens("n3"))
+def test_table_names_without_eta_know_no_sign():
+    # G3 tables use m1..m3 only; n1..n3 and h need a G4 branch
+    for word in ("n3", "h"):
+        with pytest.raises(PolyError, match=f"unknown name '{word}'"):
+            parse(word, table_names(None))
 
 
-def test_expand_tokens_respects_word_boundaries():
-    # m1 inside a longer identifier must not expand
-    assert expand_tokens("m12") == "m12"
+def test_table_names_respect_word_boundaries():
+    # m1 inside a longer word is no abbreviation
+    with pytest.raises(PolyError, match="unknown name 'm12'"):
+        parse("m12", table_names(1))
+
+
+def test_table_names_are_built_once_and_read_only():
+    assert table_names(1) is table_names(1)
+    with pytest.raises(TypeError):
+        table_names(1)["h"] = Polynomial.zero()
 
 
 # -- system construction -----------------------------------------------------

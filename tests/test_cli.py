@@ -164,6 +164,13 @@ def test_check_h_off_g4_is_usage_error(capsys):
     assert code == 2 and "'h'" in err
 
 
+def test_check_h_is_no_variable_to_assign(capsys):
+    # on G4, h is the sign eta: the message names the word the user typed
+    code, _, err = run(capsys, "check", "--family", "G4", "--eta", "+1", "--connection",
+                       "bott", "--structure", "codazzi", "--solution", "h=0")
+    assert code == 2 and "not a parameter name: 'h'" in err
+
+
 def test_check_table_shorthand_is_not_solution_text(capsys):
     # m1..m3 and n1..n3 abbreviate the printed G3/G4 tables only
     for group, text in ((("--family", "G1"), "b=m1"),

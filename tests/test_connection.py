@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liecodazzi.classify import expand_tokens
+from liecodazzi.classify import table_names
 from liecodazzi.connection import (
     J, apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
     nabla_J,
@@ -14,7 +14,7 @@ from liecodazzi.liealg import (
     BASIS, E1, E2, E3, FAMILIES, FrameVector, abelian, make_group,
     sample_constraint_point,
 )
-from liecodazzi.poly import Polynomial, parse
+from liecodazzi.poly import Polynomial, PolyError, parse
 from liecodazzi.tensorcalc import cov_deriv_metric, torsion
 
 
@@ -34,7 +34,7 @@ def fv(c1, c2, c3):
 
 def shorthand(token, eta=None):
     """One of the m/n constants of the printed G3/G4 tables."""
-    return parse(expand_tokens(token, eta))
+    return parse(token, table_names(eta))
 
 
 # -- Levi-Civita -----------------------------------------------------------
@@ -56,7 +56,7 @@ def test_levi_civita_torsion_free_and_metric_compatible():
         lc = levi_civita(L)
         assert torsion(lc).is_zero(), L.label()
         dg = cov_deriv_metric(lc)
-        assert all(p.is_zero() for p in dg.d.values()), L.label()
+        assert dg.is_zero(), L.label()
 
 
 # -- Bott -------------------------------------------------------------------
@@ -205,7 +205,8 @@ def test_derived_constants_values():
     assert shorthand("n3", eta=1) == parse("a/2+1")
     assert shorthand("n3", eta=-1) == parse("a/2-1")
     # the n constants carry the G4 sign h, which needs eta
-    assert expand_tokens("n3") == "(a/2+h)"
+    with pytest.raises(PolyError, match="unknown name 'n3'"):
+        shorthand("n3")
 
 
 # -- dual-path numeric oracle -----------------------------------------------------

@@ -280,6 +280,25 @@ def test_parse_reads_a_name_and_its_digits_as_one_word():
     assert parse("a^2b") == A ** 2 * B
 
 
+def test_parse_takes_only_ascii_digits_as_numbers():
+    for bad in ("a^²", "²", "a²", "b+١"):
+        with pytest.raises(PolyParseError):
+            parse(bad)
+
+
+def test_parse_resolves_a_name_table():
+    names = {"h": Polynomial.const(-1), "m": A + B}
+    assert parse("2*h-b", names) == B.scale(-1) - 2
+    assert parse("m^2h", names) == -(A + B) ** 2
+    # variables and their aliases come first; other words stay unknown
+    assert parse("alpha", {"alpha": B}) == A
+    for bad in ("h", "m"):
+        with pytest.raises(PolyParseError, match=f"unknown name '{bad}' in"):
+            parse(bad)
+    with pytest.raises(PolyParseError, match="unknown name 'h1' in"):
+        parse("h1", names)
+
+
 def test_parse_caps_degrees():
     cap = poly.MAX_DEGREE
     assert parse(f"a^{cap}") == A ** cap
