@@ -15,6 +15,10 @@ This module builds both systems exactly, decides them on solution
 families, samples admissible parameter points for necessity arguments,
 and audits the published tables shipped under data/ against independent
 recomputation, collecting every difference in a DiscrepancyRegister.
+Each published verdict is decided one way: recompute the solution set
+of the case (holds-always, holds-on-family on the row's families F,
+never-holds, or a difference naming its evidence), then compare it with
+the print; a mismatch is a paper-discrepancy carrying both claims.
 The transcribed tables are read with poly.parse and the name table of
 their branch (table_names: the sign h and the abbreviations m1..m3,
 n1..n3); solution text knows the sign h only.
@@ -814,14 +818,6 @@ class Verdict:
         return out
 
 
-def _claim_summary(claim: Claim, families: Sequence[SolutionFamily]) -> str:
-    if claim.status == "always":
-        return "holds-always"
-    if claim.status == "never":
-        return "never-holds"
-    return "holds-on-family: " + " | ".join(f.describe() for f in families)
-
-
 def _residual_strings(values: Mapping) -> dict:
     return {_key_text(k): v for k, v in sorted(values.items())}
 
@@ -831,113 +827,89 @@ def _eval_all(system: PolySystem, point: Mapping[str, Fraction]) -> dict:
 
 
 def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdict:
+    """Recompute one branch's solution set, then compare it with the print.
+
+    F is the row's recomputed families, else its printed ones.  A trivial
+    system holds always, with no sampling.  Otherwise every family in F is
+    checked, up to 25 member points of each family without a quadratic
+    relation are evaluated, and one necessity sample is drawn outside F;
+    the recomputed status is holds-on-family on a nonempty clean F,
+    never-holds on an empty F when no sampled point satisfies the system,
+    and otherwise a difference that names its evidence.  The verdict is
+    that status when it equals the printed claim, else a paper-discrepancy
+    carrying both."""
     system = build_system(L, claim.connection, claim.structure)
-    rng = random.Random(seed ^ 0x5EED)
     eta = L.eta
-    fams = tuple(SolutionFamily.from_spec(s, eta) for s in claim.families)
-    rec = tuple(SolutionFamily.from_spec(s, eta) for s in claim.recomputed_families)
-    common = dict(case_id=system.case_id, anchor=f"{claim.anchor}{_eta_suffix(eta)}",
-                  paper_claim=_claim_summary(claim, fams))
-
-    if claim.status == "always":
-        if system.is_trivial():
-            return Verdict(**common, status="holds-always",
-                           explanation="all nine residuals vanish identically",
-                           recomputed_claim="holds-always")
-        key, p = system.nonzero()[0]
-        return Verdict(
-            **common, status="paper-discrepancy",
-            explanation=f"residual ({_key_text(key)}) = {p.text()} "
-                        "is not identically zero",
-            recomputed_claim=f"nonzero residual system: "
-                             f"{'; '.join(q.text() for q in system.reduced())}")
-
-    if claim.status == "families":
-        failed = []
+    shown = tuple(SolutionFamily.from_spec(s, eta) for s in claim.families)
+    fams = tuple(SolutionFamily.from_spec(s, eta)
+                 for s in claim.recomputed_families) or shown
+    desc = tuple(f.describe() for f in fams)
+    printed = {"always": "holds-always", "never": "never-holds"}.get(
+        claim.status, "holds-on-family: " + " | ".join(f.describe() for f in shown))
+    witness = values = None
+    if system.is_trivial():
+        recomputed, explanation = "holds-always", "all nine residuals vanish identically"
+    else:
+        evidence = []
         for fam in fams:
             res = check_on_family(system, fam)
-            if not res.holds:
-                failed.append((fam, res))
-        witness = residuals = None
-        member_failures = []
+            if not res.holds and not evidence:
+                key = min(res.residuals)
+                evidence.append(f"on [{fam.describe()}] residual ({_key_text(key)}) = "
+                            f"{res.residuals[key].text()}")
+        rng = random.Random(seed ^ 0x5EED)
+        bad_member = None
         for fam in fams:
             if fam.quadratic_relations:
                 continue  # no rational parametrization to sample
             for _ in range(25):
                 pt = sample_family_member(L, fam, rng)
-                values = _eval_all(system, pt)
-                if any(values.values()):
-                    member_failures.append((fam, pt, values))
+                pv = _eval_all(system, pt)
+                if any(pv.values()):
+                    bad_member = bad_member or (fam, pt, pv)
                     break
                 if witness is None:
-                    witness = pt
-                    residuals = _residual_strings(values)
-        necessity = sample_necessity(system, fams, trials, seed)
-        if not failed and not member_failures and necessity.counterexample is None:
-            return Verdict(
-                **common, status="holds-on-family",
-                families_desc=tuple(f.describe() for f in fams),
-                witness=witness, residuals=residuals,
-                explanation=f"system vanishes identically on each family; "
-                            f"{necessity.violations} sampled points outside "
-                            "them all violate it",
-                recomputed_claim=_claim_summary(claim, fams))
-        bits = []
-        if failed:
-            fam, res = failed[0]
-            key = sorted(res.residuals)[0]
-            bits.append(f"on [{fam.describe()}] residual ({_key_text(key)}) = "
-                        f"{res.residuals[key].text()}")
-        if member_failures:
-            fam, pt, values = member_failures[0]
+                    witness, values = pt, pv
+        report = sample_necessity(system, fams, trials, seed)
+        cx = report.counterexample
+        if bad_member:
+            fam, pt, pv = bad_member
+            key = next(k for k, v in sorted(pv.items()) if v)
+            evidence.append(f"member point of [{fam.describe()}] gives "
+                        f"f({_key_text(key)}) = {pv[key]}")
+        if cx is not None:
+            evidence.append("system holds " + ("outside the families " if fams else "")
+                        + "at " + ", ".join(f"{v} = {cx[v]}" for v in sorted(cx)))
+        if evidence:
+            recomputed = "solution set differs: " + "; ".join(evidence)
+            explanation = "; ".join(evidence)
+            witness = cx if cx is not None else bad_member[1] if bad_member else None
+            values = None if witness is None else _eval_all(system, witness)
+        elif not fams:
+            recomputed = "never-holds"
+            witness, values = report.witness, report.witness_residuals
             key = next(k for k, v in sorted(values.items()) if v)
-            bits.append(f"member point of [{fam.describe()}] gives "
-                        f"f({_key_text(key)}) = {values[key]}")
-        if necessity.counterexample is not None:
-            cx = necessity.counterexample
-            bits.append("system also holds outside the families, e.g. at "
-                        + ", ".join(f"{v} = {cx[v]}" for v in sorted(cx)))
-        return Verdict(
-            **common, status="paper-discrepancy",
-            families_desc=tuple(f.describe() for f in fams),
-            witness=necessity.counterexample, explanation="; ".join(bits),
-            recomputed_claim="solution set differs from the printed families: "
-                             + "; ".join(bits))
-
-    # claim.status == "never"
-    if rec:
-        all_hold = all(check_on_family(system, fam).holds for fam in rec)
-        if all_hold:
-            pt = sample_family_member(L, rec[0], rng)
-            values = _eval_all(system, pt)
-            necessity = sample_necessity(system, rec, trials, seed)
-            desc = " | ".join(f.describe() for f in rec)
-            return Verdict(
-                **common, status="paper-discrepancy",
-                families_desc=tuple(f.describe() for f in rec),
-                witness=pt, residuals=_residual_strings(values),
-                explanation=f"printed verdict excludes any solution, but all nine "
-                            f"residuals vanish identically on [{desc}] and at the "
-                            f"sampled member point; {necessity.violations} sampled "
-                            "points outside the family all violate the system",
-                recomputed_claim=f"holds-on-family: {desc}")
-    report = sample_necessity(system, rec, trials, seed)
-    if report.satisfied == 0:
-        key = next(k for k, v in sorted(report.witness_residuals.items()) if v)
-        return Verdict(
-            **common, status="never-holds", witness=report.witness,
-            residuals=_residual_strings(report.witness_residuals),
-            explanation=f"all {report.violations} sampled admissible points violate "
-                        f"the system; e.g. f({_key_text(key)}) = "
-                        f"{report.witness_residuals[key]} at the witness",
-            recomputed_claim="never-holds")
-    cx = report.counterexample
+            explanation = (f"all {report.violations} sampled admissible points violate "
+                           f"the system; e.g. f({_key_text(key)}) = {values[key]} "
+                           "at the witness")
+        else:
+            recomputed = "holds-on-family: " + " | ".join(desc)
+            if printed == "never-holds":
+                explanation = (f"printed verdict excludes any solution, but all nine "
+                               f"residuals vanish identically on [{' | '.join(desc)}] "
+                               f"and at the sampled member point; {report.violations} "
+                               "sampled points outside the family all violate the system")
+            else:
+                explanation = (f"system vanishes identically on each family; "
+                               f"{report.violations} sampled points outside them all "
+                               "violate it")
     return Verdict(
-        **common, status="paper-discrepancy", witness=cx,
-        residuals=_residual_strings(_eval_all(system, cx)),
-        explanation="the system holds at a sampled admissible point",
-        recomputed_claim="the system admits solutions, e.g. at "
-                         + ", ".join(f"{v} = {cx[v]}" for v in sorted(cx)))
+        case_id=system.case_id, anchor=f"{claim.anchor}{_eta_suffix(eta)}",
+        status=recomputed.partition(":")[0] if recomputed == printed
+        else "paper-discrepancy",
+        families_desc=desc, witness=witness,
+        residuals=None if values is None else _residual_strings(values),
+        explanation=explanation, paper_claim=printed, recomputed_claim=recomputed)
 
 
 def _template_family_desc(claim: Claim) -> tuple:
@@ -951,11 +923,14 @@ def _template_family_desc(claim: Claim) -> tuple:
 
 
 def _audit_claim(claim: Claim, index: int, trials: int, seed: int):
-    """One or two Verdicts for a claim; G4 branches merge when they agree."""
+    """One or two Verdicts for a claim.  G4 branches merge when their
+    statuses agree and are not discrepancies; a discrepancy keeps the
+    recomputed values of its own sign."""
     verdicts = [_audit_branch(claim, make_group(claim.family, eta=eta), trials,
                               seed * 100003 + index * 101 + bi)
                 for bi, eta in enumerate(claim.branches())]
-    if len(verdicts) == 2 and verdicts[0].status == verdicts[1].status:
+    if len(verdicts) == 2 and \
+            verdicts[0].status == verdicts[1].status != "paper-discrepancy":
         v = verdicts[0]
         return [dataclasses.replace(
             v, case_id=case_id(claim.family, claim.connection, claim.structure),
@@ -969,9 +944,9 @@ def verify_paper_theorems(trials_per_case: int = 200, seed: int = 0):
     """Audit every published table, system, and verdict.
 
     Returns (verdicts, register).  The verdict list covers each of the
-    42 family/connection/structure cases exactly once (sign branches of
-    G4 merge when they agree); the register lists every print that the
-    recomputation contradicts, in deterministic order."""
+    42 family/connection/structure cases, each once unless its two G4
+    sign branches disagree or are discrepancies; the register lists every
+    print that the recomputation contradicts, in deterministic order."""
     register = DiscrepancyRegister()
     audit_printed_tables(register)
     audit_printed_systems(register)

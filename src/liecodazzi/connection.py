@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import BASIS, METRIC_SIGNATURE, FrameVector, LieAlgebra, bracket, metric
+from .liealg import BASIS, METRIC_SIGNATURE, FrameVector, LieAlgebra, metric
 
 KINDS = ("levi_civita", "bott", "canonical", "kobayashi_nomizu")
 # command-line aliases, resolved by resolve_kind

@@ -379,6 +379,8 @@ class PolyParseError(PolyError):
 # the largest exponent; the transcribed tables need at most 3.  Checked
 # before each operation, it bounds the work per operator in the text.
 MAX_DEGREE = 12
+# Longest number parse reads, far below CPython's 4,300-digit int() limit.
+MAX_DIGITS = 100
 # only the ASCII digits make numbers: int() would reject "²" with a bare ValueError
 _DIGITS = "0123456789"
 
@@ -401,6 +403,8 @@ def _tokenize(text: str, names: Mapping[str, Polynomial] | None):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise PolyParseError(f"a number of {j - i} digits; at most {MAX_DIGITS}")
             tokens.append(("num", text[i:j], int(text[i:j])))
             i = j
             continue

@@ -1,6 +1,5 @@
 """Shared helpers: seeded random rationals and polynomials for property tests."""
 
-import random
 from fractions import Fraction
 
 from liecodazzi.poly import VARS, Polynomial

@@ -477,6 +477,54 @@ def test_g4_verdicts_merge_branches(audit_result):
             assert "(both signs of h agree)" in v.explanation
 
 
+_A0B0_D = {"assign": {"a": "0", "b": "0"}, "require_nonzero": ["d"]}
+
+
+@pytest.mark.parametrize("row, expected", [
+    # printed always, but the system has nonzero residuals and no sampled solution
+    ({"family": "G1", "connection": "bott", "structure": "codazzi", "status": "always"},
+     [("(9.9)", "never-holds", {"a": "2/7", "b": "-9/5", "d": "2/5", "g": "3/4"})]),
+    # a printed family on which the system does not vanish
+    ({"family": "G1", "connection": "bott", "structure": "codazzi", "status": "families",
+      "families": ({"assign": {"b": "0"}},)},
+     [("(9.9)", "solution set differs: on [b = 0] residual (1,3,1) = -3/2*a^3; "
+                "member point of [b = 0] gives f(1,3,1) = -2187/686",
+       {"a": "9/7", "b": "0", "d": "-3", "g": "0"})]),
+    # printed families missing the component g = d = 0
+    ({"family": "G6", "connection": "bott", "structure": "codazzi", "status": "families",
+      "families": (_A0B0_D,)},
+     [("(9.9)", "solution set differs: system holds outside the families at "
+                "a = -6, b = -2/3, d = 0, g = 0",
+       {"a": "-6", "b": "-2/3", "d": "0", "g": "0"})]),
+    # printed never, but the system has solutions
+    ({"family": "G2", "connection": "bott", "structure": "codazzi", "status": "never"},
+     [("(9.9)", "solution set differs: system holds at a = 0, b = 0, d = -3/4, g = -2/5",
+       {"a": "0", "b": "0", "d": "-3/4", "g": "-2/5"})]),
+    # printed never with incomplete recomputed families: the sampled
+    # counterexample outside them must not be dropped
+    ({"family": "G6", "connection": "bott", "structure": "codazzi", "status": "never",
+      "recomputed_families": (_A0B0_D,)},
+     [("(9.9)", "solution set differs: system holds outside the families at "
+                "a = -6, b = -2/3, d = 0, g = 0",
+       {"a": "-6", "b": "-2/3", "d": "0", "g": "0"})]),
+    # G4 discrepancies keep one verdict per sign, each with its own values of h
+    ({"family": "G4", "connection": "canonical", "structure": "quasistatistical",
+      "status": "never", "recomputed_families": (
+          {"assign": {"a": "2*h", "b": "2*h"}}, {"assign": {"a": "0", "b": "h"}})},
+     [("(9.9) [eta=+1]", "holds-on-family: a = 2, b = 2 | a = 0, b = 1",
+       {"a": "2", "b": "2", "d": "-2/5", "g": "0"}),
+      ("(9.9) [eta=-1]", "holds-on-family: a = -2, b = -2 | a = 0, b = -1",
+       {"a": "-2", "b": "-2", "d": "-5/2", "g": "-7/4"})]),
+], ids=["always-nontrivial", "family-fails", "family-missing", "never-solvable",
+        "never-incomplete-recomputed", "g4-discrepancies-unmerged"])
+def test_constructed_claims_reach_every_discrepancy_path(row, expected):
+    claim = classify.Claim(anchor="(9.9)", **row)
+    verdicts = classify._audit_claim(claim, 0, 200, 0)
+    got = [(v.anchor, v.recomputed_claim, v.to_json()["witness"]) for v in verdicts]
+    assert got == expected
+    assert {v.status for v in verdicts} == {"paper-discrepancy"}
+
+
 def test_never_verdicts_explain_themselves(audit_result):
     verdicts, _ = audit_result
     nevers = [v for v in verdicts if v.status == "never-holds"]

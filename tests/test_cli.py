@@ -6,8 +6,6 @@ emitted JSON can be asserted exactly.
 
 import json
 
-import pytest
-
 from liecodazzi.cli import main
 
 
@@ -194,6 +192,13 @@ def test_check_huge_exponent_is_usage_error(capsys):
                        "bott", "--structure", "codazzi", "--solution",
                        "a=b^99999999")
     assert code == 2 and "degree above" in err
+
+
+def test_check_overlong_number_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--family", "G1", "--connection",
+                         "bott", "--structure", "codazzi", "--solution", "a=" + "1" * 5000)
+    assert code == 2 and not out
+    assert "digits; at most" in err and "set_int_max_str_digits" not in err
 
 
 def test_check_malformed_solution(capsys):

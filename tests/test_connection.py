@@ -1,7 +1,6 @@
 """Connection construction against hand-pinned table entries and identities."""
 
 import random
-from fractions import Fraction
 
 import pytest
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_poly
 from liecodazzi.liealg import (
-    BASIS, ConstraintViolation, E1, E2, E3, FAMILIES, FrameVector, SamplerStarvation,
+    BASIS, ConstraintViolation, E1, E2, FAMILIES, FrameVector, SamplerStarvation,
     abelian, bracket, jacobi_check, make_group, metric, sample_constraint_point,
 )
 from liecodazzi.poly import Polynomial, PolyError, parse

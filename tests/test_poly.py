@@ -310,6 +310,15 @@ def test_parse_caps_degrees():
             parse(bad)
 
 
+def test_parse_caps_number_length():
+    cap = poly.MAX_DIGITS
+    assert parse("9" * cap) == Polynomial.const(10 ** cap - 1)
+    # rejected before int(), whose own 4,300-digit limit raises a bare ValueError
+    for bad in ("1" * (cap + 1), "a+" + "1" * 5000, "1/" + "7" * 5000):
+        with pytest.raises(PolyParseError, match=f"at most {cap}"):
+            parse(bad)
+
+
 def test_text_round_trip():
     rng = random.Random(109)
     for _ in range(200):

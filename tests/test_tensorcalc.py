@@ -1,7 +1,6 @@
 """Curvature, Ricci, covariant derivative, torsion against pinned entries."""
 
 import random
-from fractions import Fraction
 
 from liecodazzi.connection import bott, canonical, kobayashi_nomizu, levi_civita, make_connection
 from liecodazzi.liealg import (
@@ -163,21 +162,29 @@ def test_torsion_antisymmetry():
 
 def test_tensor_tables_match_numeric_instances():
     rng = random.Random(401)
+    kinds = ("bott", "canonical", "kobayashi_nomizu")
     for L in all_groups():
+        # the symbolic side does not depend on the point: build it once
+        symbolic = {}
+        for kind in kinds:
+            Csym = make_connection(L, kind)
+            Rs = curvature(Csym)
+            symbolic[kind] = Rs, ricci(Rs), torsion(Csym)
         for _ in range(50):
             pt = sample_constraint_point(L, rng)
             Lnum = make_group(L.family, eta=L.eta, numeric_params=pt)
-            for kind in ("bott", "canonical", "kobayashi_nomizu"):
-                Csym, Cnum = make_connection(L, kind), make_connection(Lnum, kind)
-                Rs, Rn = curvature(Csym), curvature(Cnum)
+            for kind in kinds:
+                Rs, rho_s, Ts = symbolic[kind]
+                Cnum = make_connection(Lnum, kind)
+                Rn = curvature(Cnum)
                 for key, v in Rs.entries.items():
                     want = [p.eval_at(pt) for p in v.c]
                     got = [p.constant_value() for p in Rn.at(*key).c]
                     assert want == got, (L.label(), kind, key)
-                rho_s, rho_n = ricci(Rs), ricci(Rn)
+                rho_n = ricci(Rn)
                 for key, p in rho_s.entries.items():
                     assert p.eval_at(pt) == rho_n.at(*key).constant_value()
-                Ts, Tn = torsion(Csym), torsion(Cnum)
+                Tn = torsion(Cnum)
                 for key, v in Ts.entries.items():
                     want = [p.eval_at(pt) for p in v.c]
                     got = [p.constant_value() for p in Tn.at(*key).c]
