@@ -34,7 +34,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .poly import GREEK, VARS, Polynomial, PolyError, parse
+from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse
 from .liealg import (
     ConstraintViolation,
     FrameVector,
@@ -220,6 +220,7 @@ class SolutionFamily:
         return self.rewrite(self.substituted(p), extra_rules)
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
+        point = Point.of(point)
         for var in sorted(self.assignment):
             if point[var] != self.assignment[var].eval_at(point):
                 return False
@@ -425,7 +426,7 @@ def check_on_family(system: PolySystem, family: SolutionFamily) -> CheckResult:
 
 
 def sample_family_member(L: LieAlgebra, family: SolutionFamily,
-                         rng: random.Random, max_attempts: int = 2000) -> dict:
+                         rng: random.Random, max_attempts: int = 2000) -> Point:
     """One rational parameter point on the family satisfying all side
     conditions.  Free variables are drawn with a strong bias toward zero
     so that families inside the constraint variety are reachable."""
@@ -434,11 +435,12 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
         pt = {v: (Fraction(0) if rng.random() < 0.5 else _rand_rational(rng, nonzero=True))
               for v in free}
         # assigned values use free variables only, so the assigned ones may read 0
-        probe = {**pt, **dict.fromkeys(family.assignment, Fraction(0))}
+        probe = Point({**pt, **dict.fromkeys(family.assignment, Fraction(0))})
         for var in sorted(family.assignment):
             pt[var] = family.assignment[var].eval_at(probe)
-        if family.contains(pt) and L.constraints.violated(pt) is None:
-            return pt
+        point = Point(pt)
+        if family.contains(point) and L.constraints.violated(point) is None:
+            return point
     raise SamplerStarvation(
         f"no member of family [{family.describe()}] on {L.label()} "
         f"in {max_attempts} attempts")
@@ -451,9 +453,9 @@ class SampleReport:
     trials: int
     violations: int
     satisfied: int
-    witness: Optional[dict]             # first point with a nonzero residual
+    witness: Optional[Point]            # first point with a nonzero residual
     witness_residuals: Optional[dict]   # residual values at the witness
-    counterexample: Optional[dict]      # first point where the system holds
+    counterexample: Optional[Point]     # first point where the system holds
 
     def to_json(self) -> dict:
         out = {
@@ -648,6 +650,14 @@ class Claim(_Published):
     families: tuple = ()
     recomputed_families: tuple = ()
 
+    def __post_init__(self):
+        case = f"claim {self.family}/{self.connection}/{self.structure}"
+        if self.status not in ("always", "families", "never"):
+            raise ValueError(f"{case}: unknown status {self.status!r}; "
+                             "expected always, families or never")
+        if self.status == "families" and not self.families:
+            raise ValueError(f"{case}: a families claim lists no families")
+
 
 def _load_rows(name: str, key: str, cls) -> list:
     """The rows under key in a data file as cls records, lists as tuples."""
@@ -783,7 +793,7 @@ class Verdict:
     anchor: str
     status: str
     families_desc: tuple = ()
-    witness: Optional[dict] = None
+    witness: Optional[Point] = None
     residuals: Optional[dict] = None
     explanation: str = ""
     paper_claim: str = ""
@@ -823,6 +833,7 @@ def _residual_strings(values: Mapping) -> dict:
 
 
 def _eval_all(system: PolySystem, point: Mapping[str, Fraction]) -> dict:
+    point = Point.of(point)
     return {key: p.eval_at(point) for key, p in system.entries.items()}
 
 

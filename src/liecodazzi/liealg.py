@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .poly import _VAR_ALIASES, VARS, Polynomial, Rational, _as_fraction, parse
+from .poly import VARS, Point, Polynomial, Rational, parse
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 METRIC_SIGNATURE = (1, 1, -1)
@@ -136,14 +136,15 @@ class ConstraintSet:
     equalities: tuple = ()
     inequations: tuple = ()
 
-    def violated(self, point: Mapping[str, Fraction]) -> Optional[tuple]:
+    def violated(self, point: Mapping[str, Rational]) -> Optional[tuple]:
         """The first side condition the point breaks, as (polynomial,
         "equality" | "inequation"), or None when the point is admissible."""
+        point = Point.of(point)
         for p in self.equalities:
-            if p.eval_at(point) != 0:
+            if p.eval_at(point):
                 return p, "equality"
         for p in self.inequations:
-            if p.eval_at(point) == 0:
+            if not p.eval_at(point):
                 return p, "inequation"
         return None
 
@@ -155,7 +156,7 @@ class LieAlgebra:
     # brackets[(i, j)] = [e_i, e_j] for 1 <= i < j <= 3
     brackets: Mapping[tuple, FrameVector]
     constraints: ConstraintSet
-    params: Optional[Mapping[str, Fraction]] = None
+    params: Optional[Point] = None
     # connections and the objects derived from them, filled on first
     # request by connection.make_connection and classify.derivation; they
     # live and die with the group and are shared, so treat them as read-only
@@ -257,9 +258,10 @@ def make_group(family: str, eta: Optional[int] = None,
     """Build one of G1..G7, symbolic or at a numeric parameter point.
 
     eta must be one of branches(family): +1 or -1 for G4, None otherwise.
-    With numeric_params all four parameters must be given as exact
-    rationals (int or Fraction; anything else raises PolyError); the
-    instance is checked against the family's equalities and inequations.
+    numeric_params is a Point, or any mapping poly.Point accepts: each
+    of the four parameters given once as an exact rational (int or
+    Fraction), else PolyError.  The instance is checked against the
+    family's equalities and inequations and keeps the point as params.
     The symbolic groups are built once per (family, eta) and shared, so
     their derived objects are computed once per process.
     """
@@ -271,27 +273,14 @@ def make_group(family: str, eta: Optional[int] = None,
     symbolic = _symbolic_group(family, eta)
     if numeric_params is None:
         return symbolic
-    constraints = symbolic.constraints
-    params = {}
-    unknown = []
-    for key, val in numeric_params.items():
-        name = _VAR_ALIASES.get(key, key)
-        if name in VARS:
-            params[name] = _as_fraction(val)
-        else:
-            unknown.append(key)
-    for name in VARS:
-        if name not in params:
-            raise ValueError(f"numeric instance misses parameter {name!r}")
-    if unknown:
-        raise ValueError(f"unknown parameters {sorted(unknown)}")
-    broken = constraints.violated(params)
+    params = Point.of(numeric_params)
+    broken = symbolic.constraints.violated(params)
     if broken is not None:
         raise ConstraintViolation(*broken)
     subs = {k: Polynomial.const(v) for k, v in params.items()}
     brackets = {k: v.substitute(subs) for k, v in symbolic.brackets.items()}
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
-                      constraints=constraints, params=params)
+                      constraints=symbolic.constraints, params=params)
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,14 +316,14 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
 
 
 def sample_constraint_point(L: LieAlgebra, rng: random.Random,
-                            max_attempts: int = 1000) -> dict:
+                            max_attempts: int = 1000) -> Point:
     """One random rational point satisfying the family's equalities and
     inequations.  Equalities are met by explicit parameterization: G5/G6
     solve for delta when the beta coefficient is nonzero, G7 samples the
     alpha=0 and gamma=0 branches.
     """
     for _ in range(max_attempts):
-        pt = {v: _rand_rational(rng) for v in ("a", "b", "g", "d")}
+        pt = {v: _rand_rational(rng) for v in VARS}
         if L.family == "G5":
             if pt["b"] == 0:
                 continue
@@ -345,8 +334,9 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random,
             pt["d"] = pt["a"] * pt["g"] / pt["b"]
         elif L.family == "G7":
             pt["a" if rng.random() < 0.5 else "g"] = Fraction(0)
-        if L.constraints.violated(pt) is None:
-            return pt
+        point = Point(pt)
+        if L.constraints.violated(point) is None:
+            return point
     raise SamplerStarvation(
         f"no admissible point for {L.label()} in {max_attempts} attempts")
 

@@ -8,6 +8,10 @@ is dict equality and "is zero" is "map empty".  No floating point
 appears anywhere.  Evaluation is exact integer arithmetic: on its first
 evaluation a polynomial clears its denominators once and keeps the
 integer form, so each value costs one ``Fraction``, not one per term.
+Polynomials are evaluated at a :class:`Point`, which checks its
+coordinates once and caches the integer power tables that every
+polynomial evaluated there shares; ``eval_at`` builds one from any other
+mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -19,10 +23,11 @@ table it is given (liealg.sign_names, classify.table_names).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm, prod
 from operator import getitem
-from typing import Mapping, Union
+from typing import Union
 
 VARS = ("a", "b", "g", "d")
 GREEK = {"a": "α", "b": "β", "g": "γ", "d": "δ"}
@@ -32,6 +37,9 @@ _VAR_ALIASES = {
     "alpha": "a", "beta": "b", "gamma": "g", "delta": "d",
     "α": "a", "β": "b", "γ": "g", "δ": "d",
 }
+
+# every accepted spelling of a variable -> its index in VARS
+_NAME_INDEX = {**_VAR_INDEX, **{k: _VAR_INDEX[v] for k, v in _VAR_ALIASES.items()}}
 
 Rational = Union[int, Fraction]
 _FRACTION_ZERO = Fraction(0)
@@ -47,6 +55,80 @@ def _as_fraction(c: Rational) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise PolyError(f"not an exact rational: {c!r}")
+
+
+class Point(Mapping):
+    """An exact point of Q^4: a read-only mapping from VARS to Fraction.
+
+    Construction resolves aliases and checks every coordinate once: each
+    variable given exactly once, under its name or an alias, as an int or
+    Fraction.  The point also carries the power tables that eval_at
+    reads (see _PowerTables), so every polynomial evaluated at the point
+    shares them."""
+
+    __slots__ = ("_values", "_powers")
+
+    def __init__(self, values: Mapping[str, Rational]):
+        coords = [None] * len(VARS)
+        for name, v in values.items():
+            i = _NAME_INDEX.get(name)
+            if i is None:
+                raise PolyError(f"unknown variable {name!r}")
+            if coords[i] is not None:
+                given = [n for n in values if _NAME_INDEX.get(n) == i]
+                raise PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+            coords[i] = v if type(v) is Fraction else _as_fraction(v)
+        # "is None", not "None in coords", which calls Fraction.__eq__
+        missing = [v for v, c in zip(VARS, coords) if c is None]
+        if missing:
+            raise PolyError(f"point misses variables {missing}")
+        coords = tuple(coords)
+        object.__setattr__(self, "_values", coords)
+        object.__setattr__(self, "_powers", _PowerTables(coords))
+
+    @staticmethod
+    def of(point: Mapping[str, Rational]) -> "Point":
+        """point itself when it is a Point, else the Point it spells."""
+        # type(), not isinstance(), which is slow on an ABC subclass
+        return point if type(point) is Point else Point(point)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Point is immutable")
+
+    def __getitem__(self, name: str) -> Fraction:
+        return self._values[_VAR_INDEX[name]]
+
+    def __iter__(self):
+        return iter(VARS)
+
+    def __len__(self) -> int:
+        return len(VARS)
+
+    def __repr__(self):
+        return f"Point({dict(self)!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; __setattr__ refuses
+        # their default slot writes
+        return Point, (dict(self),)
+
+
+class _PowerTables(dict):
+    """The power tables of one point, built on first lookup: key (i, top)
+    maps to the integers n^e * d^(top - e), e = 0..top, for the
+    coordinate x_i = n/d, so entry 0 is d^top."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple):
+        super().__init__()
+        self.coords = coords
+
+    def __missing__(self, key: tuple) -> tuple:
+        i, top = key
+        n, d = self.coords[i].numerator, self.coords[i].denominator
+        table = self[key] = tuple(n ** e * d ** (top - e) for e in range(top + 1))
+        return table
 
 
 def _term_key(exps):
@@ -90,11 +172,11 @@ class Polynomial:
 
     @staticmethod
     def var(name: str) -> "Polynomial":
-        name = _VAR_ALIASES.get(name, name)
-        if name not in _VAR_INDEX:
+        i = _NAME_INDEX.get(name)
+        if i is None:
             raise PolyError(f"unknown variable {name!r}; expected one of {VARS}")
         exps = [0, 0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
+        exps[i] = 1
         return Polynomial({tuple(exps): 1})
 
     # -- ring operations ----------------------------------------------
@@ -225,10 +307,10 @@ class Polynomial:
             return self
         subs = {}
         for name, val in assignment.items():
-            name = _VAR_ALIASES.get(name, name)
-            if name not in _VAR_INDEX:
+            i = _NAME_INDEX.get(name)
+            if i is None:
                 raise PolyError(f"unknown variable {name!r}")
-            subs[_VAR_INDEX[name]] = val if isinstance(val, Polynomial) else Polynomial.const(val)
+            subs[i] = val if isinstance(val, Polynomial) else Polynomial.const(val)
         out = Polynomial.zero()
         for exps, coeff in self.terms.items():
             term = Polynomial.const(coeff)
@@ -245,33 +327,22 @@ class Polynomial:
         return out
 
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
-        """Exact value at a total assignment of all four variables.
+        """Exact value at a Point, or at any mapping Point accepts.
 
         The sum runs in integers over the cleared form (see
-        _cleared_form), so the value is the only Fraction built."""
-        nums = [None] * len(VARS)
-        dens = [None] * len(VARS)
-        for name, v in point.items():
-            name = _VAR_ALIASES.get(name, name)
-            if name not in _VAR_INDEX:
-                raise PolyError(f"unknown variable {name!r}")
-            v = _as_fraction(v)
-            i = _VAR_INDEX[name]
-            nums[i], dens[i] = v.numerator, v.denominator
-        missing = [VARS[i] for i, n in enumerate(nums) if n is None]
-        if missing:
-            raise PolyError(f"point misses variables {missing}")
+        _cleared_form) and the point's power tables, so the value is the
+        only Fraction built."""
+        point = Point.of(point)
         try:
             den, tops, terms = self._int_form
         except AttributeError:
             den, tops, terms = self._cleared_form()
         # x_i = n_i/d_i; scaled by d_i^top, the power x_i^e becomes the
-        # integer n_i^e * d_i^(top - e)
-        tables = []
-        for i, top in tops:
-            n, d = nums[i], dens[i]
-            den *= d ** top
-            tables.append([n ** e * d ** (top - e) for e in range(top + 1)])
+        # integer n_i^e * d_i^(top - e), and table[0] = d_i^top
+        powers = point._powers
+        tables = [powers[key] for key in tops]
+        for table in tables:
+            den *= table[0]
         total = 0
         for c, exps in terms:
             total += c * prod(map(getitem, tables, exps))
@@ -414,7 +485,7 @@ def _tokenize(text: str, names: Mapping[str, Polynomial] | None):
             while j < n and (text[j].isalpha() or text[j] in _DIGITS):
                 j += 1
             word = text[i:j]
-            if _VAR_ALIASES.get(word, word) in _VAR_INDEX:
+            if word in _NAME_INDEX:
                 value = Polynomial.var(word)
             elif names and word in names:
                 value = names[word]

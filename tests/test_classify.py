@@ -7,7 +7,7 @@ import random
 import pytest
 
 from liecodazzi import classify
-from liecodazzi.poly import Polynomial, PolyError, parse
+from liecodazzi.poly import Point, Polynomial, PolyError, parse
 from liecodazzi.liealg import ConstraintViolation, SamplerStarvation, make_group
 from liecodazzi.tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 from liecodazzi.connection import make_connection
@@ -270,6 +270,7 @@ def test_sample_family_member_obeys_everything():
     rng = random.Random(5)
     for _ in range(20):
         pt = sample_family_member(L, fam, rng)
+        assert type(pt) is Point
         assert pt["a"] == 0 and pt["b"] == 0 and pt["g"] != 0
         assert fam.contains(pt)
 
@@ -406,6 +407,19 @@ def test_loaders_reject_unknown_keys(monkeypatch):
            "anchor": "(0.0)", "status": "always", "eta_template": True}
     monkeypatch.setattr(classify, "_load_json", lambda name: {"claims": [row]})
     with pytest.raises(ValueError, match="eta_template"):
+        load_claims()
+
+
+@pytest.mark.parametrize("status, families, message", [
+    ("nevr", (), "unknown status 'nevr'"),
+    ("families", (), "lists no families"),
+])
+def test_loaders_reject_bad_claim_status(monkeypatch, status, families, message):
+    # neither may reach the audit as a families row with an empty print
+    row = {"family": "G2", "connection": "bott", "structure": "codazzi",
+           "anchor": "(0.0)", "status": status, "families": list(families)}
+    monkeypatch.setattr(classify, "_load_json", lambda name: {"claims": [row]})
+    with pytest.raises(ValueError, match=message):
         load_claims()
 
 

@@ -10,7 +10,7 @@ from liecodazzi.liealg import (
     BASIS, ConstraintViolation, E1, E2, FAMILIES, FrameVector, SamplerStarvation,
     abelian, bracket, jacobi_check, make_group, metric, sample_constraint_point,
 )
-from liecodazzi.poly import Polynomial, PolyError, parse
+from liecodazzi.poly import Point, Polynomial, PolyError, parse
 
 
 def all_groups():
@@ -73,6 +73,18 @@ def test_numeric_instance_substitutes_brackets():
     L = make_group("G2", numeric_params={"a": 2, "b": Fraction(1, 2), "g": 3, "d": 0})
     assert L.brackets[(2, 3)] == FrameVector(2, 0, 0)
     assert L.brackets[(1, 2)] == FrameVector(0, 3, Fraction(-1, 2))
+
+
+def test_numeric_instance_keeps_its_checked_point():
+    raw = {"alpha": 2, "b": Fraction(1, 2), "γ": 3, "d": 0}
+    L = make_group("G2", numeric_params=raw)
+    assert type(L.params) is Point and L.params == Point(raw)
+    assert make_group("G2", numeric_params=L.params).params is L.params
+    assert L.to_json()["params"] == {"a": "2", "b": "1/2", "d": "0", "g": "3"}
+    with pytest.raises(PolyError, match="unknown variable 'x'"):
+        make_group("G2", numeric_params={**raw, "x": 1})
+    with pytest.raises(PolyError, match="misses variables"):
+        make_group("G2", numeric_params={"a": 2, "b": 1})
 
 
 # -- bracket -------------------------------------------------------------
@@ -147,6 +159,7 @@ def test_sample_points_respect_constraints():
                 assert p.eval_at(pt) == 0
             for p in L.constraints.inequations:
                 assert p.eval_at(pt) != 0
+            assert type(pt) is Point
             assert all(isinstance(v, Fraction) for v in pt.values())
 
 

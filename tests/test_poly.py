@@ -1,5 +1,7 @@
 """Polynomial ring: canonical form, ring axioms, substitution, parsing."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +9,10 @@ import pytest
 
 from conftest import random_point, random_poly, random_rational
 from liecodazzi import poly
+from liecodazzi.classify import _point_json
+from liecodazzi.liealg import make_group
 from liecodazzi.poly import (
-    A, B, D, G, ONE, VARS, ZERO, Polynomial, PolyError, PolyParseError, parse,
+    A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError, parse,
 )
 
 
@@ -199,6 +203,73 @@ def test_eval_rejects_bad_points():
         p.eval_at({"a": 1, "b": 2, "g": 3})
     with pytest.raises(PolyError, match="not an exact rational"):
         p.eval_at({**full, "b": 0.5})
+
+
+# -- Point -------------------------------------------------------------
+
+
+def test_eval_at_a_shared_point_matches_the_oracle_in_either_order():
+    # the polynomials give one variable different tops, so they read power
+    # tables of different lengths from one point; the first evaluation
+    # builds the tables the later ones share, whichever order they run in
+    p, q = parse("a^3*b-g/2+d"), parse("a*b^4-3*d^2/5+a^2")
+    rng = random.Random(111)
+    for _ in range(100):
+        raw = random_point(rng)
+        polys = [p, q] + [random_poly(rng, max_exp=e) for e in (1, 2, 4)]
+        want = [eval_oracle(r, raw) for r in polys]
+        for order in (slice(None), slice(None, None, -1)):
+            pt = Point(raw)
+            assert [r.eval_at(pt) for r in polys[order]] == want[order]
+            assert [r.eval_at(pt) for r in polys] == want
+
+
+def test_point_is_an_immutable_mapping_equal_to_its_dict():
+    raw = {"a": 1, "b": Fraction(-2, 3), "g": 0, "d": Fraction(5, 7)}
+    pt = Point(raw)
+    assert pt == raw and dict(pt) == raw and list(pt) == list(VARS) and len(pt) == 4
+    assert all(type(pt[v]) is Fraction for v in VARS)
+    assert Point.of(pt) is pt and Point.of(raw) == pt
+    assert Point({"alpha": 1, "β": Fraction(-2, 3), "gamma": 0, "δ": Fraction(5, 7)}) == pt
+    assert pt != {**raw, "d": 0}
+    with pytest.raises(KeyError):
+        pt["alpha"]  # the keys are VARS; aliases are read at construction
+    with pytest.raises(TypeError):
+        pt["a"] = 2
+    with pytest.raises(AttributeError):
+        pt.a = 2
+    with pytest.raises(AttributeError):
+        pt._values = (0, 0, 0, 0)
+    assert pt == raw
+    for twin in (copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
+        assert type(twin) is Point and twin == pt
+
+
+def test_point_rejects_bad_input_with_the_eval_messages():
+    full = {"a": 1, "b": 2, "g": 3, "d": 4}
+    with pytest.raises(PolyError, match="unknown variable 'x'"):
+        Point({**full, "x": 1})
+    with pytest.raises(PolyError, match=r"point misses variables \['d'\]"):
+        Point({"a": 1, "b": 2, "g": 3})
+    with pytest.raises(PolyError, match="not an exact rational: 0.5"):
+        Point({**full, "b": 0.5})
+
+
+def test_point_json_of_a_point_is_unchanged():
+    raw = {"d": Fraction(5, 7), "a": 1, "g": 0, "b": Fraction(-2, 3)}
+    assert _point_json(Point(raw)) == _point_json(raw) == {
+        "a": "1", "b": "-2/3", "d": "5/7", "g": "0"}
+
+
+def test_a_variable_given_twice_is_rejected():
+    # a second spelling of a variable must not silently replace the first
+    twice = {"a": 1, "alpha": 2, "b": 0, "g": 0, "d": 0}
+    with pytest.raises(PolyError, match=r"variable 'a' is given twice: \['a', 'alpha'\]"):
+        A.eval_at(twice)
+    with pytest.raises(PolyError, match="variable 'a' is given twice"):
+        make_group("G2", numeric_params={**twice, "g": 3})
+    with pytest.raises(PolyError, match="variable 'g' is given twice"):
+        Point({"a": 1, "b": 0, "γ": 2, "gamma": 2, "d": 0})
 
 
 # -- is_zero -----------------------------------------------------------
