@@ -87,6 +87,11 @@ SEVERITIES = ("typo-suspected", "verdict-conflict")
 
 _TABLE_FILES = ("printed_bott.json", "printed_canonical.json", "printed_kn.json")
 
+# draws sample_family_member makes before it gives up on a family
+_MEMBER_ATTEMPTS = 2000
+# rewrite steps _apply_rewrite takes before it calls a rule non-terminating
+_REWRITE_ROUNDS = 500
+
 # the abbreviations of the printed G3/G4 tables; n1..n3 carry the G4 sign h
 _M_SHORTHAND = (("m1", "(a-b-g)/2"), ("m2", "(a-b+g)/2"), ("m3", "(a+b-g)/2"))
 _N_SHORTHAND = (("n1", "a/2+h-b"), ("n2", "a/2-h"), ("n3", "a/2+h"))
@@ -107,16 +112,13 @@ def _key_text(key: tuple) -> str:
     return ",".join(map(str, key))
 
 
+def _residual_json(values: Mapping[tuple, object]) -> dict:
+    """A map keyed by index tuple as JSON: "x,y,j" keys, sorted, str values."""
+    return {_key_text(k): str(v) for k, v in sorted(values.items())}
+
+
 def _point_json(point: Optional[Mapping]) -> Optional[dict]:
     return None if point is None else {v: str(point[v]) for v in sorted(point)}
-
-
-def _monomial(exps, coeff) -> Polynomial:
-    p = Polynomial.const(coeff)
-    for name, e in zip(VARS, exps):
-        if e:
-            p = p * Polynomial.var(name) ** e
-    return p
 
 
 def _eta_suffix(eta: Optional[int]) -> str:
@@ -205,11 +207,6 @@ class SolutionFamily:
                 raise PolyError(f"expected var=expr or expr!=0, got {tok!r}")
         return cls(assignment=assignment, extra_inequations=tuple(nonzero))
 
-    def substituted(self, p: Polynomial) -> Polynomial:
-        if not self.assignment:
-            return p
-        return p.substitute(self.assignment)
-
     def rewrite(self, p: Polynomial, extra_rules: Sequence = ()) -> Polynomial:
         """Reduce p by the quadratic relations plus optional extra rules."""
         for lhs, rhs in tuple(self.quadratic_relations) + tuple(extra_rules):
@@ -217,7 +214,7 @@ class SolutionFamily:
         return p
 
     def reduce(self, p: Polynomial, extra_rules: Sequence = ()) -> Polynomial:
-        return self.rewrite(self.substituted(p), extra_rules)
+        return self.rewrite(p.substitute(self.assignment), extra_rules)
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
         point = Point.of(point)
@@ -253,10 +250,9 @@ class SolutionFamily:
         return out
 
 
-def _apply_rewrite(p: Polynomial, lhs: Polynomial, rhs: Polynomial,
-                   max_rounds: int = 500) -> Polynomial:
+def _apply_rewrite(p: Polynomial, lhs: Polynomial, rhs: Polynomial) -> Polynomial:
     (le, lc), = lhs.terms.items()
-    for _ in range(max_rounds):
+    for _ in range(_REWRITE_ROUNDS):
         hit = None
         for e, c in p.terms.items():
             if all(x >= y for x, y in zip(e, le)):
@@ -266,7 +262,7 @@ def _apply_rewrite(p: Polynomial, lhs: Polynomial, rhs: Polynomial,
             return p
         e, c = hit
         rem = tuple(x - y for x, y in zip(e, le))
-        p = p - _monomial(e, c) + _monomial(rem, c / lc) * rhs
+        p = p - Polynomial({e: c}) + Polynomial({rem: c / lc}) * rhs
     raise PolyError(f"rewrite by {lhs.text()} = {rhs.text()} did not terminate")
 
 
@@ -363,7 +359,7 @@ class PolySystem:
     def to_json(self) -> dict:
         return {
             "case": self.case_id,
-            "entries": {_key_text(k): p.text() for k, p in sorted(self.entries.items())},
+            "entries": _residual_json(self.entries),
         }
 
 
@@ -391,7 +387,7 @@ class CheckResult:
     def to_json(self) -> dict:
         return {
             "holds": self.holds,
-            "residuals": {_key_text(k): p.text() for k, p in sorted(self.residuals.items())},
+            "residuals": _residual_json(self.residuals),
         }
 
 
@@ -426,12 +422,12 @@ def check_on_family(system: PolySystem, family: SolutionFamily) -> CheckResult:
 
 
 def sample_family_member(L: LieAlgebra, family: SolutionFamily,
-                         rng: random.Random, max_attempts: int = 2000) -> Point:
+                         rng: random.Random) -> Point:
     """One rational parameter point on the family satisfying all side
     conditions.  Free variables are drawn with a strong bias toward zero
     so that families inside the constraint variety are reachable."""
     free = [v for v in VARS if v not in family.assignment]
-    for _ in range(max_attempts):
+    for _ in range(_MEMBER_ATTEMPTS):
         pt = {v: (Fraction(0) if rng.random() < 0.5 else _rand_rational(rng, nonzero=True))
               for v in free}
         # assigned values use free variables only, so the assigned ones may read 0
@@ -443,7 +439,7 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
             return point
     raise SamplerStarvation(
         f"no member of family [{family.describe()}] on {L.label()} "
-        f"in {max_attempts} attempts")
+        f"in {_MEMBER_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -466,8 +462,7 @@ class SampleReport:
             "counterexample": _point_json(self.counterexample),
         }
         if self.witness_residuals is not None:
-            out["witness_residuals"] = {_key_text(k): str(v) for k, v
-                                        in sorted(self.witness_residuals.items())}
+            out["witness_residuals"] = _residual_json(self.witness_residuals)
         return out
 
 
@@ -536,10 +531,6 @@ class DiscrepancyRegister:
         if severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}")
         self._entries.append(RegisterEntry(location, printed, recomputed, severity))
-
-    @property
-    def entries(self):
-        return tuple(self._entries)
 
     def __len__(self):
         return len(self._entries)
@@ -794,7 +785,7 @@ class Verdict:
     status: str
     families_desc: tuple = ()
     witness: Optional[Point] = None
-    residuals: Optional[dict] = None
+    residuals: Optional[dict] = None   # residual values at the witness, by index tuple
     explanation: str = ""
     paper_claim: str = ""
     recomputed_claim: str = ""
@@ -818,18 +809,11 @@ class Verdict:
             "witness": _point_json(self.witness),
             "explanation": self.explanation,
         }
-        if self.residuals is not None:
-            out["residuals"] = {key: str(v) for key, v in sorted(self.residuals.items())}
-        else:
-            out["residuals"] = None
+        out["residuals"] = None if self.residuals is None else _residual_json(self.residuals)
         if self.status == "paper-discrepancy":
             out["paper_claim"] = self.paper_claim
             out["recomputed_claim"] = self.recomputed_claim
         return out
-
-
-def _residual_strings(values: Mapping) -> dict:
-    return {_key_text(k): v for k, v in sorted(values.items())}
 
 
 def _eval_all(system: PolySystem, point: Mapping[str, Fraction]) -> dict:
@@ -919,7 +903,7 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
         status=recomputed.partition(":")[0] if recomputed == printed
         else "paper-discrepancy",
         families_desc=desc, witness=witness,
-        residuals=None if values is None else _residual_strings(values),
+        residuals=values,
         explanation=explanation, paper_claim=printed, recomputed_claim=recomputed)
 
 

@@ -151,11 +151,7 @@ def _cmd_sample(args) -> int:
                              "exclude every point")
         excluded.append(family)
     system = build_system(L, args.connection, args.structure)
-    try:
-        report = sample_necessity(system, excluded, args.trials, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = sample_necessity(system, excluded, args.trials, args.seed)
     if args.json:
         _emit({"schema": "1", "case": system.case_id, "seed": args.seed,
                **report.to_json()})
@@ -276,13 +272,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if getattr(args, "seed", None) is not None and not isinstance(args.seed, int):
-        try:
-            args.seed = int(args.seed)
-        except ValueError:
-            print(f"error: LIECODAZZI_SEED must be an integer, got {args.seed!r}",
-                  file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except SamplerStarvation as exc:

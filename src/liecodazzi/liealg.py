@@ -66,6 +66,10 @@ class FrameVector:
     def __setattr__(self, *_):
         raise AttributeError("FrameVector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as for Polynomial
+        return FrameVector, self.c
+
     @staticmethod
     def zero() -> "FrameVector":
         return FrameVector(0, 0, 0)
@@ -308,6 +312,10 @@ def abelian() -> LieAlgebra:
 
 # -- constraint-variety sampling ----------------------------------------
 
+# draws sample_constraint_point makes before it gives up on a group
+_SAMPLE_ATTEMPTS = 1000
+
+
 def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     num = rng.randint(-10, 10)
     while nonzero and num == 0:
@@ -315,14 +323,13 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     return Fraction(num, rng.randint(1, 10))
 
 
-def sample_constraint_point(L: LieAlgebra, rng: random.Random,
-                            max_attempts: int = 1000) -> Point:
+def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
     """One random rational point satisfying the family's equalities and
     inequations.  Equalities are met by explicit parameterization: G5/G6
     solve for delta when the beta coefficient is nonzero, G7 samples the
     alpha=0 and gamma=0 branches.
     """
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         pt = {v: _rand_rational(rng) for v in VARS}
         if L.family == "G5":
             if pt["b"] == 0:
@@ -338,7 +345,7 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random,
         if L.constraints.violated(point) is None:
             return point
     raise SamplerStarvation(
-        f"no admissible point for {L.label()} in {max_attempts} attempts")
+        f"no admissible point for {L.label()} in {_SAMPLE_ATTEMPTS} attempts")
 
 
 # -- well-formedness ------------------------------------------------------

@@ -49,6 +49,12 @@ class PolyError(ValueError):
     pass
 
 
+def _given_twice(names: Mapping[str, object], i: int) -> PolyError:
+    """The error for a mapping that names variable i under two spellings."""
+    given = [n for n in names if _NAME_INDEX.get(n) == i]
+    return PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+
+
 def _as_fraction(c: Rational) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -75,8 +81,7 @@ class Point(Mapping):
             if i is None:
                 raise PolyError(f"unknown variable {name!r}")
             if coords[i] is not None:
-                given = [n for n in values if _NAME_INDEX.get(n) == i]
-                raise PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+                raise _given_twice(values, i)
             coords[i] = v if type(v) is Fraction else _as_fraction(v)
         # "is None", not "None in coords", which calls Fraction.__eq__
         missing = [v for v, c in zip(VARS, coords) if c is None]
@@ -158,6 +163,11 @@ class Polynomial:
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the terms (the cleared form is
+        # rebuilt on first evaluation); __setattr__ refuses their slot writes
+        return Polynomial, (self.terms,)
 
     # -- constructors -------------------------------------------------
 
@@ -302,7 +312,9 @@ class Polynomial:
     # -- substitution and evaluation ------------------------------------
 
     def substitute(self, assignment: Mapping[str, "Polynomial | Rational"]) -> "Polynomial":
-        """Simultaneous substitution of variables; unassigned pass through."""
+        """Simultaneous substitution of variables; unassigned pass through.
+
+        Each variable may be named once, under its name or an alias."""
         if not assignment:
             return self
         subs = {}
@@ -310,6 +322,8 @@ class Polynomial:
             i = _NAME_INDEX.get(name)
             if i is None:
                 raise PolyError(f"unknown variable {name!r}")
+            if i in subs:
+                raise _given_twice(assignment, i)
             subs[i] = val if isinstance(val, Polynomial) else Polynomial.const(val)
         out = Polynomial.zero()
         for exps, coeff in self.terms.items():

@@ -1,12 +1,14 @@
 """Curvature, Ricci, symmetrization, covariant derivatives, torsion.
 
-All operations take a Connection and work entirely on the frame
-coefficient level.  The Ricci trace uses the printed sign convention
-with weights (-1, -1, +1) over the pseudo-orthonormal frame; it is kept
-as a full, possibly asymmetric table because the source tables are
-asymmetric.  The directional-derivative term in the covariant
-derivative of a (0,2)-tensor vanishes: every tensor here has constant
-frame components.
+Each object is the paper's index formula on the frame e1, e2, e3: an
+argument that is a basis vector is read from its table (the connection
+coefficients nabla_{e_i} e_j, the brackets [e_i, e_j], R(e_i, e_j) e_k),
+and connection.apply extends the connection only to computed vectors.
+The Ricci trace uses the printed sign convention with weights
+(-1, -1, +1) over the pseudo-orthonormal frame; it is kept as a full,
+possibly asymmetric table because the source tables are asymmetric.
+The directional-derivative term in the covariant derivative of a
+(0,2)-tensor vanishes: every tensor here has constant frame components.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .connection import Connection, apply
-from .liealg import BASIS, FrameVector, bracket, metric
+from .liealg import BASIS, FrameVector, metric
 from .poly import Polynomial
 
 PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -49,46 +51,29 @@ def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> Tensor:
     return Tensor(entries)
 
 
-def _pair(omega: Tensor, X: FrameVector, Y: FrameVector) -> Polynomial:
-    """omega(X, Y) by bilinear extension of a (0,2)-tensor table."""
-    out = Polynomial.zero()
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            xi, yj = X.c[i - 1], Y.c[j - 1]
-            if xi.is_zero() or yj.is_zero():
-                continue
-            out = out + omega.at(i, j) * xi * yj
-    return out
-
-
 def curvature(C: Connection) -> Tensor:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]} Z."""
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
     L = C.algebra
     r = {}
     for i, j in PAIRS:
         ei, ej = BASIS[i - 1], BASIS[j - 1]
-        lie = bracket(L, ei, ej)
+        lie = L.bracket_basis(i, j)
         for k in (1, 2, 3):
             ek = BASIS[k - 1]
-            r[(i, j, k)] = (apply(C, ei, apply(C, ej, ek))
-                            - apply(C, ej, apply(C, ei, ek))
+            r[(i, j, k)] = (apply(C, ei, C.gamma[(j, k)])
+                            - apply(C, ej, C.gamma[(i, k)])
                             - apply(C, lie, ek))
     return _antisymmetric(r)
 
 
 def ricci(R: Tensor) -> Tensor:
-    """rho(X,Y) = -g(R(X,e1)Y,e1) - g(R(X,e2)Y,e2) + g(R(X,e3)Y,e3)."""
+    """rho(e_i,e_j) = -g(R(e_i,e1)e_j,e1) - g(R(e_i,e2)e_j,e2) + g(R(e_i,e3)e_j,e3)."""
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            ej = BASIS[j - 1]
             total = Polynomial.zero()
             for k, weight in ((1, -1), (2, -1), (3, 1)):
-                # R(e_i, e_k) e_j contracted against e_k
-                rv = FrameVector.zero()
-                for m in (1, 2, 3):
-                    rv = rv + R.at(i, k, m).scale(ej.c[m - 1])
-                total = total + metric(rv, BASIS[k - 1]).scale(weight)
+                total = total + metric(R.at(i, k, j), BASIS[k - 1]).scale(weight)
             w[(i, j)] = total
     return Tensor(w)
 
@@ -103,27 +88,28 @@ def symmetrize(rho: Tensor) -> Tensor:
 
 
 def cov_deriv_02(C: Connection, omega: Tensor) -> Tensor:
-    """(nabla_{e_i} omega)(e_j, e_k) = -omega(nabla_i e_j, e_k) - omega(e_j, nabla_i e_k).
+    """(nabla_{e_i} omega)(e_j, e_k) = -sum_m [G_ij^m omega(e_m, e_k) + G_ik^m omega(e_j, e_m)],
+    with G_ij^m component m of nabla_{e_i} e_j.
 
-    The term X[omega(Y,Z)] is zero: omega has constant frame components.
+    The term e_i[omega(e_j, e_k)] is zero: omega has constant frame components.
     """
     d = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             for k in (1, 2, 3):
-                ej, ek = BASIS[j - 1], BASIS[k - 1]
-                d[(i, j, k)] = -(_pair(omega, C.gamma[(i, j)], ek)
-                                 + _pair(omega, ej, C.gamma[(i, k)]))
+                gij, gik = C.gamma[(i, j)].c, C.gamma[(i, k)].c
+                total = Polynomial.zero()
+                for m in (1, 2, 3):
+                    total = total + gij[m - 1] * omega.at(m, k) + gik[m - 1] * omega.at(j, m)
+                d[(i, j, k)] = -total
     return Tensor(d)
 
 
 def torsion(C: Connection) -> Tensor:
-    """T(X,Y) = nabla_X Y - nabla_Y X - [X,Y]."""
+    """T(e_i,e_j) = nabla_i e_j - nabla_j e_i - [e_i,e_j]."""
     t = {}
     for i, j in PAIRS:
-        ei, ej = BASIS[i - 1], BASIS[j - 1]
-        t[(i, j)] = (apply(C, ei, ej) - apply(C, ej, ei)
-                     - bracket(C.algebra, ei, ej))
+        t[(i, j)] = C.gamma[(i, j)] - C.gamma[(j, i)] - C.algebra.bracket_basis(i, j)
     return _antisymmetric(t)
 
 

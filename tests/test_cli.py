@@ -264,10 +264,12 @@ def test_sample_seed_env_fallback(capsys, monkeypatch):
 
 
 def test_sample_bad_seed_env_is_usage_error(capsys, monkeypatch):
+    # argparse converts the environment default with type=int
     monkeypatch.setenv("LIECODAZZI_SEED", "zzz")
-    code, _, _ = run(capsys, "sample", "--family", "G1", "--connection",
-                     "bott", "--structure", "codazzi", "--trials", "5")
+    code, _, err = run(capsys, "sample", "--family", "G1", "--connection",
+                       "bott", "--structure", "codazzi", "--trials", "5")
     assert code == 2
+    assert "argument --seed: invalid int value: 'zzz'" in err
 
 
 # -- audit -------------------------------------------------------------------

@@ -17,13 +17,20 @@ from liecodazzi.classify import (
 )
 from liecodazzi.cli import main
 from liecodazzi.connection import KINDS, bott, canonical, kobayashi_nomizu, levi_civita
-from liecodazzi.liealg import FAMILIES, make_group
+from liecodazzi.liealg import BASIS, FAMILIES, FrameVector, make_group, metric
+from liecodazzi.poly import Polynomial
+from liecodazzi.tensorcalc import cov_deriv_02, ricci
 
 AUDITED_BUILDERS = (bott, canonical, kobayashi_nomizu)
 
 # sha256 of `liecodazzi audit --json --trials 200 --seed 0`; a change that
 # means to alter the report updates it
 AUDIT_SEED0_SHA256 = "58dd8d6f08486dab5450c265ad0a179a7741674c584ead0f24f215b180009596"
+
+# sha256 of the 256 derived tables of the symbolic groups: the value text
+# of every compute_object and the to_json of every build_system, for each
+# group, connection kind and object or structure (see derived_tables)
+DERIVE_SHA256 = "07c68534b0942b4a30980a590a0702de06b3a11bed2239af88a48d43a41ff269"
 
 
 def all_groups():
@@ -121,3 +128,62 @@ def test_cold_cli_audit_matches_warm_in_process_audit(capsys):
     assert len(json.loads(warm)["verdicts"]) == 42
     assert cold.stdout.decode("utf-8") == warm
     assert hashlib.sha256(cold.stdout).hexdigest() == AUDIT_SEED0_SHA256
+
+
+def derived_tables():
+    out = {}
+    for L in all_groups():
+        for kind in KINDS:
+            for obj in OBJECTS:
+                out[f"{L.label()}/{kind}/{obj}"] = {
+                    key: v.text() for key, v in compute_object(L, kind, obj).items()}
+            for structure in STRUCTURES:
+                out[f"{L.label()}/{kind}/{structure}"] = build_system(L, kind, structure).to_json()
+    return out
+
+
+def test_derived_tables_are_pinned():
+    tables = derived_tables()
+    assert len(tables) == 8 * 4 * (6 + 2)
+    digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+    assert digest == DERIVE_SHA256
+
+
+# -- oracles by general bilinear extension over the frame ---------------------
+
+
+def pair_oracle(omega, X, Y):
+    """omega(X, Y) for any frame vectors X, Y."""
+    return sum((omega.at(i, j) * x * y for i, x in enumerate(X.c, 1)
+                for j, y in enumerate(Y.c, 1)), Polynomial.zero())
+
+
+def ricci_oracle(R, i, j):
+    """rho(e_i, e_j), with R(e_i, e_k) e_j rebuilt by linearity in e_j."""
+    total = Polynomial.zero()
+    for k, weight in ((1, -1), (2, -1), (3, 1)):
+        rv = FrameVector.zero()
+        for m in (1, 2, 3):
+            rv = rv + R.at(i, k, m).scale(BASIS[j - 1].c[m - 1])
+        total = total + metric(rv, BASIS[k - 1]).scale(weight)
+    return total
+
+
+def test_ricci_and_cov_deriv_match_bilinear_oracles():
+    for L in all_groups():
+        for kind in KINDS:
+            d = derivation(L, kind)
+            rho = ricci(d.R)
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    assert rho.at(i, j) == ricci_oracle(d.R, i, j), (L.label(), kind, i, j)
+            # rho is asymmetric, so it also tells omega(m, k) from omega(k, m)
+            for omega in (d.omega, d.rho):
+                D = cov_deriv_02(d.C, omega)
+                for i in (1, 2, 3):
+                    for j in (1, 2, 3):
+                        for k in (1, 2, 3):
+                            ej, ek = BASIS[j - 1], BASIS[k - 1]
+                            want = -(pair_oracle(omega, d.C.gamma[(i, j)], ek)
+                                     + pair_oracle(omega, ej, d.C.gamma[(i, k)]))
+                            assert D.at(i, j, k) == want, (L.label(), kind, i, j, k)

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import random_poly
 from liecodazzi.liealg import (
-    BASIS, ConstraintViolation, E1, E2, FAMILIES, FrameVector, SamplerStarvation,
-    abelian, bracket, jacobi_check, make_group, metric, sample_constraint_point,
+    BASIS, ConstraintSet, ConstraintViolation, E1, E2, FAMILIES, FrameVector,
+    SamplerStarvation, _raw_algebra, abelian, bracket, jacobi_check, make_group, metric,
+    sample_constraint_point,
 )
 from liecodazzi.poly import Point, Polynomial, PolyError, parse
 
@@ -171,9 +172,11 @@ def test_sample_deterministic_for_seed():
 
 
 def test_sampler_starvation():
-    L = make_group("G1")
+    # the inequation 0 != 0 holds at no point
+    z = FrameVector.zero()
+    L = _raw_algebra(z, z, z, ConstraintSet(inequations=(Polynomial.zero(),)))
     with pytest.raises(SamplerStarvation):
-        sample_constraint_point(L, random.Random(1), max_attempts=0)
+        sample_constraint_point(L, random.Random(1))
 
 
 def test_g7_sampler_covers_both_branches():
@@ -212,8 +215,6 @@ def test_jacobi_g6_holds_on_variety():
 
 def test_jacobi_detects_broken_structure():
     # a deliberately non-Lie bracket table must fail
-    from liecodazzi.liealg import _raw_algebra
-
     bad = _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0),
                        FrameVector.zero())
     report = jacobi_check(bad, points=5, seed=3)

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import random_point, random_poly, random_rational
 from liecodazzi import poly
-from liecodazzi.classify import _point_json
-from liecodazzi.liealg import make_group
+from liecodazzi.classify import _point_json, build_system
+from liecodazzi.liealg import E1, FrameVector, make_group
 from liecodazzi.poly import (
     A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError, parse,
 )
@@ -272,6 +272,16 @@ def test_a_variable_given_twice_is_rejected():
         Point({"a": 1, "b": 0, "γ": 2, "gamma": 2, "d": 0})
 
 
+def test_substitute_rejects_a_variable_given_twice():
+    with pytest.raises(PolyError, match=r"variable 'a' is given twice: \['a', 'alpha'\]"):
+        A.substitute({"a": 1, "alpha": 2})
+    with pytest.raises(PolyError, match=r"variable 'b' is given twice: \['b', 'beta'\]"):
+        (A + B).substitute({"b": A, "beta": 0})
+    with pytest.raises(PolyError, match=r"variable 'g' is given twice: \['γ', 'g'\]"):
+        FrameVector(A, G, 0).substitute({"γ": 1, "g": 1})
+    assert FrameVector(A, G, 0).substitute({"gamma": A}) == FrameVector(A, A, 0)
+
+
 # -- is_zero -----------------------------------------------------------
 
 
@@ -415,3 +425,15 @@ def test_monic_and_leading_coeff():
 def test_immutability():
     with pytest.raises(AttributeError):
         A.terms = {}
+
+
+def test_copies_and_pickles_equal_their_original():
+    L = make_group("G1")
+    build_system(L, "bott", "codazzi")  # fills L.derived
+    p = parse("a+b/2")
+    p.eval_at({"a": 1, "b": 1, "g": 0, "d": 0})  # builds the cleared form
+    for original in (p, E1, L):
+        for twin in (copy.copy(original), copy.deepcopy(original),
+                     pickle.loads(pickle.dumps(original))):
+            assert type(twin) is type(original) and twin == original
+    assert copy.copy(p).eval_at({"a": 1, "b": 1, "g": 0, "d": 0}) == Fraction(3, 2)
