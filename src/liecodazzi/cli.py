@@ -30,6 +30,9 @@ from .classify import (
     verify_paper_theorems,
 )
 
+# the most sampled points --trials may ask for, per case
+MAX_TRIALS = 10_000
+
 _EPILOG = (
     "parameter names: a = alpha, b = beta, g = gamma, d = delta "
     "(Greek spellings are accepted anywhere a name is read); "
@@ -54,6 +57,17 @@ def _parse_eta(text):
     if text == "-1":
         return -1
     raise argparse.ArgumentTypeError("eta must be +1 or -1")
+
+
+def _trials(text):
+    """A --trials value: an integer from 1 to MAX_TRIALS."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= n <= MAX_TRIALS:
+        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {MAX_TRIALS}")
+    return n
 
 
 def _group(args):
@@ -249,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_case_arguments(p, with_structure=True)
     p.add_argument("--exclude", action="append", default=[],
                    metavar="SOLUTION", help="family to sample outside of; repeatable")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_trials, default=200)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sample)
 
     p = subs.add_parser("audit", help="recompute every published table and verdict",
                         epilog=_EPILOG)
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--trials", type=_trials, default=200,
                    help="sampled points per classification case")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--json", action="store_true")

@@ -1,22 +1,25 @@
 """The four affine connections as frame coefficient tables.
 
-Levi-Civita comes from the Koszul formula, which collapses to a purely
-algebraic expression on a left-invariant frame (all metric entries are
-constant, so the three derivative terms drop).  The Bott connection
-splits the tangent space as D = span{e1,e2}, D_perp = span{e3} and mixes
-projected Levi-Civita derivatives with projected brackets.  The
-canonical and Kobayashi-Nomizu connections correct Levi-Civita by the
-covariant derivative of the product structure J = diag(1,1,-1).
+Each connection is an index formula in Gamma_ij = nabla_{e_i} e_j on the
+frame e1, e2, e3 with signs eps = METRIC_SIGNATURE = (1, 1, -1).
+Levi-Civita is the Koszul formula on components; the metric entries are
+constant on a left-invariant frame, so its derivative terms drop.  Bott,
+canonical and Kobayashi-Nomizu correct it by the split D + D_perp =
+span{e1,e2} + span{e3}, the eigenspaces of the product structure
+J = diag(1,1,-1), through one projection pi_j: it keeps the components m
+of a vector with eps_m = eps_j, so it projects onto D for j = 1, 2 and
+onto D_perp for j = 3.  All three keep pi_j(Gamma_ij) where e_i and e_j
+lie in the same block and differ only across the blocks (_projection).
 
-Bott, canonical and Kobayashi-Nomizu are built from the Levi-Civita
-connection of their group (the group is lc.algebra), so make_connection
-builds Levi-Civita once per group.  A connection kind has one internal
-id (KINDS), a set of command-line aliases resolved by resolve_kind, and
-a display name, the id with "_" spelled "-" (display_name).
+They take the Levi-Civita connection of their group (the group is
+lc.algebra), so make_connection builds Levi-Civita once per group.  A
+connection kind has one internal id (KINDS), a set of command-line
+aliases resolved by resolve_kind, and a display name, the id with "_"
+spelled "-" (display_name).
 
-Everything here treats frame vectors as constant-coefficient
-combinations of the left-invariant frame, so connections are bilinear
-over ring scalars in both slots.
+Frame vectors are constant-coefficient combinations of the
+left-invariant frame, so connections are bilinear over ring scalars in
+both slots.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import BASIS, METRIC_SIGNATURE, FrameVector, LieAlgebra, metric
+from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra
+
+# eps_m: e1, e2 are spacelike and e3 is timelike
+_EPS = METRIC_SIGNATURE
 
 KINDS = ("levi_civita", "bott", "canonical", "kobayashi_nomizu")
 # command-line aliases, resolved by resolve_kind
@@ -78,80 +84,54 @@ def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
 
 
 def levi_civita(L: LieAlgebra) -> Connection:
-    """Koszul formula against the constant Gram matrix diag(1,1,-1):
+    """The Koszul formula on components, with c_ij^k component k of [e_i,e_j]:
 
-    2 g(nabla_{e_i} e_j, e_k)
-        = g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)
+    Gamma_ij^k = (1/2)(c_ij^k - eps_k eps_i c_jk^i + eps_k eps_j c_ki^j)
     """
+    c = {(i, j): L.bracket_basis(i, j).c for i in (1, 2, 3) for j in (1, 2, 3)}
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            comps = []
-            for k in (1, 2, 3):
-                rhs = (metric(L.bracket_basis(i, j), BASIS[k - 1])
-                       - metric(L.bracket_basis(j, k), BASIS[i - 1])
-                       + metric(L.bracket_basis(k, i), BASIS[j - 1]))
-                comps.append(rhs.scale(Fraction(1, 2 * METRIC_SIGNATURE[k - 1])))
-            gamma[(i, j)] = FrameVector(*comps)
+            gamma[(i, j)] = FrameVector(*(
+                (c[i, j][k - 1] - c[j, k][i - 1].scale(_EPS[k - 1] * _EPS[i - 1])
+                 + c[k, i][j - 1].scale(_EPS[k - 1] * _EPS[j - 1])).scale(Fraction(1, 2))
+                for k in (1, 2, 3)))
     return Connection(kind="levi_civita", gamma=gamma, algebra=L)
 
 
-def _proj_d(v: FrameVector) -> FrameVector:
-    return FrameVector(v.c[0], v.c[1], 0)
+def _project(v: FrameVector, j: int) -> FrameVector:
+    """pi_j v: the components m of v with eps_m = eps_j."""
+    return FrameVector(*(x if e == _EPS[j - 1] else 0 for e, x in zip(_EPS, v.c)))
 
 
-def _proj_d_perp(v: FrameVector) -> FrameVector:
-    return FrameVector(0, 0, v.c[2])
+def _projection(lc: Connection, kind: str, mixed) -> Connection:
+    """pi_j(Gamma_ij) where eps_i = eps_j, pi_j(mixed(i, j)) elsewhere."""
+    gamma = {}
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            v = lc.gamma[(i, j)] if _EPS[i - 1] == _EPS[j - 1] else mixed(i, j)
+            gamma[(i, j)] = _project(v, j)
+    return Connection(kind=kind, gamma=gamma, algebra=lc.algebra)
 
 
 def bott(lc: Connection) -> Connection:
-    """Distribution split D = span{e1,e2}, D_perp = span{e3}."""
-    L = lc.algebra
-    gamma = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            if i <= 2 and j <= 2:
-                gamma[(i, j)] = _proj_d(lc.gamma[(i, j)])
-            elif i == 3 and j <= 2:
-                gamma[(i, j)] = _proj_d(L.bracket_basis(i, j))
-            elif i <= 2 and j == 3:
-                gamma[(i, j)] = _proj_d_perp(L.bracket_basis(i, j))
-            else:
-                gamma[(i, j)] = _proj_d_perp(lc.gamma[(i, j)])
-    return Connection(kind="bott", gamma=gamma, algebra=L)
-
-
-def J(v: FrameVector) -> FrameVector:
-    """Product structure: J e1 = e1, J e2 = e2, J e3 = -e3."""
-    return FrameVector(v.c[0], v.c[1], -v.c[2])
-
-
-def nabla_J(lc: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
-    """(nabla^L_X J) Y = nabla^L_X (J Y) - J(nabla^L_X Y)."""
-    return apply(lc, X, J(Y)) - J(apply(lc, X, Y))
+    """Bott: pi_j(Gamma_ij) within a block, pi_j([e_i,e_j]) across D and D_perp."""
+    return _projection(lc, "bott", lc.algebra.bracket_basis)
 
 
 def canonical(lc: Connection) -> Connection:
-    """nabla^c_X Y = nabla^L_X Y - (1/2) (nabla_X J) J Y."""
-    gamma = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            ei, ej = BASIS[i - 1], BASIS[j - 1]
-            corr = nabla_J(lc, ei, J(ej))
-            gamma[(i, j)] = lc.gamma[(i, j)] - corr.scale(Fraction(1, 2))
-    return Connection(kind="canonical", gamma=gamma, algebra=lc.algebra)
+    """nabla^c_X Y = nabla^L_X Y - (1/2) (nabla_X J) J Y: pi_j(Gamma_ij) everywhere."""
+    return _projection(lc, "canonical", lambda i, j: lc.gamma[(i, j)])
 
 
 def kobayashi_nomizu(lc: Connection) -> Connection:
-    """nabla^k_X Y = nabla^c_X Y - (1/4)[(nabla_Y J) J X - (nabla_{JY} J) X]."""
-    can = canonical(lc)
-    gamma = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            ei, ej = BASIS[i - 1], BASIS[j - 1]
-            corr = nabla_J(lc, ej, J(ei)) - nabla_J(lc, J(ej), ei)
-            gamma[(i, j)] = can.gamma[(i, j)] - corr.scale(Fraction(1, 4))
-    return Connection(kind="kobayashi_nomizu", gamma=gamma, algebra=lc.algebra)
+    """nabla^k_X Y = nabla^c_X Y - (1/4)[(nabla_Y J) J X - (nabla_{JY} J) X],
+    which is pi_j(Gamma_ij) within a block and pi_j(Gamma_ij - Gamma_ji) across.
+
+    Levi-Civita is torsion-free, Gamma_ij - Gamma_ji = [e_i,e_j], so this is
+    the Bott connection on every group."""
+    return _projection(lc, "kobayashi_nomizu",
+                       lambda i, j: lc.gamma[(i, j)] - lc.gamma[(j, i)])
 
 
 def make_connection(L: LieAlgebra, kind: str) -> Connection:

@@ -4,8 +4,8 @@ Each object is the paper's index formula on the frame e1, e2, e3: an
 argument that is a basis vector is read from its table (the connection
 coefficients nabla_{e_i} e_j, the brackets [e_i, e_j], R(e_i, e_j) e_k),
 and connection.apply extends the connection only to computed vectors.
-The Ricci trace uses the printed sign convention with weights
-(-1, -1, +1) over the pseudo-orthonormal frame; it is kept as a full,
+Ricci is the negated trace rho_ij = -sum_k [R(e_i, e_k) e_j]^k, the printed
+weights (-1, -1, +1) on g(v, e_k) = eps_k v^k; it is kept as a full,
 possibly asymmetric table because the source tables are asymmetric.
 The directional-derivative term in the covariant derivative of a
 (0,2)-tensor vanishes: every tensor here has constant frame components.
@@ -67,14 +67,12 @@ def curvature(C: Connection) -> Tensor:
 
 
 def ricci(R: Tensor) -> Tensor:
-    """rho(e_i,e_j) = -g(R(e_i,e1)e_j,e1) - g(R(e_i,e2)e_j,e2) + g(R(e_i,e3)e_j,e3)."""
+    """rho(e_i,e_j) = -g(R(e_i,e1)e_j,e1) - g(R(e_i,e2)e_j,e2) + g(R(e_i,e3)e_j,e3),
+    the negated trace rho_ij = -sum_k [R(e_i,e_k)e_j]^k, as g(v, e_k) = eps_k v^k."""
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            total = Polynomial.zero()
-            for k, weight in ((1, -1), (2, -1), (3, 1)):
-                total = total + metric(R.at(i, k, j), BASIS[k - 1]).scale(weight)
-            w[(i, j)] = total
+            w[(i, j)] = -sum((R.at(i, k, j).c[k - 1] for k in (1, 2, 3)), Polynomial.zero())
     return Tensor(w)
 
 

@@ -5,8 +5,11 @@ emitted JSON can be asserted exactly.
 """
 
 import json
+import time
 
-from liecodazzi.cli import main
+import pytest
+
+from liecodazzi.cli import MAX_TRIALS, main
 
 
 def run(capsys, *argv):
@@ -253,6 +256,30 @@ def test_sample_rejects_nonpositive_trials(capsys):
     code, _, err = run(capsys, "sample", "--family", "G1", "--connection",
                        "bott", "--structure", "codazzi", "--trials", "0")
     assert code == 2 and "error" in err
+
+
+SAMPLE_CASE = ("sample", "--family", "G1", "--connection", "bott", "--structure", "codazzi")
+
+
+@pytest.mark.parametrize("command", [SAMPLE_CASE, ("audit",)], ids=["sample", "audit"])
+def test_huge_trials_is_usage_error_before_any_work(capsys, command):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--trials", "1000000000")
+    assert code == 2 and out == ""
+    assert f"from 1 to {MAX_TRIALS}" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("command", [SAMPLE_CASE, ("audit",)], ids=["sample", "audit"])
+def test_trials_outside_bound_is_usage_error(capsys, command):
+    for value in ("0", str(MAX_TRIALS + 1)):
+        code, _, err = run(capsys, *command, "--trials", value)
+        assert code == 2 and "argument --trials" in err, value
+
+
+def test_sample_accepts_max_trials(capsys):
+    code, payload, _ = run_json(capsys, *SAMPLE_CASE, "--trials", str(MAX_TRIALS), "--json")
+    assert code == 0 and payload["trials"] == MAX_TRIALS
 
 
 def test_sample_seed_env_fallback(capsys, monkeypatch):

@@ -1,17 +1,17 @@
 """Connection construction against hand-pinned table entries and identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from liecodazzi.classify import table_names
 from liecodazzi.connection import (
-    J, apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
-    nabla_J,
+    apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
 )
 from liecodazzi.liealg import (
-    BASIS, E1, E2, E3, FAMILIES, FrameVector, abelian, make_group,
-    sample_constraint_point,
+    BASIS, E1, E2, E3, FAMILIES, FrameVector, _raw_algebra, abelian, bracket,
+    make_group, metric, sample_constraint_point,
 )
 from liecodazzi.poly import Polynomial, PolyError, parse
 from liecodazzi.tensorcalc import cov_deriv_metric, torsion
@@ -90,7 +90,94 @@ def test_bott_g3_entry():
     assert C.gamma[(3, 2)] == fv("-a", 0, 0)
 
 
-# -- product structure -------------------------------------------------------
+# -- oracle: the definitional formulas ---------------------------------------
+#
+# The builders are index formulas in the projection pi_j; these are the
+# formulas they were derived from, through the product structure J and
+# general bilinear extension, kept as an independent reference.
+
+
+def J(v):
+    """Product structure: J e1 = e1, J e2 = e2, J e3 = -e3."""
+    return FrameVector(v.c[0], v.c[1], -v.c[2])
+
+
+def nabla_J(lc, X, Y):
+    """(nabla^L_X J) Y = nabla^L_X (J Y) - J(nabla^L_X Y)."""
+    return apply(lc, X, J(Y)) - J(apply(lc, X, Y))
+
+
+def koszul_oracle(L):
+    """2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)."""
+    gamma = {}
+    for i, ei in enumerate(BASIS, 1):
+        for j, ej in enumerate(BASIS, 1):
+            comps = []
+            for ek, eps in zip(BASIS, (1, 1, -1)):
+                rhs = (metric(bracket(L, ei, ej), ek) - metric(bracket(L, ej, ek), ei)
+                       + metric(bracket(L, ek, ei), ej))
+                comps.append(rhs.scale(Fraction(1, 2 * eps)))
+            gamma[(i, j)] = FrameVector(*comps)
+    return gamma
+
+
+def oracle_tables(lc):
+    """Bott's four-case D/D_perp table, and the canonical connection
+    nabla^L_X Y - (1/2)(nabla_X J)JY and the Kobayashi-Nomizu connection
+    nabla^c_X Y - (1/4)[(nabla_Y J)JX - (nabla_{JY} J)X]."""
+    L = lc.algebra
+    tables = {"bott": {}, "canonical": {}, "kobayashi_nomizu": {}}
+    for i, ei in enumerate(BASIS, 1):
+        for j, ej in enumerate(BASIS, 1):
+            if i <= 2 and j <= 2:
+                b = lc.gamma[(i, j)]
+                b = FrameVector(b.c[0], b.c[1], 0)
+            elif i == 3 and j <= 2:
+                b = bracket(L, ei, ej)
+                b = FrameVector(b.c[0], b.c[1], 0)
+            elif i <= 2 and j == 3:
+                b = FrameVector(0, 0, bracket(L, ei, ej).c[2])
+            else:
+                b = FrameVector(0, 0, lc.gamma[(i, j)].c[2])
+            c = lc.gamma[(i, j)] - nabla_J(lc, ei, J(ej)).scale(Fraction(1, 2))
+            k = c - (nabla_J(lc, ej, J(ei)) - nabla_J(lc, J(ej), ei)).scale(Fraction(1, 4))
+            tables["bott"][(i, j)] = b
+            tables["canonical"][(i, j)] = c
+            tables["kobayashi_nomizu"][(i, j)] = k
+    return tables
+
+
+def raw_algebras(count, seed):
+    """Seeded bracket tables with random linear entries in a, b, g, d; the
+    formulas need only antisymmetry, not the Jacobi identity."""
+    rng = random.Random(seed)
+
+    def entry():
+        return "+".join(f"{rng.randint(-3, 3)}*{v}" for v in ("1", "a", rng.choice("bgd")))
+
+    for _ in range(count):
+        yield _raw_algebra(*(fv(entry(), entry(), entry()) for _ in range(3)))
+
+
+def oracle_cases():
+    groups = all_groups()
+    rng = random.Random(17)
+    numeric = [make_group(L.family, eta=L.eta,
+                          numeric_params=sample_constraint_point(L, rng))
+               for L in groups for _ in range(3)]
+    return groups + numeric + list(raw_algebras(6, seed=5))
+
+
+def test_builders_match_definitional_oracle():
+    for L in oracle_cases():
+        lc = levi_civita(L)
+        assert lc.gamma == koszul_oracle(L), L.label()
+        want = oracle_tables(lc)
+        for build in (bott, canonical, kobayashi_nomizu):
+            C = build(lc)
+            assert C.gamma == want[C.kind], (L.label(), C.kind)
+        # Levi-Civita is torsion-free for any antisymmetric bracket table
+        assert want["kobayashi_nomizu"] == want["bott"], L.label()
 
 
 def test_nabla_j_abelian_zero():

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package and the tests is read."""
+"""Source hygiene: every imported name in the package and the tests is read,
+and every private module-level definition of the package is read."""
 
 import ast
 import pathlib
@@ -6,8 +7,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "liecodazzi").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "liecodazzi").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +41,43 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_definitions(sources: dict) -> list:
+    """Module-level functions, classes and constants with a private name
+    (a leading underscore, not a dunder) that no module in `sources` (name
+    -> source text) reads, by name or as an attribute; as (module, line, name)."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_")
+                        and not (name.startswith("__") and name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_scan_finds_unused_private_definitions():
+    sources = {
+        "a": ("__all__ = []\n_LIMIT = 3\n_SEEN: int = 0\ndef _helper():\n    return _LIMIT\n"
+              "def _left_over():\n    pass\nclass _Old:\n    _inner = 1\n"),
+        "b": "from a import _helper\nimport a\n_helper()\nprint(a._SEEN)\na._Old = 1\n",
+    }
+    assert unused_private_definitions(sources) == [("a", 6, "_left_over"), ("a", 8, "_Old")]
+
+
+def test_no_unused_private_definitions():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unused_private_definitions(sources) == []
