@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra
+from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _bilinear
 
 # eps_m: e1, e2 are spacelike and e3 is timelike
 _EPS = METRIC_SIGNATURE
@@ -70,17 +70,7 @@ class Connection:
 
 def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
     """nabla_X Y by bilinear extension of the coefficient table."""
-    out = FrameVector.zero()
-    for i in (1, 2, 3):
-        xi = X.c[i - 1]
-        if xi.is_zero():
-            continue
-        for j in (1, 2, 3):
-            yj = Y.c[j - 1]
-            if yj.is_zero():
-                continue
-            out = out + C.gamma[(i, j)].scale(xi * yj)
-    return out
+    return _bilinear(lambda i, j: C.gamma[(i, j)], X, Y)
 
 
 def levi_civita(L: LieAlgebra) -> Connection:

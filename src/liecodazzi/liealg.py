@@ -84,9 +84,7 @@ class FrameVector:
         return FrameVector(*(-x for x in self.c))
 
     def scale(self, s) -> "FrameVector":
-        if isinstance(s, Polynomial):
-            return FrameVector(*(x * s for x in self.c))
-        return FrameVector(*(x.scale(s) for x in self.c))
+        return FrameVector(*(x * s for x in self.c))
 
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.c)
@@ -109,14 +107,10 @@ class FrameVector:
             if comp.is_zero():
                 continue
             body = comp.text(greek=greek)
-            if body == "1":
-                s = f"{frame}{i}"
-            elif body == "-1":
-                s = f"-{frame}{i}"
-            elif "+" in body.lstrip("-") or (body.count("-") - body.startswith("-")) > 0:
-                s = f"({body})*{frame}{i}"
-            else:
-                s = f"{body}*{frame}{i}"
+            if len(comp.terms) > 1:
+                body = f"({body})"
+            unit = f"{frame}{i}"
+            s = unit if comp == 1 else "-" + unit if comp == -1 else f"{body}*{unit}"
             if parts and not s.startswith("-"):
                 parts.append("+")
             parts.append(s)
@@ -194,19 +188,21 @@ class LieAlgebra:
         return out
 
 
-def bracket(L: LieAlgebra, X: FrameVector, Y: FrameVector) -> FrameVector:
-    """Bilinear antisymmetric extension of the structure constants."""
+def _bilinear(table, X: FrameVector, Y: FrameVector) -> FrameVector:
+    """sum_ij X^i Y^j table(i, j) over the nonzero components of X and Y."""
     out = FrameVector.zero()
-    for i in range(1, 4):
-        xi = X.c[i - 1]
+    for i, xi in enumerate(X.c, start=1):
         if xi.is_zero():
             continue
-        for j in range(1, 4):
-            yj = Y.c[j - 1]
-            if yj.is_zero() or i == j:
-                continue
-            out = out + L.bracket_basis(i, j).scale(xi * yj)
+        for j, yj in enumerate(Y.c, start=1):
+            if not yj.is_zero():
+                out = out + table(i, j).scale(xi * yj)
     return out
+
+
+def bracket(L: LieAlgebra, X: FrameVector, Y: FrameVector) -> FrameVector:
+    """Bilinear antisymmetric extension of the structure constants."""
+    return _bilinear(L.bracket_basis, X, Y)
 
 
 def metric(X: FrameVector, Y: FrameVector) -> Polynomial:
@@ -281,8 +277,7 @@ def make_group(family: str, eta: Optional[int] = None,
     broken = symbolic.constraints.violated(params)
     if broken is not None:
         raise ConstraintViolation(*broken)
-    subs = {k: Polynomial.const(v) for k, v in params.items()}
-    brackets = {k: v.substitute(subs) for k, v in symbolic.brackets.items()}
+    brackets = {k: v.substitute(params) for k, v in symbolic.brackets.items()}
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
                       constraints=symbolic.constraints, params=params)
 

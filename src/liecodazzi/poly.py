@@ -327,16 +327,11 @@ class Polynomial:
             subs[i] = val if isinstance(val, Polynomial) else Polynomial.const(val)
         out = Polynomial.zero()
         for exps, coeff in self.terms.items():
-            term = Polynomial.const(coeff)
+            # the unassigned variables and the coefficient as one monomial
+            term = _raw({tuple(0 if i in subs else e for i, e in enumerate(exps)): coeff})
             for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i in subs:
+                if e and i in subs:
                     term = term * subs[i] ** e
-                else:
-                    kept = [0, 0, 0, 0]
-                    kept[i] = e
-                    term = term * _raw({tuple(kept): Fraction(1)})
             out = out + term
         return out
 
