@@ -479,9 +479,9 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     evaluated = violations = satisfied = 0
     witness = witness_res = counterexample = None
     attempts = 0
-    cap = max(200 * trials, 2000)
     while evaluated < trials:
-        if attempts >= cap:
+        # starve once fewer than 1 in 200 draws survive the exclusions
+        if attempts >= 2000 + 200 * evaluated:
             raise SamplerStarvation(
                 f"only {evaluated} of {trials} requested points for {system.case_id} "
                 f"after {attempts} attempts; the excluded families "
@@ -874,7 +874,7 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
                         f"f({_key_text(key)}) = {pv[key]}")
         if cx is not None:
             evidence.append("system holds " + ("outside the families " if fams else "")
-                        + "at " + ", ".join(f"{v} = {cx[v]}" for v in sorted(cx)))
+                        + "at " + cx.text())
         if evidence:
             recomputed = "solution set differs: " + "; ".join(evidence)
             explanation = "; ".join(evidence)

@@ -80,7 +80,7 @@ def _emit(payload: dict):
 
 def _case_rows():
     for family in FAMILIES:
-        for kind in ("bott", "canonical", "kobayashi_nomizu"):
+        for kind in (k for k in KINDS if k != "levi_civita"):
             for structure in STRUCTURES:
                 yield case_id(family, kind, structure)
 
@@ -173,11 +173,9 @@ def _cmd_sample(args) -> int:
     print(f"{system.case_id}: {report.violations} of {report.trials} sampled "
           f"points violate the system (seed {args.seed})")
     if report.counterexample is not None:
-        pt = report.counterexample
-        print("  system holds at " + ", ".join(f"{v} = {pt[v]}" for v in sorted(pt)))
+        print("  system holds at " + report.counterexample.text())
     elif report.witness is not None:
-        pt = report.witness
-        print("  example witness: " + ", ".join(f"{v} = {pt[v]}" for v in sorted(pt)))
+        print("  example witness: " + report.witness.text())
     return 0
 
 
@@ -191,16 +189,16 @@ def _cmd_audit(args) -> int:
         "verdicts": [v.to_json() for v in verdicts],
         "register": register.to_json(),
     }
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     if args.json:
-        _emit(payload)
+        sys.stdout.write(text)
     else:
         for v in verdicts:
             print(f"{v.case_id:45s} {v.anchor:22s} {v.status}")

@@ -112,6 +112,10 @@ class Point(Mapping):
     def __repr__(self):
         return f"Point({dict(self)!r})"
 
+    def text(self) -> str:
+        """The coordinates as "a = ..., b = ..., d = ..., g = ...", sorted by name."""
+        return ", ".join(f"{v} = {self[v]}" for v in sorted(VARS))
+
     def __reduce__(self):
         # copy and pickle rebuild through __init__; __setattr__ refuses
         # their default slot writes
@@ -461,6 +465,9 @@ class PolyParseError(PolyError):
 MAX_DEGREE = 12
 # Longest number parse reads, far below CPython's 4,300-digit int() limit.
 MAX_DIGITS = 100
+# Deepest nesting of parentheses and unary signs together that parse
+# reads, far below the recursion limit; the transcribed tables reach 2.
+MAX_NESTING = 50
 # only the ASCII digits make numbers: int() would reject "²" with a bare ValueError
 _DIGITS = "0123456789"
 
@@ -512,6 +519,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.depth = 0  # open parentheses and unary signs
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
@@ -526,6 +534,15 @@ class _Parser:
         if tok[0] != kind:
             raise PolyParseError(f"expected {kind!r}, got {tok[1]!r} in {self.source!r}")
         return tok
+
+    def nested(self, parse) -> Polynomial:
+        """parse() one level deeper, inside a parenthesis or a unary sign."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError(f"nesting deeper than {MAX_NESTING} in {self.source!r}")
+        out = parse()
+        self.depth -= 1
+        return out
 
     def parse_expr(self) -> Polynomial:
         out = self.parse_term()
@@ -562,12 +579,10 @@ class _Parser:
 
     def parse_factor(self) -> Polynomial:
         kind = self.peek()[0]
-        if kind == "-":
+        if kind in ("-", "+"):
             self.next()
-            return -self.parse_factor()
-        if kind == "+":
-            self.next()
-            return self.parse_factor()
+            inner = self.nested(self.parse_factor)
+            return -inner if kind == "-" else inner
         base = self.parse_atom()
         if self.peek()[0] == "^":
             self.next()
@@ -586,7 +601,7 @@ class _Parser:
         if kind == "word":
             return val
         if kind == "(":
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             self.expect(")")
             return inner
         raise PolyParseError(f"unexpected {word!r} in {self.source!r}")

@@ -1,8 +1,31 @@
-"""Shared helpers: seeded random rationals and polynomials for property tests."""
+"""Shared helpers: the eight groups, seeded random rationals and
+polynomials for property tests, and the command line in a fresh
+interpreter."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import liecodazzi
+from liecodazzi.liealg import FAMILIES, branches, make_group
 from liecodazzi.poly import VARS, Polynomial
+
+
+def all_groups():
+    """The eight symbolic groups: G1..G7, with G4 once per metric sign."""
+    return [make_group(f, eta=e) for f in FAMILIES for e in branches(f)]
+
+
+def run_cli(*argv, timeout=None):
+    """Run `python -m liecodazzi.cli argv` on this checkout's package,
+    without LIECODAZZI_SEED; the CompletedProcess with bytes output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liecodazzi.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("LIECODAZZI_SEED", None)
+    return subprocess.run([sys.executable, "-m", "liecodazzi.cli", *argv],
+                          capture_output=True, env=env, timeout=timeout, check=False)
 
 
 def random_rational(rng, lo=-10, hi=10, max_den=10):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import all_groups
 from liecodazzi import classify
 from liecodazzi.poly import Point, Polynomial, PolyError, parse
 from liecodazzi.liealg import ConstraintViolation, SamplerStarvation, make_group
@@ -27,15 +28,6 @@ from liecodazzi.classify import (
     table_names,
     verify_paper_theorems,
 )
-
-
-def all_groups():
-    out = []
-    for family in ("G1", "G2", "G3", "G5", "G6", "G7"):
-        out.append(make_group(family))
-    out.append(make_group("G4", eta=1))
-    out.append(make_group("G4", eta=-1))
-    return out
 
 
 # -- table shorthand ---------------------------------------------------------
@@ -302,6 +294,15 @@ def test_sample_necessity_starves_when_exclusion_covers_all():
     system = build_system(make_group("G3"), "bott", "codazzi")
     with pytest.raises(SamplerStarvation):
         sample_necessity(system, [SolutionFamily()], 5, seed=0)
+
+
+def test_sample_necessity_starves_by_progress_not_by_trials():
+    # the exclusion a != 0 is the G1 side condition, so it covers every
+    # admissible point: 2,000 attempts, not 200 per requested trial
+    system = build_system(make_group("G1"), "bott", "codazzi")
+    fam = SolutionFamily.from_text("a!=0")
+    with pytest.raises(SamplerStarvation, match="after 2000 attempts"):
+        sample_necessity(system, [fam], 10_000, seed=0)
 
 
 def test_sample_necessity_skips_excluded_points():

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import run_cli
 from liecodazzi.cli import MAX_TRIALS, main
 
 
@@ -304,15 +305,16 @@ def test_sample_bad_seed_env_is_usage_error(capsys, monkeypatch):
 
 def test_audit_finds_register_entries(capsys, tmp_path):
     out_file = tmp_path / "report.json"
-    code, payload, _ = run_json(capsys, "audit", "--trials", "25",
-                                "--seed", "0", "--json",
-                                "--out", str(out_file))
+    code, out, _ = run(capsys, "audit", "--trials", "25", "--seed", "0", "--json",
+                       "--out", str(out_file))
+    payload = json.loads(out)
     assert code == 1
     assert payload["schema"] == "1"
     assert len(payload["verdicts"]) == 42
     assert len(payload["register"]["entries"]) == 56
     on_disk = json.loads(out_file.read_text(encoding="utf-8"))
     assert on_disk == payload
+    assert out_file.read_text(encoding="utf-8") == out
 
 
 def test_audit_unwritable_out_is_usage_error(capsys, tmp_path):
@@ -351,3 +353,28 @@ def test_help_exits_zero_and_documents_names(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+# -- bounded work on hostile input -------------------------------------------
+
+CHECK_CASE = ("check", "--family", "G1", "--connection", "bott", "--structure", "codazzi")
+
+HOSTILE = {
+    "nested-parentheses": (
+        (*CHECK_CASE, "--solution", "a=" + "(" * 300 + "b" + ")" * 300), 2, "nesting deeper"),
+    "unary-signs": ((*CHECK_CASE, "--solution", "a=" + "-" * 1000 + "b"), 2, "nesting deeper"),
+    "long-number": ((*CHECK_CASE, "--solution", "a=" + "1" * 101), 2, "at most 100"),
+    "high-degree": ((*CHECK_CASE, "--solution", "a=b^13"), 2, "degree above"),
+    "too-many-trials": ((*SAMPLE_CASE, "--trials", "10001"), 2, "argument --trials"),
+    "all-excluding": ((*SAMPLE_CASE, "--exclude", "a!=0", "--trials", "10000"), 3,
+                      "leave too little room"),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_input_fails_fast_without_traceback(argv, code, message):
+    proc = run_cli(*argv, timeout=5)
+    err = proc.stderr.decode("utf-8")
+    assert proc.returncode == code, err
+    assert message in err and "Traceback" not in err
+    assert proc.stdout == b""

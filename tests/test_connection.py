@@ -5,26 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_groups
 from liecodazzi.classify import table_names
 from liecodazzi.connection import (
     apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
 )
 from liecodazzi.liealg import (
-    BASIS, E1, E2, E3, FAMILIES, FrameVector, _raw_algebra, abelian, bracket,
+    BASIS, E1, E2, E3, FrameVector, _raw_algebra, abelian, bracket,
     make_group, metric, sample_constraint_point,
 )
 from liecodazzi.poly import Polynomial, PolyError, parse
 from liecodazzi.tensorcalc import cov_deriv_metric, torsion
-
-
-def all_groups():
-    out = []
-    for fam in FAMILIES:
-        if fam == "G4":
-            out.extend([make_group(fam, eta=1), make_group(fam, eta=-1)])
-        else:
-            out.append(make_group(fam))
-    return out
 
 
 def fv(c1, c2, c3):

@@ -4,12 +4,9 @@ in the audit's output."""
 import gc
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import weakref
 
-import liecodazzi
+from conftest import all_groups, run_cli
 from liecodazzi import classify, connection, liealg
 from liecodazzi.classify import (
     OBJECTS, STRUCTURES, Derivation, build_system, compute_object, derivation,
@@ -17,7 +14,7 @@ from liecodazzi.classify import (
 )
 from liecodazzi.cli import main
 from liecodazzi.connection import KINDS, bott, canonical, kobayashi_nomizu, levi_civita
-from liecodazzi.liealg import BASIS, FAMILIES, FrameVector, make_group, metric
+from liecodazzi.liealg import BASIS, FrameVector, make_group, metric
 from liecodazzi.poly import Polynomial
 from liecodazzi.tensorcalc import cov_deriv_02, ricci
 
@@ -31,11 +28,6 @@ AUDIT_SEED0_SHA256 = "58dd8d6f08486dab5450c265ad0a179a7741674c584ead0f24f215b180
 # of every compute_object and the to_json of every build_system, for each
 # group, connection kind and object or structure (see derived_tables)
 DERIVE_SHA256 = "07c68534b0942b4a30980a590a0702de06b3a11bed2239af88a48d43a41ff269"
-
-
-def all_groups():
-    return [make_group(f, eta=e) for f in FAMILIES
-            for e in ((1, -1) if f == "G4" else (None,))]
 
 
 def counting(monkeypatch, module, name):
@@ -110,13 +102,8 @@ def test_numeric_instances_do_not_pile_up():
 
 
 def test_cold_cli_audit_matches_warm_in_process_audit(capsys):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(liecodazzi.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env.pop("LIECODAZZI_SEED", None)
     argv = ["audit", "--json", "--trials", "200", "--seed", "0"]
-    cold = subprocess.run([sys.executable, "-m", "liecodazzi.cli", *argv],
-                          capture_output=True, env=env, check=False)
+    cold = run_cli(*argv)
     for L in all_groups():
         for kind in KINDS:
             for structure in STRUCTURES:

@@ -5,24 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import all_groups, random_poly
 from liecodazzi.liealg import (
-    BASIS, ConstraintSet, ConstraintViolation, E1, E2, FAMILIES, FrameVector,
+    BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
     SamplerStarvation, _raw_algebra, abelian, bracket, jacobi_check, make_group, metric,
     sample_constraint_point,
 )
 from liecodazzi.poly import Point, Polynomial, PolyError, parse
-
-
-def all_groups():
-    out = []
-    for fam in FAMILIES:
-        if fam == "G4":
-            out.append(make_group(fam, eta=1))
-            out.append(make_group(fam, eta=-1))
-        else:
-            out.append(make_group(fam))
-    return out
 
 
 # -- construction --------------------------------------------------------
@@ -86,6 +75,26 @@ def test_numeric_instance_keeps_its_checked_point():
         make_group("G2", numeric_params={**raw, "x": 1})
     with pytest.raises(PolyError, match="misses variables"):
         make_group("G2", numeric_params={"a": 2, "b": 1})
+
+
+@pytest.mark.parametrize("greek", [False, True], ids=["ascii", "greek"])
+def test_frame_vector_text(greek):
+    e = "ẽ" if greek else "e"
+    a, b = ("α", "β") if greek else ("a", "b")
+    cases = [
+        (FrameVector.zero(), "0"),
+        (FrameVector(parse("-2*a"), 0, 0), f"-2*{a}*{e}1"),
+        (FrameVector(0, parse("a-b/2"), 0), f"({a}-1/2*{b})*{e}2"),
+        (FrameVector(0, 0, parse("-a-b")), f"(-({a}+{b}))*{e}3"),
+        (FrameVector(1, -1, 0), f"{e}1-{e}2"),
+        (FrameVector(-1, 0, 1), f"-{e}1+{e}3"),
+        (FrameVector(parse("a*b"), parse("-b^2+a"), Fraction(-1, 2)),
+         f"{a}*{b}*{e}1+(-{b}^2+{a})*{e}2-1/2*{e}3"),
+        (FrameVector(parse("-a"), parse("-a-b"), parse("b")),
+         f"-{a}*{e}1+(-({a}+{b}))*{e}2+{b}*{e}3"),
+    ]
+    for v, text in cases:
+        assert v.text(greek=greek) == text
 
 
 # -- bracket -------------------------------------------------------------

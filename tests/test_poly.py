@@ -118,6 +118,9 @@ def test_substitute_eval_composition():
         pt = random_point(rng)
         composed = {**pt, "b": q.eval_at(pt)}
         assert p.substitute({"b": q}).eval_at(pt) == p.eval_at(composed)
+        # rational values, and a whole Point, substitute like polynomials
+        assert p.substitute({"b": pt["b"]}).eval_at(pt) == p.eval_at(pt)
+        assert p.substitute(Point(pt)) == Polynomial.const(p.eval_at(pt))
 
 
 # -- eval --------------------------------------------------------------
@@ -243,6 +246,11 @@ def test_point_is_an_immutable_mapping_equal_to_its_dict():
     assert pt == raw
     for twin in (copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
         assert type(twin) is Point and twin == pt
+
+
+def test_point_text_lists_the_coordinates_by_name():
+    pt = Point({"d": Fraction(5, 7), "alpha": 1, "g": 0, "b": Fraction(-2, 3)})
+    assert pt.text() == "a = 1, b = -2/3, d = 5/7, g = 0"
 
 
 def test_point_rejects_bad_input_with_the_eval_messages():
@@ -397,6 +405,23 @@ def test_parse_caps_number_length():
     # rejected before int(), whose own 4,300-digit limit raises a bare ValueError
     for bad in ("1" * (cap + 1), "a+" + "1" * 5000, "1/" + "7" * 5000):
         with pytest.raises(PolyParseError, match=f"at most {cap}"):
+            parse(bad)
+
+
+def test_parse_caps_nesting():
+    cap = poly.MAX_NESTING
+    half = cap // 2
+    assert parse("(" * cap + "a" + ")" * cap) == A
+    assert parse("-" * cap + "a") == A.scale((-1) ** cap)
+    assert parse("+" * cap + "a") == A
+    assert parse("-(" * half + "a" + ")" * half) == A.scale((-1) ** half)
+    # the depth is the current nesting, not a count over the whole text
+    assert parse("+".join(["(" * cap + "a" + ")" * cap] * 3)) == A.scale(3)
+    # rejected before the recursion limit, which raised a bare RecursionError
+    for bad in ("(" * (cap + 1) + "a" + ")" * (cap + 1), "-" * (cap + 1) + "a",
+                "+" * (cap + 1) + "a", "-(" * half + "-a" + ")" * half,
+                "(" * 300 + "a" + ")" * 300, "-" * 1000 + "a"):
+        with pytest.raises(PolyParseError, match=f"nesting deeper than {cap}"):
             parse(bad)
 
 

@@ -2,24 +2,15 @@
 
 import random
 
+from conftest import all_groups
 from liecodazzi.connection import bott, canonical, kobayashi_nomizu, levi_civita, make_connection
 from liecodazzi.liealg import (
-    FAMILIES, FrameVector, abelian, make_group, sample_constraint_point,
+    FrameVector, abelian, make_group, sample_constraint_point,
 )
 from liecodazzi.poly import Polynomial, parse
 from liecodazzi.tensorcalc import (
     PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion,
 )
-
-
-def all_groups():
-    out = []
-    for fam in FAMILIES:
-        if fam == "G4":
-            out.extend([make_group(fam, eta=1), make_group(fam, eta=-1)])
-        else:
-            out.append(make_group(fam))
-    return out
 
 
 def fv(c1, c2, c3):
