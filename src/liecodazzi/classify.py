@@ -34,7 +34,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse
+from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
 from .liealg import (
     ConstraintViolation,
     FrameVector,
@@ -89,8 +89,6 @@ _TABLE_FILES = ("printed_bott.json", "printed_canonical.json", "printed_kn.json"
 
 # draws sample_family_member makes before it gives up on a family
 _MEMBER_ATTEMPTS = 2000
-# rewrite steps _apply_rewrite takes before it calls a rule non-terminating
-_REWRITE_ROUNDS = 500
 
 # the abbreviations of the printed G3/G4 tables; n1..n3 carry the G4 sign h
 _M_SHORTHAND = (("m1", "(a-b-g)/2"), ("m2", "(a-b+g)/2"), ("m3", "(a+b-g)/2"))
@@ -135,7 +133,7 @@ def _var_name(text: str, names: Mapping[str, Polynomial]) -> str:
     for v in VARS:
         if p == Polynomial.var(v):
             return v
-    raise PolyError(f"not a parameter name: {text.strip()!r}")
+    raise PolyError(f"not a parameter name: {quoted(text.strip())}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,9 @@ class SolutionFamily:
 
     assignment maps a variable to a polynomial in the remaining free
     variables.  extra_inequations are polynomials required nonzero on
-    the family.  quadratic_relations are pairs (lhs, rhs) with lhs a
-    single monomial; the relation lhs = rhs holds on the family and is
-    used as a rewrite rule when no rational parametrization exists.
+    the family.  quadratic_relations are pairs (lhs, rhs): the relation
+    lhs = rhs holds on the family, which then has no rational
+    parametrization to sample.
     """
 
     assignment: Mapping[str, Polynomial] = field(default_factory=dict)
@@ -157,9 +155,6 @@ class SolutionFamily:
         for var in self.assignment:
             if var not in VARS:
                 raise PolyError(f"unknown variable {var!r} in assignment")
-        for lhs, _ in self.quadratic_relations:
-            if len(lhs.terms) != 1 or lhs.is_constant():
-                raise PolyError("quadratic relation lhs must be a single monomial")
         bad = [v for p in self.assignment.values() for v in p.variables()
                if v in self.assignment]
         if bad:
@@ -195,26 +190,17 @@ class SolutionFamily:
             if "!=" in tok:
                 lhs, rhs = tok.split("!=", 1)
                 if parse(rhs.strip(), names) != Polynomial.zero():
-                    raise PolyError(f"only '!= 0' conditions are supported: {tok!r}")
+                    raise PolyError(f"only '!= 0' conditions are supported: {quoted(tok)}")
                 nonzero.append(parse(lhs.strip(), names))
             elif "=" in tok:
                 var, rhs = tok.split("=", 1)
                 var = _var_name(var, names)
                 if var in assignment:
-                    raise PolyError(f"{var!r} is assigned twice in {text!r}")
+                    raise PolyError(f"{var!r} is assigned twice in {quoted(text)}")
                 assignment[var] = parse(rhs.strip(), names)
             else:
-                raise PolyError(f"expected var=expr or expr!=0, got {tok!r}")
+                raise PolyError(f"expected var=expr or expr!=0, got {quoted(tok)}")
         return cls(assignment=assignment, extra_inequations=tuple(nonzero))
-
-    def rewrite(self, p: Polynomial, extra_rules: Sequence = ()) -> Polynomial:
-        """Reduce p by the quadratic relations plus optional extra rules."""
-        for lhs, rhs in tuple(self.quadratic_relations) + tuple(extra_rules):
-            p = _apply_rewrite(p, lhs, rhs)
-        return p
-
-    def reduce(self, p: Polynomial, extra_rules: Sequence = ()) -> Polynomial:
-        return self.rewrite(p.substitute(self.assignment), extra_rules)
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
         point = Point.of(point)
@@ -248,22 +234,6 @@ class SolutionFamily:
         if self.quadratic_relations:
             out["quadratic"] = [[l.text(), r.text()] for l, r in self.quadratic_relations]
         return out
-
-
-def _apply_rewrite(p: Polynomial, lhs: Polynomial, rhs: Polynomial) -> Polynomial:
-    (le, lc), = lhs.terms.items()
-    for _ in range(_REWRITE_ROUNDS):
-        hit = None
-        for e, c in p.terms.items():
-            if all(x >= y for x, y in zip(e, le)):
-                hit = (e, c)
-                break
-        if hit is None:
-            return p
-        e, c = hit
-        rem = tuple(x - y for x, y in zip(e, le))
-        p = p - Polynomial({e: c}) + Polynomial({rem: c / lc}) * rhs
-    raise PolyError(f"rewrite by {lhs.text()} = {rhs.text()} did not terminate")
 
 
 # -- derivations ------------------------------------------------------------
@@ -394,29 +364,34 @@ class CheckResult:
 def check_on_family(system: PolySystem, family: SolutionFamily) -> CheckResult:
     """Decide whether the system vanishes identically on the family.
 
-    Raises ConstraintViolation when the family is incompatible with the
-    group's side conditions (an equality reduced to a nonzero constant,
-    or an inequation reduced to zero).
-    """
+    The divisors are the group's equalities and the family's relations
+    lhs - rhs, substituted by the assignment; an inequation or residual
+    is substituted, then divided by each divisor in turn, and the
+    remainder is what is left of it on the family.  Raises
+    ConstraintViolation when an equality or relation substitutes to a
+    nonzero constant, or an inequation reduces to zero."""
     L = system.algebra
-    extra_rules = []
-    for eq in L.constraints.equalities:
-        r = family.reduce(eq)
-        if r.is_zero():
-            continue
-        if r.is_constant():
-            raise ConstraintViolation(eq, "equality")
-        if len(r.terms) == 1:
-            # the family forces this monomial to vanish
-            extra_rules.append((r.monic(), Polynomial.zero()))
+    divisors = []
+    for rel in L.constraints.equalities + tuple(l - r for l, r in family.quadratic_relations):
+        r = rel.substitute(family.assignment)
+        if r and r.is_constant():
+            raise ConstraintViolation(rel, "equality")
+        if r:
+            divisors.append(r)
+
+    def remainder(p):
+        p = p.substitute(family.assignment)
+        for divisor in divisors:
+            p = p.remainder(divisor)
+        return p
+
     for q in L.constraints.inequations + family.extra_inequations:
-        r = family.reduce(q)
-        if r.is_zero():
+        if not remainder(q):
             raise ConstraintViolation(q, "inequation")
     residuals = {}
     for key, p in system.entries.items():
-        r = family.reduce(p, extra_rules)
-        if not r.is_zero():
+        r = remainder(p)
+        if r:
             residuals[key] = r
     return CheckResult(holds=not residuals, residuals=residuals)
 

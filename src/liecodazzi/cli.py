@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from .poly import PolyError
+from .poly import PolyError, quoted
 from .liealg import (
     FAMILIES, ConstraintViolation, FrameVector, SamplerStarvation, branches, make_group,
 )
@@ -64,7 +64,7 @@ def _trials(text):
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
     if not 1 <= n <= MAX_TRIALS:
         raise argparse.ArgumentTypeError(f"must be an integer from 1 to {MAX_TRIALS}")
     return n
@@ -161,7 +161,7 @@ def _cmd_sample(args) -> int:
     for text in args.exclude:
         family = SolutionFamily.from_text(text, eta=L.eta)
         if not (family.assignment or family.extra_inequations):
-            raise ValueError(f"--exclude {text!r} states no condition, so it would "
+            raise ValueError(f"--exclude {quoted(text)} states no condition, so it would "
                              "exclude every point")
         excluded.append(family)
     system = build_system(L, args.connection, args.structure)

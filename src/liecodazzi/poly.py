@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
+from operator import ge, getitem, sub
 from typing import Union
 
 VARS = ("a", "b", "g", "d")
@@ -53,6 +53,12 @@ def _given_twice(names: Mapping[str, object], i: int) -> PolyError:
     """The error for a mapping that names variable i under two spellings."""
     given = [n for n in names if _NAME_INDEX.get(n) == i]
     return PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+
+
+def quoted(text: str) -> str:
+    """repr(text) for an error message, cut after 60 characters by "..."."""
+    r = repr(text)
+    return r if len(r) <= 60 else r[:60] + "..."
 
 
 def _as_fraction(c: Rational) -> Fraction:
@@ -287,19 +293,35 @@ class Polynomial:
                     used.add(v)
         return used
 
+    def _lead(self) -> tuple:
+        # exponents of the graded-lex leading term of a nonzero polynomial
+        return max(self.terms, key=_term_key)
+
     def leading_coeff(self) -> Fraction:
         """Coefficient of the graded-lex leading term; 0 for zero."""
-        if not self.terms:
-            return Fraction(0)
-        lead = max(self.terms, key=_term_key)
-        return self.terms[lead]
+        return self.terms[self._lead()] if self.terms else _FRACTION_ZERO
 
     def monic(self) -> "Polynomial":
         """Divide by the leading coefficient (zero stays zero)."""
         lc = self.leading_coeff()
-        if not lc:
+        return self.scale(1 / lc) if lc else self
+
+    def remainder(self, divisor: "Polynomial") -> "Polynomial":
+        """self minus a multiple of divisor, with no term a multiple of the
+        divisor's graded-lex leading term; a zero divisor leaves self.
+        Each step cancels the largest such term and brings in smaller
+        ones, and the order is a well-order, so the loop ends."""
+        if not divisor.terms:
             return self
-        return self.scale(Fraction(1, 1) / lc)
+        lead = divisor._lead()
+        p = self
+        while True:
+            hits = [e for e in p.terms if all(map(ge, e, lead))]
+            if not hits:
+                return p
+            top = max(hits, key=_term_key)
+            quotient = _raw({tuple(map(sub, top, lead)): p.terms[top] / divisor.terms[lead]})
+            p = p - quotient * divisor
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -506,11 +528,11 @@ def _tokenize(text: str, names: Mapping[str, Polynomial] | None):
             elif names and word in names:
                 value = names[word]
             else:
-                raise PolyParseError(f"unknown name {word!r} in {text!r}")
+                raise PolyParseError(f"unknown name {quoted(word)} in {quoted(text)}")
             tokens.append(("word", word, value))
             i = j
             continue
-        raise PolyParseError(f"unexpected character {ch!r} in {text!r}")
+        raise PolyParseError(f"unexpected character {ch!r} in {quoted(text)}")
     return tokens
 
 
@@ -518,7 +540,7 @@ class _Parser:
     def __init__(self, tokens, source):
         self.tokens = tokens
         self.pos = 0
-        self.source = source
+        self.source = quoted(source)  # as error messages show it
         self.depth = 0  # open parentheses and unary signs
 
     def peek(self):
@@ -532,14 +554,14 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, got {tok[1]!r} in {self.source!r}")
+            raise PolyParseError(f"expected {kind!r}, got {quoted(tok[1])} in {self.source}")
         return tok
 
     def nested(self, parse) -> Polynomial:
         """parse() one level deeper, inside a parenthesis or a unary sign."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise PolyParseError(f"nesting deeper than {MAX_NESTING} in {self.source!r}")
+            raise PolyParseError(f"nesting deeper than {MAX_NESTING} in {self.source}")
         out = parse()
         self.depth -= 1
         return out
@@ -554,7 +576,7 @@ class _Parser:
 
     def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
         if left.degree() + right.degree() > MAX_DEGREE:
-            raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source!r}")
+            raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source}")
         return left * right
 
     def parse_term(self) -> Polynomial:
@@ -569,7 +591,7 @@ class _Parser:
                 else:
                     if not rhs.is_constant() or rhs.is_zero():
                         raise PolyParseError(
-                            f"division only by nonzero constants in {self.source!r}")
+                            f"division only by nonzero constants in {self.source}")
                     out = out.scale(Fraction(1) / rhs.constant_value())
             elif kind in ("num", "word", "("):
                 # implicit multiplication, e.g. "2a" or "a(b+g)"
@@ -587,10 +609,10 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             if self.peek()[0] == "-":
-                raise PolyParseError(f"negative exponent in {self.source!r}")
+                raise PolyParseError(f"negative exponent in {self.source}")
             tok = self.expect("num")
             if tok[2] > MAX_DEGREE or base.degree() * tok[2] > MAX_DEGREE:
-                raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source!r}")
+                raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source}")
             return base ** tok[2]
         return base
 
@@ -604,7 +626,7 @@ class _Parser:
             inner = self.nested(self.parse_expr)
             self.expect(")")
             return inner
-        raise PolyParseError(f"unexpected {word!r} in {self.source!r}")
+        raise PolyParseError(f"unexpected {quoted(word)} in {self.source}")
 
 
 def parse(text: str, names: Mapping[str, Polynomial] | None = None) -> Polynomial:
@@ -618,6 +640,6 @@ def parse(text: str, names: Mapping[str, Polynomial] | None = None) -> Polynomia
     parser = _Parser(tokens, text)
     out = parser.parse_expr()
     if parser.pos != len(tokens):
-        raise PolyParseError(f"trailing input in {text!r}")
+        raise PolyParseError(f"trailing input in {quoted(text)}")
     return out
 

@@ -197,17 +197,6 @@ def test_describe_renders_both_alphabets():
     assert SolutionFamily().describe() == "no restriction"
 
 
-def test_rewrite_reduces_powers_to_fixpoint():
-    fam = SolutionFamily(quadratic_relations=((parse("b^2"), parse("2*a^2")),))
-    assert fam.rewrite(parse("b^4")) == parse("4*a^4")
-    assert fam.rewrite(parse("a*b^3+b")) == parse("2*a^3*b+b")
-
-
-def test_quadratic_lhs_must_be_monomial():
-    with pytest.raises(PolyError):
-        SolutionFamily(quadratic_relations=((parse("b^2+a"), parse("a^2")),))
-
-
 # -- deciding on families ----------------------------------------------------
 
 
@@ -246,11 +235,53 @@ def test_check_uses_quadratic_rewrite_g6():
     assert check_on_family(system, fam).holds
 
 
+def hand_built(group, *texts):
+    """A system on the group whose residuals are the given texts."""
+    entries = {(1, 2, j): parse(t) for j, t in enumerate(texts, 1)}
+    return classify.PolySystem("hand-built", entries, make_group(group))
+
+
 def test_check_uses_constraint_monomial_rule():
     # on G6 with g = 0 the equality a*g - b*d = 0 forces b*d = 0
     system = build_system(make_group("G6"), "bott", "codazzi")
     fam = SolutionFamily.from_text("g=0,b=0")
     assert check_on_family(system, fam).holds
+    # on G7 with g = 1 the equality a*g = 0 forces a = 0
+    assert check_on_family(hand_built("G7", "a*b"), SolutionFamily.from_text("g=1")).holds
+
+
+def test_check_reduces_powers_by_the_relation():
+    fam = SolutionFamily(quadratic_relations=((parse("b^2"), parse("2*a^2")),))
+    assert check_on_family(hand_built("G3", "b^4-4*a^4", "a*b^3-2*a^3*b"), fam).holds
+    # the relation's leading term is a^2, so a^2 is what the remainder replaces
+    result = check_on_family(hand_built("G3", "b^2-a^2"), fam)
+    assert result.residuals == {(1, 2, 1): parse("b^2/2")}
+
+
+def test_check_decides_a_non_monomial_relation():
+    fam = SolutionFamily(quadratic_relations=((parse("b^2+a"), parse("a^2")),))
+    assert check_on_family(hand_built("G3", "(b^2+a-a^2)*g"), fam).holds
+    assert not check_on_family(hand_built("G3", "b"), fam).holds
+    assert fam.contains({"a": 0, "b": 0, "g": 1, "d": 1})
+    assert not fam.contains({"a": 1, "b": 1, "g": 1, "d": 1})
+
+
+def test_check_reduces_by_a_binomial_equality():
+    # on G6 with b = 1 the equality a*g - b*d = 0 reads a*g = d
+    fam = SolutionFamily.from_text("b=1")
+    assert check_on_family(hand_built("G6", "a*(a*g-d)"), fam).holds
+    result = check_on_family(build_system(make_group("G6"), "bott", "codazzi"), fam)
+    assert result.residuals[(1, 2, 2)] == parse("-d")
+
+
+def test_check_ignores_a_zero_relation_and_rejects_a_constant_one():
+    zero = SolutionFamily.from_spec({"assign": {"b": "2*a"}, "quadratic": [["b", "2*a"]]})
+    result = check_on_family(hand_built("G3", "b-2*a", "a"), zero)
+    assert result.residuals == {(1, 2, 2): parse("a")}
+    constant = SolutionFamily.from_spec({"assign": {"a": "1"}, "quadratic": [["a", "2"]]})
+    with pytest.raises(ConstraintViolation) as exc:
+        check_on_family(hand_built("G3", "b"), constant)
+    assert exc.value.kind == "equality" and exc.value.polynomial == parse("a-2")
 
 
 # -- sampling ----------------------------------------------------------------

@@ -363,6 +363,7 @@ HOSTILE = {
     "nested-parentheses": (
         (*CHECK_CASE, "--solution", "a=" + "(" * 300 + "b" + ")" * 300), 2, "nesting deeper"),
     "unary-signs": ((*CHECK_CASE, "--solution", "a=" + "-" * 1000 + "b"), 2, "nesting deeper"),
+    "long-name": ((*CHECK_CASE, "--solution", "a=" + "x" * 5000), 2, "unknown name"),
     "long-number": ((*CHECK_CASE, "--solution", "a=" + "1" * 101), 2, "at most 100"),
     "high-degree": ((*CHECK_CASE, "--solution", "a=b^13"), 2, "degree above"),
     "too-many-trials": ((*SAMPLE_CASE, "--trials", "10001"), 2, "argument --trials"),
@@ -378,3 +379,5 @@ def test_hostile_input_fails_fast_without_traceback(argv, code, message):
     assert proc.returncode == code, err
     assert message in err and "Traceback" not in err
     assert proc.stdout == b""
+    # an error quotes at most 60 characters of the input
+    assert max(map(len, err.splitlines())) <= 200

@@ -447,6 +447,59 @@ def test_monic_and_leading_coeff():
     assert ZERO.monic() == ZERO
 
 
+# -- remainder ---------------------------------------------------------
+
+
+def test_remainder_matches_sympy_reduced():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("a b g d")
+
+    def to_sympy(p):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+                           for exps, c in p.terms.items()))
+
+    def from_sympy(expr):
+        return Polynomial({exps: Fraction(int(c.p), int(c.q))
+                           for exps, c in sympy.Poly(expr, *syms).terms()})
+
+    rng = random.Random(223)
+    checked = 0
+    for _ in range(150):
+        p, f = random_poly(rng), random_poly(rng, max_terms=3, max_exp=2)
+        if f.is_zero():
+            continue
+        _, r = sympy.reduced(to_sympy(p), [to_sympy(f)], *syms, order="grlex", domain="QQ")
+        assert p.remainder(f) == from_sympy(r), (p, f)
+        checked += 1
+    assert checked > 100
+
+
+def test_remainder_by_zero_constant_and_monomial_divisors():
+    p = parse("a^2*b+3*a*g-d+5")
+    assert p.remainder(ZERO) == p
+    assert p.remainder(parse("7")) == ZERO
+    assert p.remainder(parse("-2*a")) == parse("5-d")
+    assert p.remainder(A * G) == parse("a^2*b-d+5")
+    assert ZERO.remainder(A) == ZERO
+
+
+def test_remainder_ends_when_the_tail_shares_variables_with_the_lead():
+    # each step brings in a smaller term of the same variables
+    assert (A ** 5).remainder(A ** 2 - A * B) == A * B ** 4
+    assert (A ** 3 * B ** 3).remainder(A * B - A) == A ** 3
+    assert (A ** 4).remainder(B ** 2 - (A ** 2).scale(2)) == (B ** 4).scale(Fraction(1, 4))
+
+
+def test_errors_quote_at_most_60_characters_of_the_input():
+    assert poly.quoted("a+b") == "'a+b'"
+    assert poly.quoted("x" * 5000) == "'" + "x" * 59 + "..."
+    for bad in ("a=" + "(" * 300 + "b" + ")" * 300, "x" * 5000, "a+" * 3000 + "?"):
+        with pytest.raises(PolyParseError) as exc:
+            parse(bad)
+        assert len(str(exc.value)) <= 200
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         A.terms = {}
