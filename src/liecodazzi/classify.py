@@ -401,15 +401,18 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
     """One rational parameter point on the family satisfying all side
     conditions.  Free variables are drawn with a strong bias toward zero
     so that families inside the constraint variety are reachable."""
-    free = [v for v in VARS if v not in family.assignment]
+    free = [i for i, v in enumerate(VARS) if v not in family.assignment]
+    assigned = [(VARS.index(v), p) for v, p in sorted(family.assignment.items())]
     for _ in range(_MEMBER_ATTEMPTS):
-        pt = {v: (Fraction(0) if rng.random() < 0.5 else _rand_rational(rng, nonzero=True))
-              for v in free}
+        coords = [Fraction(0)] * len(VARS)
+        for i in free:
+            if rng.random() >= 0.5:
+                coords[i] = _rand_rational(rng, nonzero=True)
         # assigned values use free variables only, so the assigned ones may read 0
-        probe = Point({**pt, **dict.fromkeys(family.assignment, Fraction(0))})
-        for var in sorted(family.assignment):
-            pt[var] = family.assignment[var].eval_at(probe)
-        point = Point(pt)
+        probe = Point._of_coords(tuple(coords))
+        for i, p in assigned:
+            coords[i] = p.eval_at(probe)
+        point = Point._of_coords(tuple(coords))
         if family.contains(point) and L.constraints.violated(point) is None:
             return point
     raise SamplerStarvation(
@@ -447,7 +450,7 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     excluded family.  All points violating the system supports a
     never-holds verdict; a satisfying point refutes the necessity of the
     excluded families.  Deterministic for a fixed seed."""
-    if trials < 1:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError("trials must be a positive integer")
     rng = random.Random(seed)
     L = system.algebra

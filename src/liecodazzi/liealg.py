@@ -311,11 +311,20 @@ def abelian() -> LieAlgebra:
 _SAMPLE_ATTEMPTS = 1000
 
 
+# every value _rand_rational draws: row n + 10 holds n/1 .. n/10
+_RATIONALS = tuple(tuple(Fraction(n, den) for den in range(1, 11)) for n in range(-10, 11))
+_ZERO_ROW = _RATIONALS[10]
+_ZERO = Fraction(0)
+
+
 def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
-    num = rng.randint(-10, 10)
-    while nonzero and num == 0:
-        num = rng.randint(-10, 10)
-    return Fraction(num, rng.randint(1, 10))
+    # choice(seq) is seq[_randbelow(len(seq))] and randint(lo, hi) is
+    # lo + _randbelow(hi - lo + 1), so these are the draws of
+    # Fraction(randint(-10, 10), randint(1, 10)), with the same rng state
+    row = rng.choice(_RATIONALS)
+    while nonzero and row is _ZERO_ROW:
+        row = rng.choice(_RATIONALS)
+    return rng.choice(row)
 
 
 def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
@@ -325,18 +334,21 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
     alpha=0 and gamma=0 branches.
     """
     for _ in range(_SAMPLE_ATTEMPTS):
-        pt = {v: _rand_rational(rng) for v in VARS}
+        a, b, g, d = [_rand_rational(rng) for _ in VARS]
         if L.family == "G5":
-            if pt["b"] == 0:
+            if not b:
                 continue
-            pt["d"] = -pt["a"] * pt["g"] / pt["b"]
+            d = -a * g / b
         elif L.family == "G6":
-            if pt["b"] == 0:
+            if not b:
                 continue
-            pt["d"] = pt["a"] * pt["g"] / pt["b"]
+            d = a * g / b
         elif L.family == "G7":
-            pt["a" if rng.random() < 0.5 else "g"] = Fraction(0)
-        point = Point(pt)
+            if rng.random() < 0.5:
+                a = _ZERO
+            else:
+                g = _ZERO
+        point = Point._of_coords((a, b, g, d))
         if L.constraints.violated(point) is None:
             return point
     raise SamplerStarvation(
@@ -360,8 +372,10 @@ def jacobi_check(L: LieAlgebra, points: int = 25, seed: int = 0) -> JacobiReport
 
     Residuals that are not identically zero (possible only with equality
     constraints) must vanish exactly at `points` random points on the
-    constraint variety.
+    constraint variety; points must be a positive integer.
     """
+    if not isinstance(points, int) or isinstance(points, bool) or points < 1:
+        raise ValueError("points must be a positive integer")
     residuals = {}
     for i in range(1, 4):
         for j in range(1, 4):

@@ -9,9 +9,9 @@ appears anywhere.  Evaluation is exact integer arithmetic: on its first
 evaluation a polynomial clears its denominators once and keeps the
 integer form, so each value costs one ``Fraction``, not one per term.
 Polynomials are evaluated at a :class:`Point`, which checks its
-coordinates once and caches the integer power tables that every
-polynomial evaluated there shares; ``eval_at`` builds one from any other
-mapping.
+coordinates once; ``eval_at`` builds one from any other mapping.  The
+integer power tables of a coordinate value are cached by that value, so
+every polynomial and every point with the same coordinate shares them.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from operator import ge, getitem, sub
 from typing import Union
@@ -74,11 +75,11 @@ class Point(Mapping):
 
     Construction resolves aliases and checks every coordinate once: each
     variable given exactly once, under its name or an alias, as an int or
-    Fraction.  The point also carries the power tables that eval_at
-    reads (see _PowerTables), so every polynomial evaluated at the point
-    shares them."""
+    Fraction.  The point also keeps each coordinate as its (numerator,
+    denominator) pair, the key of the power tables that eval_at reads
+    (see _power_table)."""
 
-    __slots__ = ("_values", "_powers")
+    __slots__ = ("_values", "_pairs")
 
     def __init__(self, values: Mapping[str, Rational]):
         coords = [None] * len(VARS)
@@ -93,9 +94,19 @@ class Point(Mapping):
         missing = [v for v, c in zip(VARS, coords) if c is None]
         if missing:
             raise PolyError(f"point misses variables {missing}")
-        coords = tuple(coords)
+        self._fill(tuple(coords))
+
+    @staticmethod
+    def _of_coords(coords: tuple) -> "Point":
+        """The point with these Fractions as coordinates, in VARS order,
+        unchecked: for coordinates the program made itself."""
+        point = object.__new__(Point)
+        point._fill(coords)
+        return point
+
+    def _fill(self, coords: tuple) -> None:
         object.__setattr__(self, "_values", coords)
-        object.__setattr__(self, "_powers", _PowerTables(coords))
+        object.__setattr__(self, "_pairs", tuple([(c.numerator, c.denominator) for c in coords]))
 
     @staticmethod
     def of(point: Mapping[str, Rational]) -> "Point":
@@ -128,22 +139,12 @@ class Point(Mapping):
         return Point, (dict(self),)
 
 
-class _PowerTables(dict):
-    """The power tables of one point, built on first lookup: key (i, top)
-    maps to the integers n^e * d^(top - e), e = 0..top, for the
-    coordinate x_i = n/d, so entry 0 is d^top."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: tuple):
-        super().__init__()
-        self.coords = coords
-
-    def __missing__(self, key: tuple) -> tuple:
-        i, top = key
-        n, d = self.coords[i].numerator, self.coords[i].denominator
-        table = self[key] = tuple(n ** e * d ** (top - e) for e in range(top + 1))
-        return table
+@lru_cache(maxsize=4096)
+def _power_table(n: int, d: int, top: int) -> tuple:
+    """The integers n^e * d^(top - e), e = 0..top, for the coordinate
+    n/d, so entry 0 is d^top.  Sampled coordinates come from a few
+    hundred values, so the points share their tables here."""
+    return tuple(n ** e * d ** (top - e) for e in range(top + 1))
 
 
 def _term_key(exps):
@@ -365,7 +366,7 @@ class Polynomial:
         """Exact value at a Point, or at any mapping Point accepts.
 
         The sum runs in integers over the cleared form (see
-        _cleared_form) and the point's power tables, so the value is the
+        _cleared_form) and the coordinates' power tables, so the value is the
         only Fraction built."""
         point = Point.of(point)
         try:
@@ -374,8 +375,8 @@ class Polynomial:
             den, tops, terms = self._cleared_form()
         # x_i = n_i/d_i; scaled by d_i^top, the power x_i^e becomes the
         # integer n_i^e * d_i^(top - e), and table[0] = d_i^top
-        powers = point._powers
-        tables = [powers[key] for key in tops]
+        pairs = point._pairs
+        tables = [_power_table(*pairs[i], top) for i, top in tops]
         for table in tables:
             den *= table[0]
         total = 0

@@ -311,6 +311,14 @@ def test_sample_necessity_requires_positive_trials():
         sample_necessity(system, [], 0, seed=1)
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3", None])
+def test_sample_necessity_rejects_a_trials_that_is_not_an_int(trials):
+    # 2.5 used to evaluate 3 points and report trials = 3
+    system = build_system(make_group("G1"), "bott", "codazzi")
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        sample_necessity(system, [], trials, seed=0)
+
+
 def test_sample_necessity_deterministic():
     system = build_system(make_group("G1"), "bott", "codazzi")
     a = sample_necessity(system, [], 40, seed=11)

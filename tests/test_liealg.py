@@ -8,10 +8,10 @@ import pytest
 from conftest import all_groups, random_poly
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
-    SamplerStarvation, _raw_algebra, abelian, bracket, jacobi_check, make_group, metric,
-    sample_constraint_point,
+    SamplerStarvation, _rand_rational, _raw_algebra, abelian, bracket, jacobi_check,
+    make_group, metric, sample_constraint_point,
 )
-from liecodazzi.poly import Point, Polynomial, PolyError, parse
+from liecodazzi.poly import VARS, Point, Polynomial, PolyError, parse
 
 
 # -- construction --------------------------------------------------------
@@ -196,6 +196,56 @@ def test_g7_sampler_covers_both_branches():
     assert any(pt["g"] == 0 and pt["a"] != 0 for pt in pts)
 
 
+def reference_rand_rational(rng, nonzero=False):
+    """The draw as first written: randint numerator, then denominator."""
+    num = rng.randint(-10, 10)
+    while nonzero and num == 0:
+        num = rng.randint(-10, 10)
+    return Fraction(num, rng.randint(1, 10))
+
+
+def reference_constraint_point(L, rng):
+    """sample_constraint_point as first written: a dict of draws in VARS
+    order, solved or zeroed by family, checked through Point(dict)."""
+    while True:
+        pt = {v: reference_rand_rational(rng) for v in VARS}
+        if L.family == "G5":
+            if pt["b"] == 0:
+                continue
+            pt["d"] = -pt["a"] * pt["g"] / pt["b"]
+        elif L.family == "G6":
+            if pt["b"] == 0:
+                continue
+            pt["d"] = pt["a"] * pt["g"] / pt["b"]
+        elif L.family == "G7":
+            pt["a" if rng.random() < 0.5 else "g"] = Fraction(0)
+        point = Point(pt)
+        if L.constraints.violated(point) is None:
+            return point
+
+
+def test_table_draws_repeat_the_randint_stream():
+    # same values and same generator state after every draw, with nonzero
+    # either way and other calls on the generator in between
+    new, ref = random.Random(1212), random.Random(1212)
+    for n in range(100_000):
+        nonzero = n % 3 == 0
+        assert _rand_rational(new, nonzero) == reference_rand_rational(ref, nonzero)
+        if n % 7 == 0:
+            assert new.random() == ref.random()
+    assert new.getstate() == ref.getstate()
+
+
+def test_constraint_points_repeat_the_reference_sampler():
+    for L in all_groups():
+        new, ref = random.Random(1213), random.Random(1213)
+        for _ in range(200):
+            pt = sample_constraint_point(L, new)
+            want = reference_constraint_point(L, ref)
+            assert pt == want and pt._pairs == Point(want)._pairs, L.label()
+        assert new.getstate() == ref.getstate(), L.label()
+
+
 # -- Jacobi -------------------------------------------------------------------
 
 
@@ -220,6 +270,15 @@ def test_jacobi_g6_holds_on_variety():
     report = jacobi_check(L, points=25, seed=2)
     assert report.passed
     assert report.symbolic_residuals == {}
+
+
+def test_jacobi_rejects_fewer_than_one_point():
+    # with no point checked, a table with residuals would pass unchecked
+    bad = _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector.zero())
+    for L in (bad, make_group("G6")):
+        for points in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="points must be a positive integer"):
+                jacobi_check(L, points=points)
 
 
 def test_jacobi_detects_broken_structure():

@@ -227,6 +227,42 @@ def test_eval_at_a_shared_point_matches_the_oracle_in_either_order():
             assert [r.eval_at(pt) for r in polys] == want
 
 
+def test_points_sharing_coordinate_values_share_correct_tables():
+    # power tables are cached by coordinate value: a = b = 3/4 within a
+    # point and across points reads one table per top, and 30-digit
+    # coordinates read their own; tops of different lengths interleave
+    big = Fraction(10 ** 29 + 7, 3 * 10 ** 29 + 1)
+    q = Fraction(3, 4)
+    raws = [
+        {"a": q, "b": q, "g": -q, "d": 0},
+        {"a": big, "b": q, "g": -big, "d": q},
+        {"a": 1, "b": q, "g": q, "d": Fraction(-10 ** 30 + 1, 7)},
+        {"a": big, "b": big, "g": big, "d": big},
+        {"a": q, "b": Fraction(-3, 4), "g": 0, "d": -1},
+    ]
+    rng = random.Random(117)
+    polys = [parse("a^3*b-g/2+d"), parse("a*b^4-3*d^2/5+a^2"), parse("a^5-b^5+g*d")]
+    polys += [random_poly(rng, max_exp=e) for e in (1, 2, 4, 6)]
+    points = [Point(raw) for raw in raws]
+    for _ in range(3):
+        for p in polys:
+            for raw, pt in zip(raws, points):
+                assert p.eval_at(pt) == eval_oracle(p, raw), (p, raw)
+        polys.reverse()
+
+
+def test_coordinate_built_point_equals_the_checked_one():
+    coords = (Fraction(3, 4), Fraction(3, 4), Fraction(-7, 2), Fraction(0))
+    pt = Point._of_coords(coords)
+    raw = dict(zip(VARS, coords))
+    assert pt == Point(raw) == raw and pt._pairs == Point(raw)._pairs
+    assert pt._pairs == ((3, 4), (3, 4), (-7, 2), (0, 1))
+    for twin in (copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
+        assert type(twin) is Point and twin == pt and twin._pairs == pt._pairs
+    p = parse("a^2*b-g^3/5+d")
+    assert p.eval_at(pt) == p.eval_at(raw) == eval_oracle(p, raw)
+
+
 def test_point_is_an_immutable_mapping_equal_to_its_dict():
     raw = {"a": 1, "b": Fraction(-2, 3), "g": 0, "d": Fraction(5, 7)}
     pt = Point(raw)
