@@ -202,16 +202,23 @@ class SolutionFamily:
                 raise PolyError(f"expected var=expr or expr!=0, got {quoted(tok)}")
         return cls(assignment=assignment, extra_inequations=tuple(nonzero))
 
+    @cached_property
+    def _conditions(self) -> tuple:
+        """(vanish, nonzero): the family is where every polynomial of
+        vanish is 0, x_v - p for each assignment v = p and lhs - rhs for
+        each relation, and no polynomial of nonzero is."""
+        vanish = tuple(Polynomial.var(v) - self.assignment[v] for v in sorted(self.assignment))
+        vanish += tuple(lhs - rhs for lhs, rhs in self.quadratic_relations)
+        return vanish, self.extra_inequations
+
     def contains(self, point: Mapping[str, Fraction]) -> bool:
         point = Point.of(point)
-        for var in sorted(self.assignment):
-            if point[var] != self.assignment[var].eval_at(point):
+        vanish, nonzero = self._conditions
+        for p in vanish:
+            if not p.vanishes_at(point):
                 return False
-        for lhs, rhs in self.quadratic_relations:
-            if lhs.eval_at(point) != rhs.eval_at(point):
-                return False
-        for q in self.extra_inequations:
-            if q.eval_at(point) == 0:
+        for q in nonzero:
+            if q.vanishes_at(point):
                 return False
         return True
 
@@ -454,6 +461,8 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
         raise ValueError("trials must be a positive integer")
     rng = random.Random(seed)
     L = system.algebra
+    # the residuals that are not identically zero decide every point
+    residuals = tuple(p for p in system.entries.values() if p)
     evaluated = violations = satisfied = 0
     witness = witness_res = counterexample = None
     attempts = 0
@@ -470,14 +479,14 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
         if any(f.contains(point) for f in excluded):
             continue
         evaluated += 1
-        if any(p.eval_at(point) for p in system.entries.values()):
-            violations += 1
-            if witness is None:
-                witness, witness_res = point, _eval_all(system, point)
-        else:
+        if all(p.vanishes_at(point) for p in residuals):
             satisfied += 1
             if counterexample is None:
                 counterexample = point
+        else:
+            violations += 1
+            if witness is None:
+                witness, witness_res = point, _eval_all(system, point)
     return SampleReport(trials=evaluated, violations=violations,
                         satisfied=satisfied, witness=witness,
                         witness_residuals=witness_res,
@@ -560,6 +569,14 @@ class _Published:
         return branches(self.family)
 
 
+@cache
+def _data_poly(text: str, eta: Optional[int]) -> Polynomial:
+    """A formula of the data files on one branch: parse(text,
+    table_names(eta)), once per text and eta.  Polynomials are immutable,
+    so the printed tables and systems share the result."""
+    return parse(text, table_names(eta))
+
+
 @dataclass(frozen=True)
 class PrintedTable(_Published):
     id: str
@@ -571,7 +588,6 @@ class PrintedTable(_Published):
 
     def materialize(self, eta: Optional[int]):
         """Parsed entries for one branch; garbled values pass through."""
-        names = table_names(eta)
         out = {}
         if self.all_zero:
             zero = Polynomial.zero()
@@ -583,9 +599,9 @@ class PrintedTable(_Published):
             if isinstance(value, dict) and value.get("garbled"):
                 out[key] = GarbledValue(raw=value["raw"])
             elif self.kind in _VECTOR_KINDS:
-                out[key] = FrameVector(*(parse(t, names) for t in value))
+                out[key] = FrameVector(*(_data_poly(t, eta) for t in value))
             else:
-                out[key] = parse(value, names)
+                out[key] = _data_poly(value, eta)
         return out
 
 
@@ -599,13 +615,12 @@ class PrintedSystem(_Published):
 
     def materialize(self, eta: Optional[int]):
         """(position, Polynomial | GarbledValue) pairs, positions 1-based."""
-        names = table_names(eta)
         out = []
         for pos, eq in enumerate(self.equations, start=1):
             if isinstance(eq, dict) and eq.get("garbled"):
                 out.append((pos, GarbledValue(raw=eq["raw"])))
             else:
-                out.append((pos, parse(eq, names)))
+                out.append((pos, _data_poly(eq, eta)))
         return out
 
 

@@ -139,10 +139,10 @@ class ConstraintSet:
         "equality" | "inequation"), or None when the point is admissible."""
         point = Point.of(point)
         for p in self.equalities:
-            if p.eval_at(point):
+            if not p.vanishes_at(point):
                 return p, "equality"
         for p in self.inequations:
-            if not p.eval_at(point):
+            if p.vanishes_at(point):
                 return p, "inequation"
         return None
 
@@ -313,18 +313,23 @@ _SAMPLE_ATTEMPTS = 1000
 
 # every value _rand_rational draws: row n + 10 holds n/1 .. n/10
 _RATIONALS = tuple(tuple(Fraction(n, den) for den in range(1, 11)) for n in range(-10, 11))
-_ZERO_ROW = _RATIONALS[10]
 _ZERO = Fraction(0)
 
 
 def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
-    # choice(seq) is seq[_randbelow(len(seq))] and randint(lo, hi) is
-    # lo + _randbelow(hi - lo + 1), so these are the draws of
-    # Fraction(randint(-10, 10), randint(1, 10)), with the same rng state
-    row = rng.choice(_RATIONALS)
-    while nonzero and row is _ZERO_ROW:
-        row = rng.choice(_RATIONALS)
-    return rng.choice(row)
+    # randint(lo, hi) is lo + _randbelow(hi - lo + 1), and _randbelow(n)
+    # calls getrandbits(n.bit_length()) until the value is below n: 5 bits
+    # for the 21 rows, 4 for the 10 entries.  So these are the draws of
+    # Fraction(randint(-10, 10), randint(1, 10)), with the same rng state;
+    # with nonzero, the row of n = 0 is drawn again
+    getrandbits = rng.getrandbits
+    row = getrandbits(5)
+    while row >= 21 or (nonzero and row == 10):
+        row = getrandbits(5)
+    entry = getrandbits(4)
+    while entry >= 10:
+        entry = getrandbits(4)
+    return _RATIONALS[row][entry]
 
 
 def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
@@ -393,7 +398,7 @@ def jacobi_check(L: LieAlgebra, points: int = 25, seed: int = 0) -> JacobiReport
     for n in range(points):
         pt = sample_constraint_point(L, rng)
         for triple, r in residuals.items():
-            if any(comp.eval_at(pt) != 0 for comp in r.c):
+            if not all(comp.vanishes_at(pt) for comp in r.c):
                 failures[triple] = pt
     return JacobiReport(passed=not failures, points_checked=points,
                         symbolic_residuals=residuals, failures=failures)

@@ -8,6 +8,8 @@ is dict equality and "is zero" is "map empty".  No floating point
 appears anywhere.  Evaluation is exact integer arithmetic: on its first
 evaluation a polynomial clears its denominators once and keeps the
 integer form, so each value costs one ``Fraction``, not one per term.
+A zero test (``vanishes_at``) reads the same integer sum and builds no
+``Fraction`` at all; ``eval_at`` is for the values a report shows.
 Polynomials are evaluated at a :class:`Point`, which checks its
 coordinates once; ``eval_at`` builds one from any other mapping.  The
 integer power tables of a coordinate value are cached by that value, so
@@ -106,7 +108,7 @@ class Point(Mapping):
 
     def _fill(self, coords: tuple) -> None:
         object.__setattr__(self, "_values", coords)
-        object.__setattr__(self, "_pairs", tuple([(c.numerator, c.denominator) for c in coords]))
+        object.__setattr__(self, "_pairs", tuple([c.as_integer_ratio() for c in coords]))
 
     @staticmethod
     def of(point: Mapping[str, Rational]) -> "Point":
@@ -331,7 +333,15 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its value (see __eq__), so it hashes as that
+        # value; tested by length first, as hash(Fraction) is slow and most
+        # polynomials hashed (connection table keys) are 0
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and (0, 0, 0, 0) in terms:
+            return hash(terms[(0, 0, 0, 0)])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -365,9 +375,24 @@ class Polynomial:
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
         """Exact value at a Point, or at any mapping Point accepts.
 
-        The sum runs in integers over the cleared form (see
-        _cleared_form) and the coordinates' power tables, so the value is the
+        The sum runs in integers (see _cleared_sum), so the value is the
         only Fraction built."""
+        total, den, tables = self._cleared_sum(point)
+        if not total:
+            return _FRACTION_ZERO
+        for table in tables:
+            den *= table[0]
+        return Fraction(total, den)
+
+    def vanishes_at(self, point: Mapping[str, Rational]) -> bool:
+        """Whether the value at point is 0, decided on the integer sum of
+        eval_at alone: no denominator and no Fraction is built."""
+        return self._cleared_sum(point)[0] == 0
+
+    def _cleared_sum(self, point: Mapping[str, Rational]) -> tuple:
+        """(total, den, tables) at point: the value is total / (den * the
+        product of table[0] over tables), an integer sum over the cleared
+        form (see _cleared_form) and the coordinates' power tables."""
         point = Point.of(point)
         try:
             den, tops, terms = self._int_form
@@ -377,12 +402,10 @@ class Polynomial:
         # integer n_i^e * d_i^(top - e), and table[0] = d_i^top
         pairs = point._pairs
         tables = [_power_table(*pairs[i], top) for i, top in tops]
-        for table in tables:
-            den *= table[0]
         total = 0
         for c, exps in terms:
             total += c * prod(map(getitem, tables, exps))
-        return Fraction(total, den) if total else _FRACTION_ZERO
+        return total, den, tables
 
     def _cleared_form(self) -> tuple:
         """The polynomial as integers, built on the first evaluation and

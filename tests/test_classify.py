@@ -9,7 +9,9 @@ import pytest
 from conftest import all_groups
 from liecodazzi import classify
 from liecodazzi.poly import Point, Polynomial, PolyError, parse
-from liecodazzi.liealg import ConstraintViolation, SamplerStarvation, make_group
+from liecodazzi.liealg import (
+    ConstraintViolation, SamplerStarvation, make_group, sample_constraint_point,
+)
 from liecodazzi.tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 from liecodazzi.connection import make_connection
 from liecodazzi.classify import (
@@ -197,6 +199,41 @@ def test_describe_renders_both_alphabets():
     assert SolutionFamily().describe() == "no restriction"
 
 
+def contains_oracle(family, point):
+    """The coordinate-compare definition of SolutionFamily.contains: each
+    assigned coordinate equals its value, each relation's sides are
+    equal and no extra inequation is 0."""
+    point = Point.of(point)
+    for var in sorted(family.assignment):
+        if point[var] != family.assignment[var].eval_at(point):
+            return False
+    for lhs, rhs in family.quadratic_relations:
+        if lhs.eval_at(point) != rhs.eval_at(point):
+            return False
+    return all(q.eval_at(point) != 0 for q in family.extra_inequations)
+
+
+def test_contains_matches_the_coordinate_compare_oracle():
+    # every claim family, printed and recomputed, at the points the sampler
+    # draws on its group (mostly outside) and at its own member points
+    # (inside), so both answers occur
+    outcomes = set()
+    for index, claim in enumerate(load_claims()):
+        for eta in claim.branches():
+            L = make_group(claim.family, eta=eta)
+            rng = random.Random(1300 + index)
+            for spec in claim.families + claim.recomputed_families:
+                fam = SolutionFamily.from_spec(spec, eta)
+                points = [sample_constraint_point(L, rng) for _ in range(40)]
+                if not fam.quadratic_relations:
+                    points += [sample_family_member(L, fam, rng) for _ in range(5)]
+                for pt in points:
+                    got = fam.contains(pt)
+                    assert got == contains_oracle(fam, pt), (claim.anchor, spec, pt)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 # -- deciding on families ----------------------------------------------------
 
 
@@ -356,9 +393,20 @@ def test_sample_necessity_skips_excluded_points():
 # claim-branch system with the families its claim excludes; a change that
 # means to alter the sampler's draws or reports updates it
 SAMPLE_SEED0_SHA256 = "bfdeb29ff5e0f1b4945e8b0cb7451846bfb40f635dcd5408d53815a4fb6e35b3"
+# the same for seeds 1..7, taken before the zero tests left eval_at
+SAMPLE_SHA256 = {
+    1: "fe243df0b6c3ccc68e3cb868db65fff4f8fd1495edf4917ac18ea334912d302d",
+    2: "3338a7102638cfa239601396f3752f6eeff52a2f7048561d85507d1195dcc950",
+    3: "648d474731ac8073462b071a18f708f242707101b1df3aec164ce6ebc15d976f",
+    4: "5b6840393749493336b49b46e5560f74b2b1654cc62525eb451d771e47338865",
+    5: "b801e35365de775d0a3a104d685aa064975f5e2b5ad01070c3e2aa59e62c7e04",
+    6: "b58d54fd89c336b3818bdd186690a59cdcf1e86c91fc65835d4355c35406e180",
+    7: "e61276e96e7ad4b41c4f675ad0633cfaa458eea916317ccadad080a11d9fc831",
+}
 
 
-def test_sample_reports_of_all_claim_systems_are_pinned():
+def claim_sample_digest(seed: int) -> str:
+    """sha256 of the 48 claim-branch sample reports at 200 trials and seed."""
     reports = []
     for claim in load_claims():
         for eta in claim.branches():
@@ -367,10 +415,18 @@ def test_sample_reports_of_all_claim_systems_are_pinned():
                      "never": claim.recomputed_families}.get(claim.status, ())
             excluded = [SolutionFamily.from_spec(s, eta) for s in specs]
             system = build_system(L, claim.connection, claim.structure)
-            reports.append(sample_necessity(system, excluded, 200, seed=0).to_json())
+            reports.append(sample_necessity(system, excluded, 200, seed=seed).to_json())
     assert len(reports) == 48
-    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
-    assert digest == SAMPLE_SEED0_SHA256
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def test_sample_reports_of_all_claim_systems_are_pinned():
+    assert claim_sample_digest(0) == SAMPLE_SEED0_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(SAMPLE_SHA256))
+def test_sample_reports_of_all_claim_systems_are_pinned_for_more_seeds(seed):
+    assert claim_sample_digest(seed) == SAMPLE_SHA256[seed]
 
 
 # -- compute_object ----------------------------------------------------------

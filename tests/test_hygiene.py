@@ -81,3 +81,57 @@ def test_scan_finds_unused_private_definitions():
 def test_no_unused_private_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unused_private_definitions(sources) == []
+
+
+def zero_tests_through_eval_at(source: str) -> list:
+    """Lines where an eval_at(...) value is only tested for zero: compared
+    with 0, negated with `not`, the element of any()/all(), or the test of
+    an if, while, assert or conditional expression.  Polynomial.vanishes_at
+    is the one zero test; eval_at is for the values a report shows."""
+
+    def is_eval(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "eval_at")
+
+    def is_zero(node):
+        return isinstance(node, ast.Constant) and node.value == 0
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            hit = any(map(is_eval, operands)) and any(map(is_zero, operands))
+        elif isinstance(node, ast.UnaryOp):
+            hit = isinstance(node.op, ast.Not) and is_eval(node.operand)
+        elif isinstance(node, ast.Call):
+            hit = (isinstance(node.func, ast.Name) and node.func.id in ("any", "all")
+                   and len(node.args) == 1
+                   and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+                   and is_eval(node.args[0].elt))
+        elif isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            hit = is_eval(node.test)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_zero_tests_through_eval_at():
+    source = ("v = p.eval_at(pt)\n"
+              "if p.eval_at(pt) == 0: pass\n"
+              "ok = 0 != q.eval_at(pt)\n"
+              "bad = not p.eval_at(pt)\n"
+              "any(p.eval_at(pt) for p in ps)\n"
+              "all([p.eval_at(pt) for p in ps])\n"
+              "while p.eval_at(pt): pass\n"
+              "x = 1 if p.eval_at(pt) else 2\n"
+              "same = p.eval_at(pt) == q.eval_at(pt)\n"
+              "vals = {k: p.eval_at(pt) for k, p in ps}\n"
+              "z = p.vanishes_at(pt) and not q.vanishes_at(pt)\n")
+    assert zero_tests_through_eval_at(source) == [2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_zero_tests_go_through_vanishes_at(path):
+    assert zero_tests_through_eval_at(path.read_text(encoding="utf-8")) == []

@@ -183,6 +183,16 @@ def test_eval_matches_fraction_oracle():
     assert p.eval_at(spelled) == p.eval_at(pt) == eval_oracle(p, pt)
 
 
+def test_a_constant_hashes_as_the_number_it_equals():
+    for c in (0, 3, -2, Fraction(5, 7)):
+        p = Polynomial.const(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c} and {p: "x"}[c] == "x"
+    assert Polynomial.zero() == 0 and 0 in {Polynomial.zero()}
+    assert 3 in {Polynomial.const(3)} and 3 not in {A + 3}
+    assert hash(A + 3) == hash(3 + A) and hash(parse("a*b/2")) == hash((B * A).scale(Fraction(1, 2)))
+
+
 def test_eval_leaves_equality_hash_and_immutability_alone():
     p = parse("a^2/3-b*g/5+d/2")
     twin = parse("d/2+a^2/3-g*b/5")
@@ -200,12 +210,40 @@ def test_eval_leaves_equality_hash_and_immutability_alone():
 def test_eval_rejects_bad_points():
     p = A + B
     full = {"a": 1, "b": 2, "g": 3, "d": 4}
-    with pytest.raises(PolyError, match="unknown variable"):
-        p.eval_at({**full, "x": 1})
-    with pytest.raises(PolyError, match="misses variables"):
-        p.eval_at({"a": 1, "b": 2, "g": 3})
-    with pytest.raises(PolyError, match="not an exact rational"):
-        p.eval_at({**full, "b": 0.5})
+    for method in (p.eval_at, p.vanishes_at):
+        with pytest.raises(PolyError, match="unknown variable"):
+            method({**full, "x": 1})
+        with pytest.raises(PolyError, match="misses variables"):
+            method({"a": 1, "b": 2, "g": 3})
+        with pytest.raises(PolyError, match="not an exact rational"):
+            method({**full, "b": 0.5})
+
+
+def test_vanishes_at_is_the_zero_test_of_eval_at():
+    # table points, 30-digit coordinates and zero coordinates; a factor
+    # a, a - b or g*d - 1 makes some polynomials vanish at some of them,
+    # so both answers occur
+    rng = random.Random(118)
+    big = Fraction(10 ** 29 + 7, 3 * 10 ** 29 + 1)
+    raws = [random_point(rng) for _ in range(12)]
+    raws += [{"a": big, "b": big, "g": -big, "d": 1 / big},
+             {"a": Fraction(-10 ** 30 + 1, 7), "b": 0, "g": big, "d": Fraction(3, 4)},
+             {"a": 0, "b": 0, "g": 0, "d": 0},
+             {"a": 0, "b": Fraction(2, 3), "g": Fraction(3, 2), "d": Fraction(2, 3)}]
+    points = [Point(raw) for raw in raws]
+    factors = (ONE, A, A - B, G * D - 1)
+    polys = [random_poly(rng) * rng.choice(factors) for _ in range(150)]
+    polys += [ZERO, ONE, Polynomial.const(Fraction(-7, 3))]
+    seen = set()
+    for p in polys:
+        for raw, pt in zip(raws, points):
+            got = p.vanishes_at(pt)
+            assert got is (p.eval_at(pt) == 0) is (eval_oracle(p, raw) == 0), (p, raw)
+            assert p.vanishes_at(raw) is got
+            seen.add(got)
+    assert seen == {True, False}
+    assert all(ZERO.vanishes_at(pt) for pt in points)
+    assert not any(ONE.vanishes_at(pt) for pt in points)
 
 
 # -- Point -------------------------------------------------------------
