@@ -40,7 +40,7 @@ from .liealg import (
     FrameVector,
     LieAlgebra,
     SamplerStarvation,
-    _rand_rational,
+    _rand_pair,
     branches,
     make_group,
     sample_constraint_point,
@@ -411,15 +411,15 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
     free = [i for i, v in enumerate(VARS) if v not in family.assignment]
     assigned = [(VARS.index(v), p) for v, p in sorted(family.assignment.items())]
     for _ in range(_MEMBER_ATTEMPTS):
-        coords = [Fraction(0)] * len(VARS)
+        pairs = [(0, 1)] * len(VARS)
         for i in free:
             if rng.random() >= 0.5:
-                coords[i] = _rand_rational(rng, nonzero=True)
+                pairs[i] = _rand_pair(rng, nonzero=True)
         # assigned values use free variables only, so the assigned ones may read 0
-        probe = Point._of_coords(tuple(coords))
+        probe = Point._of_pairs(*pairs)
         for i, p in assigned:
-            coords[i] = p.eval_at(probe)
-        point = Point._of_coords(tuple(coords))
+            pairs[i] = p.eval_at(probe).as_integer_ratio()
+        point = Point._of_pairs(*pairs)
         if family.contains(point) and L.constraints.violated(point) is None:
             return point
     raise SamplerStarvation(
@@ -852,12 +852,12 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
                 continue  # no rational parametrization to sample
             for _ in range(25):
                 pt = sample_family_member(L, fam, rng)
-                pv = _eval_all(system, pt)
-                if any(pv.values()):
-                    bad_member = bad_member or (fam, pt, pv)
+                if not all(p.vanishes_at(pt) for p in system.entries.values()):
+                    if bad_member is None:
+                        bad_member = (fam, pt, _eval_all(system, pt))
                     break
                 if witness is None:
-                    witness, values = pt, pv
+                    witness, values = pt, _eval_all(system, pt)
         report = sample_necessity(system, fams, trials, seed)
         cx = report.counterexample
         if bad_member:

@@ -15,9 +15,10 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional
 
-from .poly import VARS, Point, Polynomial, Rational, parse
+from .poly import Point, Polynomial, Rational, parse
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 METRIC_SIGNATURE = (1, 1, -1)
@@ -311,17 +312,18 @@ def abelian() -> LieAlgebra:
 _SAMPLE_ATTEMPTS = 1000
 
 
-# every value _rand_rational draws: row n + 10 holds n/1 .. n/10
-_RATIONALS = tuple(tuple(Fraction(n, den) for den in range(1, 11)) for n in range(-10, 11))
-_ZERO = Fraction(0)
+# every pair _rand_pair draws: row n + 10 holds n/1 .. n/10 in lowest terms
+_PAIRS = tuple(tuple(Fraction(n, den).as_integer_ratio() for den in range(1, 11))
+               for n in range(-10, 11))
 
 
-def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+def _rand_pair(rng: random.Random, nonzero: bool = False) -> tuple:
+    """A random rational as its (numerator, denominator) pair in lowest
+    terms: Fraction(randint(-10, 10), randint(1, 10)), with the same rng
+    state; with nonzero, the numerator 0 is drawn again."""
     # randint(lo, hi) is lo + _randbelow(hi - lo + 1), and _randbelow(n)
     # calls getrandbits(n.bit_length()) until the value is below n: 5 bits
-    # for the 21 rows, 4 for the 10 entries.  So these are the draws of
-    # Fraction(randint(-10, 10), randint(1, 10)), with the same rng state;
-    # with nonzero, the row of n = 0 is drawn again
+    # for the 21 rows, 4 for the 10 entries
     getrandbits = rng.getrandbits
     row = getrandbits(5)
     while row >= 21 or (nonzero and row == 10):
@@ -329,7 +331,7 @@ def _rand_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     entry = getrandbits(4)
     while entry >= 10:
         entry = getrandbits(4)
-    return _RATIONALS[row][entry]
+    return _PAIRS[row][entry]
 
 
 def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
@@ -338,22 +340,25 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
     solve for delta when the beta coefficient is nonzero, G7 samples the
     alpha=0 and gamma=0 branches.
     """
+    family = L.family
     for _ in range(_SAMPLE_ATTEMPTS):
-        a, b, g, d = [_rand_rational(rng) for _ in VARS]
-        if L.family == "G5":
-            if not b:
+        a, b, g, d = _rand_pair(rng), _rand_pair(rng), _rand_pair(rng), _rand_pair(rng)
+        if family == "G5" or family == "G6":
+            if not b[0]:
                 continue
-            d = -a * g / b
-        elif L.family == "G6":
-            if not b:
-                continue
-            d = a * g / b
-        elif L.family == "G7":
+            # delta = -alpha*gamma/beta on G5 and +alpha*gamma/beta on G6, as
+            # a pair in lowest terms with the sign on the numerator
+            num, den = a[0] * g[0] * b[1], a[1] * g[1] * b[0]
+            if (den < 0) == (family == "G6"):
+                num = -num
+            k = gcd(num, den)
+            d = (num // k, abs(den) // k)
+        elif family == "G7":
             if rng.random() < 0.5:
-                a = _ZERO
+                a = (0, 1)
             else:
-                g = _ZERO
-        point = Point._of_coords((a, b, g, d))
+                g = (0, 1)
+        point = Point._of_pairs(a, b, g, d)
         if L.constraints.violated(point) is None:
             return point
     raise SamplerStarvation(

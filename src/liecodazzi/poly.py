@@ -6,14 +6,15 @@ delta.  Polynomials are kept in canonical form at all times: a term map
 from exponent tuples to nonzero ``Fraction`` coefficients, so equality
 is dict equality and "is zero" is "map empty".  No floating point
 appears anywhere.  Evaluation is exact integer arithmetic: on its first
-evaluation a polynomial clears its denominators once and keeps the
-integer form, so each value costs one ``Fraction``, not one per term.
-A zero test (``vanishes_at``) reads the same integer sum and builds no
-``Fraction`` at all; ``eval_at`` is for the values a report shows.
-Polynomials are evaluated at a :class:`Point`, which checks its
-coordinates once; ``eval_at`` builds one from any other mapping.  The
-integer power tables of a coordinate value are cached by that value, so
-every polynomial and every point with the same coordinate shares them.
+evaluation a polynomial clears its denominators and compiles the
+integer form into one straight-line function of the point's numerators
+and denominators (its kernel), built from integer literals, ``+``,
+``-``, ``*`` and ``**`` alone.  A zero test (``vanishes_at``) is the
+kernel's value compared with 0 and builds no ``Fraction``; ``eval_at``
+divides the same value by the cleared denominator, for the values a
+report shows.  Polynomials are evaluated at a :class:`Point`, which
+keeps its coordinates as integer pairs; ``eval_at`` builds one from any
+other mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -28,8 +29,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
-from operator import ge, getitem, sub
+from math import lcm
+from operator import ge, sub
 from typing import Union
 
 VARS = ("a", "b", "g", "d")
@@ -77,11 +78,13 @@ class Point(Mapping):
 
     Construction resolves aliases and checks every coordinate once: each
     variable given exactly once, under its name or an alias, as an int or
-    Fraction.  The point also keeps each coordinate as its (numerator,
-    denominator) pair, the key of the power tables that eval_at reads
-    (see _power_table)."""
+    Fraction.  The point keeps its coordinates as the integers n0, d0,
+    ..., n3, d3 of their lowest-terms ratios n_i/d_i (d_i > 0), in VARS
+    order: the arguments of a polynomial's kernel.  The Fraction
+    coordinates are built on the first read, so a sampled point that no
+    report shows never builds them."""
 
-    __slots__ = ("_values", "_pairs")
+    __slots__ = ("_ints", "_values")
 
     def __init__(self, values: Mapping[str, Rational]):
         coords = [None] * len(VARS)
@@ -96,19 +99,26 @@ class Point(Mapping):
         missing = [v for v, c in zip(VARS, coords) if c is None]
         if missing:
             raise PolyError(f"point misses variables {missing}")
-        self._fill(tuple(coords))
+        ints = ()
+        for c in coords:
+            ints += c.as_integer_ratio()
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_values", tuple(coords))
 
     @staticmethod
-    def _of_coords(coords: tuple) -> "Point":
-        """The point with these Fractions as coordinates, in VARS order,
-        unchecked: for coordinates the program made itself."""
+    def _of_pairs(a: tuple, b: tuple, g: tuple, d: tuple) -> "Point":
+        """The point with coordinates n/m for these (n, m) pairs, in VARS
+        order, unchecked: for pairs the program made itself, each in
+        lowest terms with m > 0, as Fraction.as_integer_ratio gives them."""
         point = object.__new__(Point)
-        point._fill(coords)
+        object.__setattr__(point, "_ints", a + b + g + d)
         return point
 
-    def _fill(self, coords: tuple) -> None:
-        object.__setattr__(self, "_values", coords)
-        object.__setattr__(self, "_pairs", tuple([c.as_integer_ratio() for c in coords]))
+    @property
+    def _pairs(self) -> tuple:
+        """The coordinates as (numerator, denominator) pairs, in VARS order."""
+        ints = self._ints
+        return tuple(zip(ints[0::2], ints[1::2]))
 
     @staticmethod
     def of(point: Mapping[str, Rational]) -> "Point":
@@ -120,7 +130,12 @@ class Point(Mapping):
         raise AttributeError("Point is immutable")
 
     def __getitem__(self, name: str) -> Fraction:
-        return self._values[_VAR_INDEX[name]]
+        try:
+            values = self._values
+        except AttributeError:
+            values = tuple(Fraction(n, d) for n, d in self._pairs)
+            object.__setattr__(self, "_values", values)
+        return values[_VAR_INDEX[name]]
 
     def __iter__(self):
         return iter(VARS)
@@ -141,12 +156,23 @@ class Point(Mapping):
         return Point, (dict(self),)
 
 
-@lru_cache(maxsize=4096)
-def _power_table(n: int, d: int, top: int) -> tuple:
-    """The integers n^e * d^(top - e), e = 0..top, for the coordinate
-    n/d, so entry 0 is d^top.  Sampled coordinates come from a few
-    hundred values, so the points share their tables here."""
-    return tuple(n ** e * d ** (top - e) for e in range(top + 1))
+def _power(name: str, e: int) -> list:
+    """The factors of name^e in a kernel: name repeated up to four times,
+    which CPython multiplies faster than it raises small ints to a power."""
+    return [name] * e if e <= 4 else [f"{name}**{e}"]
+
+
+@lru_cache(maxsize=1024)
+def _make_kernel(expression: str):
+    """The function k(n0, d0, ..., n3, d3) returning expression.  Only
+    Polynomial._compile calls it, with a sum of products of integer
+    literals and those eight names; the function runs with no globals
+    and no builtins.  Equal polynomials built apart (an audit rebuilds
+    its families per branch) share one function."""
+    namespace = {}
+    exec(f"def k(n0, d0, n1, d1, n2, d2, n3, d3):\n    return {expression}\n",
+         {"__builtins__": {}}, namespace)
+    return namespace["k"]
 
 
 def _term_key(exps):
@@ -158,8 +184,9 @@ def _term_key(exps):
 class Polynomial:
     """Immutable multivariate polynomial over Q in the fixed variables."""
 
-    # _int_form holds the cleared integer form once eval_at has built it
-    __slots__ = ("terms", "_int_form")
+    # _kernel and _den hold the compiled integer form once the first
+    # evaluation has built it (see _compile)
+    __slots__ = ("terms", "_kernel", "_den")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
         clean = {}
@@ -178,8 +205,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the terms (the cleared form is
-        # rebuilt on first evaluation); __setattr__ refuses their slot writes
+        # copy and pickle rebuild from the terms (the kernel is compiled
+        # again on first evaluation); __setattr__ refuses their slot writes
         return Polynomial, (self.terms,)
 
     # -- constructors -------------------------------------------------
@@ -373,53 +400,53 @@ class Polynomial:
         return out
 
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
-        """Exact value at a Point, or at any mapping Point accepts.
-
-        The sum runs in integers (see _cleared_sum), so the value is the
-        only Fraction built."""
-        total, den, tables = self._cleared_sum(point)
+        """Exact value at a Point, or at any mapping Point accepts: the
+        kernel's integer over the cleared denominator (see _compile), so
+        the value is the only Fraction built."""
+        ints = Point.of(point)._ints
+        try:
+            kernel = self._kernel
+        except AttributeError:
+            kernel = self._compile()
+        total = kernel(*ints)
         if not total:
             return _FRACTION_ZERO
-        for table in tables:
-            den *= table[0]
+        den, tops = self._den
+        for i, top in tops:
+            den *= ints[2 * i + 1] ** top
         return Fraction(total, den)
 
     def vanishes_at(self, point: Mapping[str, Rational]) -> bool:
-        """Whether the value at point is 0, decided on the integer sum of
-        eval_at alone: no denominator and no Fraction is built."""
-        return self._cleared_sum(point)[0] == 0
-
-    def _cleared_sum(self, point: Mapping[str, Rational]) -> tuple:
-        """(total, den, tables) at point: the value is total / (den * the
-        product of table[0] over tables), an integer sum over the cleared
-        form (see _cleared_form) and the coordinates' power tables."""
-        point = Point.of(point)
+        """Whether the value at point is 0, decided on the kernel's
+        integer alone: no denominator and no Fraction is built."""
+        ints = Point.of(point)._ints
         try:
-            den, tops, terms = self._int_form
+            kernel = self._kernel
         except AttributeError:
-            den, tops, terms = self._cleared_form()
-        # x_i = n_i/d_i; scaled by d_i^top, the power x_i^e becomes the
-        # integer n_i^e * d_i^(top - e), and table[0] = d_i^top
-        pairs = point._pairs
-        tables = [_power_table(*pairs[i], top) for i, top in tops]
-        total = 0
-        for c, exps in terms:
-            total += c * prod(map(getitem, tables, exps))
-        return total, den, tables
+            kernel = self._compile()
+        return not kernel(*ints)
 
-    def _cleared_form(self) -> tuple:
-        """The polynomial as integers, built on the first evaluation and
-        kept: (den, tops, terms) with den the lcm of the coefficient
-        denominators, tops the pairs (i, highest exponent of variable i)
-        for the variables that occur, and terms the pairs (coefficient *
-        den, exponents of those variables)."""
+    def _compile(self):
+        """Build the kernel on the first evaluation and keep it, with
+        _den = (den, tops): den is the lcm of the coefficient
+        denominators and tops the pairs (i, highest exponent of variable
+        i) for the variables that occur.  Scaled by d_i^top_i, the power
+        (n_i/d_i)^e becomes n_i^e * d_i^(top_i - e), so the kernel of the
+        point's n0, d0, ..., n3, d3 is the value times den times the
+        product of the d_i^top_i, as one integer sum of products."""
         den = lcm(*(c.denominator for c in self.terms.values()))
         tops = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
-        terms = tuple((c.numerator * (den // c.denominator), tuple(exps[i] for i, _ in tops))
-                      for exps, c in self.terms.items())
-        form = (den, tops, terms)
-        object.__setattr__(self, "_int_form", form)
-        return form
+        products = []
+        for exps, c in self.terms.items():
+            coeff = c.numerator * (den // c.denominator)
+            factors = [] if coeff == 1 else [str(coeff)]
+            for i, top in tops:
+                factors += _power(f"n{i}", exps[i]) + _power(f"d{i}", top - exps[i])
+            products.append("*".join(factors) or "1")
+        kernel = _make_kernel(" + ".join(products) or "0")
+        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_den", (den, tops))
+        return kernel
 
     # -- rendering -------------------------------------------------------
 

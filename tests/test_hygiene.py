@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in the package and the tests is read,
-and every private module-level definition of the package is read."""
+every private module-level definition of the package is read, zero tests
+go through vanishes_at, and the package runs generated code in one place."""
 
 import ast
 import pathlib
@@ -135,3 +136,36 @@ def test_scan_finds_zero_tests_through_eval_at():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_zero_tests_go_through_vanishes_at(path):
     assert zero_tests_through_eval_at(path.read_text(encoding="utf-8")) == []
+
+
+def dynamic_code_calls(source: str) -> list:
+    """Calls of eval, exec or compile by name, as (line, enclosing
+    function or None, name)."""
+    calls = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("eval", "exec", "compile")):
+                calls.append((child.lineno, function, child.func.id))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(calls)
+
+
+def test_scan_finds_dynamic_code_calls():
+    source = ("def build(text):\n    exec(text, {}, {})\n"
+              "def other():\n    x = eval('1')\n    return compile('1', 'f', 'eval')\n"
+              "re.compile('x')\nexec('y = 1')\n")
+    assert dynamic_code_calls(source) == [(2, "build", "exec"), (4, "other", "eval"),
+                                          (5, "other", "compile"), (7, None, "exec")]
+
+
+def test_generated_code_runs_only_in_the_kernel_builder():
+    calls = [(path.name, function, name) for path in PACKAGE
+             for _, function, name in dynamic_code_calls(path.read_text(encoding="utf-8"))]
+    assert calls == [("poly.py", "_make_kernel", "exec")]

@@ -1,6 +1,8 @@
 """Polynomial ring: canonical form, ring axioms, substitution, parsing."""
 
+import ast
 import copy
+import inspect
 import pickle
 import random
 from fractions import Fraction
@@ -246,13 +248,87 @@ def test_vanishes_at_is_the_zero_test_of_eval_at():
     assert not any(ONE.vanishes_at(pt) for pt in points)
 
 
+# -- kernels -------------------------------------------------------------
+
+BIG = 10 ** 99 + 289  # 100 digits
+KERNEL_ARGS = ("n0", "d0", "n1", "d1", "n2", "d2", "n3", "d3")
+
+
+def kernel_test_polys(rng):
+    """Seeded random polynomials, some with a factor that vanishes on the
+    kernel test points; constants, the zero polynomial, degree 12 and
+    100-digit coefficients."""
+    polys = [random_poly(rng) * rng.choice((ONE, A - B, G * D - 1)) for _ in range(120)]
+    polys += [ZERO, ONE, Polynomial.const(-BIG), Polynomial.const(Fraction(BIG, 7))]
+    polys += [parse("a^12-3*b^5*g^7/11+(a-d)^6*(b+g)^6"), (A - B) * G ** 11,
+              parse(f"{BIG}*a^2*b-{BIG}/{BIG - 2}*g^5*d+3"), D ** 12 - Polynomial.const(BIG)]
+    return polys
+
+
+def kernel_test_points(rng):
+    """Table, negative, zero and 30-digit coordinates, with a = b and
+    g*d = 1 among them."""
+    big = Fraction(10 ** 29 + 7, 3 * 10 ** 29 + 1)
+    raws = [random_point(rng) for _ in range(6)]
+    raws += [{"a": big, "b": big, "g": -big, "d": -1 / big},
+             {"a": Fraction(-10 ** 30 + 1, 7), "b": 0, "g": big, "d": 1 / big},
+             {"a": 0, "b": 0, "g": 0, "d": 0},
+             {"a": -3, "b": -3, "g": Fraction(-5, 2), "d": Fraction(-2, 5)},
+             {"a": 10 ** 30, "b": -(10 ** 30), "g": 1, "d": Fraction(-1, 10 ** 30)}]
+    return raws
+
+
+def test_kernel_values_and_zero_tests_match_the_oracle():
+    rng = random.Random(119)
+    raws = kernel_test_points(rng)
+    seen = set()
+    for p in kernel_test_polys(rng):
+        for raw in raws:
+            want = eval_oracle(p, raw)
+            for pt in (Point(raw), raw):
+                got = p.eval_at(pt)
+                assert type(got) is Fraction and got == want, (p, raw)
+                assert p.vanishes_at(pt) is (want == 0), (p, raw)
+            seen.add(want == 0)
+    assert seen == {True, False}
+
+
+def test_kernel_source_is_integer_arithmetic_on_the_eight_names(monkeypatch):
+    sources = []
+    build = poly._make_kernel
+    monkeypatch.setattr(poly, "_make_kernel", lambda expression: sources.append(expression)
+                        or build(expression))
+    rng = random.Random(120)
+    # copies compile their own kernels, also of the shared ZERO and ONE
+    polys = [copy.copy(p) for p in kernel_test_polys(rng)]
+    pt = Point(random_point(rng))
+    for p in polys:
+        p.vanishes_at(pt)
+    assert len(sources) == len(polys)
+    assert str(BIG) in sources[-2]  # the polynomial parsed with 100-digit coefficients
+    allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Pow,
+               ast.USub, ast.Load)
+    for expression in sources:
+        for node in ast.walk(ast.parse(expression, mode="eval")):
+            if isinstance(node, ast.Constant):
+                assert type(node.value) is int, expression
+            elif isinstance(node, ast.Name):
+                assert node.id in KERNEL_ARGS, expression
+            else:
+                assert isinstance(node, allowed), (ast.dump(node), expression)
+    for p in polys:
+        kernel = p._kernel
+        assert tuple(inspect.signature(kernel).parameters) == KERNEL_ARGS
+        assert kernel.__code__.co_names == () and kernel.__globals__ == {"__builtins__": {}}
+
+
 # -- Point -------------------------------------------------------------
 
 
 def test_eval_at_a_shared_point_matches_the_oracle_in_either_order():
-    # the polynomials give one variable different tops, so they read power
-    # tables of different lengths from one point; the first evaluation
-    # builds the tables the later ones share, whichever order they run in
+    # the polynomials give one variable different top exponents, so their
+    # kernels scale one coordinate differently; each polynomial compiles
+    # its kernel on its first evaluation, whichever order they run in
     p, q = parse("a^3*b-g/2+d"), parse("a*b^4-3*d^2/5+a^2")
     rng = random.Random(111)
     for _ in range(100):
@@ -266,9 +342,9 @@ def test_eval_at_a_shared_point_matches_the_oracle_in_either_order():
 
 
 def test_points_sharing_coordinate_values_share_correct_tables():
-    # power tables are cached by coordinate value: a = b = 3/4 within a
-    # point and across points reads one table per top, and 30-digit
-    # coordinates read their own; tops of different lengths interleave
+    # coordinate values repeat within a point (a = b = 3/4) and across
+    # points, next to 30-digit coordinates; polynomials with different top
+    # exponents interleave, in both orders
     big = Fraction(10 ** 29 + 7, 3 * 10 ** 29 + 1)
     q = Fraction(3, 4)
     raws = [
@@ -290,8 +366,17 @@ def test_points_sharing_coordinate_values_share_correct_tables():
 
 
 def test_coordinate_built_point_equals_the_checked_one():
+    rng = random.Random(121)
+    for raw in kernel_test_points(rng) + [random_point(rng) for _ in range(50)]:
+        checked = Point(raw)
+        pairs = tuple(Fraction(raw[v]).as_integer_ratio() for v in VARS)
+        built = Point._of_pairs(*pairs)
+        assert dict(built) == dict(checked) == {v: Fraction(raw[v]) for v in VARS}
+        assert built._pairs == checked._pairs == pairs and built._ints == checked._ints
+        assert built == checked and built.text() == checked.text()
+        assert all(type(built[v]) is Fraction for v in VARS)
     coords = (Fraction(3, 4), Fraction(3, 4), Fraction(-7, 2), Fraction(0))
-    pt = Point._of_coords(coords)
+    pt = Point._of_pairs(*(c.as_integer_ratio() for c in coords))
     raw = dict(zip(VARS, coords))
     assert pt == Point(raw) == raw and pt._pairs == Point(raw)._pairs
     assert pt._pairs == ((3, 4), (3, 4), (-7, 2), (0, 1))
@@ -583,9 +668,15 @@ def test_copies_and_pickles_equal_their_original():
     L = make_group("G1")
     build_system(L, "bott", "codazzi")  # fills L.derived
     p = parse("a+b/2")
-    p.eval_at({"a": 1, "b": 1, "g": 0, "d": 0})  # builds the cleared form
+    p.eval_at({"a": 1, "b": 1, "g": 0, "d": 0})  # builds the kernel
     for original in (p, E1, L):
         for twin in (copy.copy(original), copy.deepcopy(original),
                      pickle.loads(pickle.dumps(original))):
             assert type(twin) is type(original) and twin == original
     assert copy.copy(p).eval_at({"a": 1, "b": 1, "g": 0, "d": 0}) == Fraction(3, 2)
+    big = parse(f"{BIG}*a^2*b-g^5*d/7+3")
+    pt = Point({"a": Fraction(-2, 3), "b": 5, "g": 0, "d": Fraction(10 ** 30, 7)})
+    value = big.eval_at(pt)
+    for twin in (copy.copy(big), copy.deepcopy(big), pickle.loads(pickle.dumps(big))):
+        assert twin == big and hash(twin) == hash(big) and twin.terms == big.terms
+        assert twin.eval_at(pt) == value and twin.vanishes_at(pt) is big.vanishes_at(pt) is False
