@@ -136,6 +136,15 @@ def _var_name(text: str, names: Mapping[str, Polynomial]) -> str:
     raise PolyError(f"not a parameter name: {quoted(text.strip())}")
 
 
+@cache
+def _family_poly(text: str, eta: Optional[int]) -> Polynomial:
+    """A formula of a data-file solution family on one branch:
+    parse(text, sign_names(eta)), once per text and eta, as _data_poly
+    reads the printed tables.  A text that does not parse raises on every
+    call, as @cache keeps no exception."""
+    return parse(text, sign_names(eta))
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
     """A partial parameter assignment cutting out a family of groups.
@@ -162,15 +171,12 @@ class SolutionFamily:
 
     @classmethod
     def from_spec(cls, spec: Mapping, eta: Optional[int] = None) -> "SolutionFamily":
-        """A family from its data-file form; h is the sign eta."""
-        names = sign_names(eta)
-
-        def value(text):
-            return parse(text, names)
-
-        assignment = {var: value(txt) for var, txt in spec.get("assign", {}).items()}
-        nonzero = tuple(value(t) for t in spec.get("require_nonzero", ()))
-        quads = tuple((value(l), value(r)) for l, r in spec.get("quadratic", ()))
+        """A family from its data-file form; h is the sign eta.  Each
+        formula is parsed once per text and eta (_family_poly)."""
+        assignment = {var: _family_poly(txt, eta) for var, txt in spec.get("assign", {}).items()}
+        nonzero = tuple(_family_poly(t, eta) for t in spec.get("require_nonzero", ()))
+        quads = tuple((_family_poly(l, eta), _family_poly(r, eta))
+                      for l, r in spec.get("quadratic", ()))
         return cls(assignment=assignment, extra_inequations=nonzero,
                    quadratic_relations=quads)
 
@@ -290,9 +296,12 @@ class Derivation:
     def quasistatistical(self) -> dict:
         out = {}
         for (x, y, j), f in self.codazzi.items():
-            tv = self.T.at(x, y)
-            pairing = sum((tv.c[k - 1] * self.omega.at(k, j) for k in (1, 2, 3)),
-                          Polynomial.zero())
+            # omega(T(e_x, e_y), e_j), skipping the products with a zero factor
+            pairing = Polynomial.zero()
+            for k, t in enumerate(self.T.at(x, y).c, start=1):
+                w = self.omega.at(k, j)
+                if t and w:
+                    pairing = pairing + t * w
             out[(x, y, j)] = f + pairing
         return out
 
@@ -713,11 +722,12 @@ def _rref(rows):
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
         pv = rows[lead][col]
-        rows[lead] = [x / pv for x in rows[lead]]
+        # a zero entry stays zero when scaled, and x - f*0 is x
+        rows[lead] = [x / pv if x else x for x in rows[lead]]
         for r in range(nrows):
             if r != lead and rows[r][col] != 0:
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[lead])]
+                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], rows[lead])]
         lead += 1
     return tuple(tuple(r) for r in rows if any(x != 0 for x in r))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
 
-from .poly import Point, Polynomial, Rational, parse
+from .poly import ZERO, Point, Polynomial, Rational, parse
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 METRIC_SIGNATURE = (1, 1, -1)
@@ -190,15 +190,20 @@ class LieAlgebra:
 
 
 def _bilinear(table, X: FrameVector, Y: FrameVector) -> FrameVector:
-    """sum_ij X^i Y^j table(i, j) over the nonzero components of X and Y."""
-    out = FrameVector.zero()
+    """sum_ij X^i Y^j table(i, j), component by component; a product
+    with a zero factor is skipped, so only nonzero terms are computed."""
+    out = [ZERO, ZERO, ZERO]
     for i, xi in enumerate(X.c, start=1):
-        if xi.is_zero():
+        if not xi:
             continue
         for j, yj in enumerate(Y.c, start=1):
-            if not yj.is_zero():
-                out = out + table(i, j).scale(xi * yj)
-    return out
+            if not yj:
+                continue
+            s = xi * yj
+            for m, t in enumerate(table(i, j).c):
+                if t:
+                    out[m] = out[m] + t * s
+    return FrameVector(*out)
 
 
 def bracket(L: LieAlgebra, X: FrameVector, Y: FrameVector) -> FrameVector:

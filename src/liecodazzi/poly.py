@@ -5,16 +5,21 @@ ASCII names a, b, g, d stand for the parameters alpha, beta, gamma,
 delta.  Polynomials are kept in canonical form at all times: a term map
 from exponent tuples to nonzero ``Fraction`` coefficients, so equality
 is dict equality and "is zero" is "map empty".  No floating point
-appears anywhere.  Evaluation is exact integer arithmetic: on its first
-evaluation a polynomial clears its denominators and compiles the
-integer form into one straight-line function of the point's numerators
-and denominators (its kernel), built from integer literals, ``+``,
-``-``, ``*`` and ``**`` alone.  A zero test (``vanishes_at``) is the
-kernel's value compared with 0 and builds no ``Fraction``; ``eval_at``
-divides the same value by the cleared denominator, for the values a
-report shows.  Polynomials are evaluated at a :class:`Point`, which
-keeps its coordinates as integer pairs; ``eval_at`` builds one from any
-other mapping.
+appears anywhere.  The ring operations merge term maps directly: a sum
+or difference copies the left operand's terms and inserts each term of
+the right one as it is (negated for a difference), and a product
+inserts c1*c2 for each new exponent tuple; coefficients are added only
+where two terms meet, and a sum that cancels is deleted.  p + 0, 0 + p
+and p - 0 return p itself, with no copy.  Evaluation is exact integer
+arithmetic: on its first evaluation a polynomial clears its
+denominators and compiles the integer form into one straight-line
+function of the point's numerators and denominators (its kernel), built
+from integer literals, ``+``, ``-``, ``*`` and ``**`` alone.  A zero
+test (``vanishes_at``) is the kernel's value compared with 0 and builds
+no ``Fraction``; ``eval_at`` divides the same value by the cleared
+denominator, for the values a report shows.  Polynomials are evaluated
+at a :class:`Point`, which keeps its coordinates as integer pairs;
+``eval_at`` builds one from any other mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -167,8 +172,8 @@ def _make_kernel(expression: str):
     """The function k(n0, d0, ..., n3, d3) returning expression.  Only
     Polynomial._compile calls it, with a sum of products of integer
     literals and those eight names; the function runs with no globals
-    and no builtins.  Equal polynomials built apart (an audit rebuilds
-    its families per branch) share one function."""
+    and no builtins.  Equal polynomials built apart (an audit builds
+    each family's conditions per branch) share one function."""
     namespace = {}
     exec(f"def k(n0, d0, n1, d1, n2, d2, n3, d3):\n    return {expression}\n",
          {"__builtins__": {}}, namespace)
@@ -196,8 +201,7 @@ class Polynomial:
                 if len(exps) != len(VARS) or any(e < 0 for e in exps):
                     raise PolyError(f"bad exponent tuple {exps!r}")
                 c = _as_fraction(coeff)
-                if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = clean[exps] + c if exps in clean else c
             clean = {e: c for e, c in clean.items() if c}
         object.__setattr__(self, "terms", clean)
 
@@ -235,13 +239,20 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         merged = dict(self.terms)
         for exps, c in other.terms.items():
-            s = merged.get(exps, Fraction(0)) + c
-            if s:
-                merged[exps] = s
+            if exps in merged:
+                s = merged[exps] + c
+                if s:
+                    merged[exps] = s
+                else:
+                    del merged[exps]
             else:
-                merged.pop(exps, None)
+                merged[exps] = c
         return _raw(merged)
 
     __radd__ = __add__
@@ -253,27 +264,43 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other.terms:
+            return self
+        merged = dict(self.terms)
+        for exps, c in other.terms.items():
+            if exps in merged:
+                s = merged[exps] - c
+                if s:
+                    merged[exps] = s
+                else:
+                    del merged[exps]
+            else:
+                merged[exps] = -c
+        return _raw(merged)
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         prod: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(x + y for x, y in zip(e1, e2))
-                s = prod.get(exps, Fraction(0)) + c1 * c2
-                if s:
-                    prod[exps] = s
+        right = other.terms.items()
+        for (x0, x1, x2, x3), c1 in self.terms.items():
+            for (y0, y1, y2, y3), c2 in right:
+                exps = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
+                if exps in prod:
+                    s = prod[exps] + c1 * c2
+                    if s:
+                        prod[exps] = s
+                    else:
+                        del prod[exps]
                 else:
-                    prod.pop(exps, None)
+                    prod[exps] = c1 * c2
         return _raw(prod)
 
     __rmul__ = __mul__
@@ -493,7 +520,8 @@ def _raw(terms: dict) -> Polynomial:
 
 
 def _coerce(x) -> "Polynomial":
-    if isinstance(x, Polynomial):
+    # type() first: nearly every operand is a Polynomial already
+    if type(x) is Polynomial or isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, Fraction)):
         return Polynomial.const(x)

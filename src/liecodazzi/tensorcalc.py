@@ -87,7 +87,8 @@ def symmetrize(rho: Tensor) -> Tensor:
 
 def cov_deriv_02(C: Connection, omega: Tensor) -> Tensor:
     """(nabla_{e_i} omega)(e_j, e_k) = -sum_m [G_ij^m omega(e_m, e_k) + G_ik^m omega(e_j, e_m)],
-    with G_ij^m component m of nabla_{e_i} e_j.
+    with G_ij^m component m of nabla_{e_i} e_j; a product with a zero
+    factor is skipped.
 
     The term e_i[omega(e_j, e_k)] is zero: omega has constant frame components.
     """
@@ -98,8 +99,10 @@ def cov_deriv_02(C: Connection, omega: Tensor) -> Tensor:
                 gij, gik = C.gamma[(i, j)].c, C.gamma[(i, k)].c
                 total = Polynomial.zero()
                 for m in (1, 2, 3):
-                    total = total + gij[m - 1] * omega.at(m, k) + gik[m - 1] * omega.at(j, m)
-                d[(i, j, k)] = -total
+                    for g, w in ((gij[m - 1], omega.at(m, k)), (gik[m - 1], omega.at(j, m))):
+                        if g and w:
+                            total = total - g * w
+                d[(i, j, k)] = total
     return Tensor(d)
 
 

@@ -80,6 +80,28 @@ def test_connection_request_derives_nothing_else(monkeypatch):
     assert len(curvatures) == 1
 
 
+def test_cold_derivation_multiplies_no_zero(monkeypatch):
+    # every product in the chain connection -> curvature -> Ricci -> nabla
+    # omega -> residual systems has two nonzero factors
+    liealg._symbolic_group.cache_clear()  # start from a cold store
+    operands = []
+    mul = Polynomial.__mul__
+
+    def recording(p, q):
+        operands.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording)
+    monkeypatch.setattr(Polynomial, "__rmul__", recording)
+    for L in all_groups():
+        for kind in KINDS:
+            d = derivation(L, kind)
+            for name in ("R", "rho", "omega", "D", "T", "codazzi", "quasistatistical"):
+                getattr(d, name)
+    assert operands
+    assert [(p, q) for p, q in operands if not p or not q] == []
+
+
 def test_compute_object_returns_fresh_dicts():
     L = make_group("G3")
     for kind in KINDS:

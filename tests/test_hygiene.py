@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is read,
 every private module-level definition of the package is read, zero tests
-go through vanishes_at, and the package runs generated code in one place."""
+go through vanishes_at, term merges seed no zero, and the package runs
+generated code in one place."""
 
 import ast
 import pathlib
@@ -136,6 +137,46 @@ def test_scan_finds_zero_tests_through_eval_at():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_zero_tests_go_through_vanishes_at(path):
     assert zero_tests_through_eval_at(path.read_text(encoding="utf-8")) == []
+
+
+def zero_seeded_merges(source: str) -> list:
+    """Lines where a .get(key, zero) lookup is an operand of arithmetic: a
+    term merge that seeds each new entry with a built zero (Fraction(0),
+    Fraction() or 0) and adds to it.  The ring operations insert a new
+    coefficient as it is and add only when two terms meet."""
+
+    def is_zero(node):
+        if isinstance(node, ast.Constant):
+            return node.value == 0 and not isinstance(node.value, bool)
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction" and not node.keywords
+                and len(node.args) <= 1 and all(map(is_zero, node.args)))
+
+    def is_seeded_get(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and len(node.args) == 2
+                and is_zero(node.args[1]))
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp)
+                  and (is_seeded_get(node.left) or is_seeded_get(node.right)))
+
+
+def test_scan_finds_zero_seeded_merges():
+    source = ("s = merged.get(exps, Fraction(0)) + c\n"
+              "t = c1 * c2 + prod.get(exps, Fraction())\n"
+              "u = terms.get(e, 0) - c\n"
+              "v = terms.get(e, Fraction(0))\n"
+              "w = terms.get(e, Fraction(1)) + c\n"
+              "x = terms.get(e) + c\n"
+              "y = [p.terms.get(m, Fraction(0)) for m in monos]\n"
+              "z = merged[exps] + c if exps in merged else c\n")
+    assert zero_seeded_merges(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_ring_merges_seed_no_zero(path):
+    assert zero_seeded_merges(path.read_text(encoding="utf-8")) == []
 
 
 def dynamic_code_calls(source: str) -> list:

@@ -8,7 +8,7 @@ import pytest
 from conftest import all_groups, random_poly
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
-    SamplerStarvation, _rand_pair, _raw_algebra, abelian, bracket, jacobi_check,
+    SamplerStarvation, _bilinear, _rand_pair, _raw_algebra, abelian, bracket, jacobi_check,
     make_group, metric, sample_constraint_point,
 )
 from liecodazzi.poly import VARS, Point, Polynomial, PolyError, parse
@@ -135,6 +135,28 @@ def test_bracket_bilinearity():
     Y = FrameVector(random_poly(rng), random_poly(rng), random_poly(rng))
     Z = FrameVector(random_poly(rng), random_poly(rng), random_poly(rng))
     assert bracket(L, X + Y, Z) == bracket(L, X, Z) + bracket(L, Y, Z)
+
+
+def sparse_vector(rng):
+    """A FrameVector of random polynomials, each component zero with
+    probability 1/2."""
+    return FrameVector(*(random_poly(rng) if rng.random() < 0.5 else 0 for _ in range(3)))
+
+
+def test_bilinear_matches_the_plain_double_sum():
+    rng = random.Random(203)
+    for _ in range(50):
+        table = {(i, j): sparse_vector(rng) for i in (1, 2, 3) for j in (1, 2, 3)}
+        X, Y = sparse_vector(rng), sparse_vector(rng)
+        # sum_ij X^i Y^j table(i, j) over every (i, j), zeros included
+        plain = [Polynomial.zero()] * 3
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                for m in range(3):
+                    plain[m] = plain[m] + X.c[i - 1] * Y.c[j - 1] * table[i, j].c[m]
+        out = _bilinear(lambda i, j: table[i, j], X, Y)
+        assert out == FrameVector(*plain)
+        assert all(all(c != 0 for c in comp.terms.values()) for comp in out.c)
 
 
 # -- metric ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import copy
 import inspect
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -18,12 +19,33 @@ from liecodazzi.poly import (
 )
 
 
-def merge_oracle(p, q):
-    """Independent addition oracle: merge raw term maps, drop zeros."""
+def merge_oracle(p, q, sign=1):
+    """Independent addition oracle (subtraction with sign=-1): merge raw
+    term maps, drop zeros."""
     merged = dict(p.terms)
     for exps, c in q.terms.items():
-        merged[exps] = merged.get(exps, Fraction(0)) + c
+        merged[exps] = merged.get(exps, Fraction(0)) + sign * c
     return {e: c for e, c in merged.items() if c != 0}
+
+
+def product_oracle(p, q):
+    """Independent multiplication oracle: every pair of terms, summed per
+    exponent tuple, zeros dropped."""
+    prod = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            prod[exps] = prod.get(exps, Fraction(0)) + c1 * c2
+    return {e: c for e, c in prod.items() if c != 0}
+
+
+def checked_op(op, p, q):
+    """op(p, q), asserted canonical and leaving both operands' terms as they were."""
+    before = (dict(p.terms), dict(q.terms))
+    out = op(p, q)
+    assert_canonical(out)
+    assert (p.terms, q.terms) == before
+    return out
 
 
 def assert_canonical(p):
@@ -47,7 +69,18 @@ def test_add_matches_term_merge_oracle():
     rng = random.Random(101)
     for _ in range(100):
         p, q = random_poly(rng), random_poly(rng)
-        assert (p + q).terms == merge_oracle(p, q)
+        assert checked_op(operator.add, p, q).terms == merge_oracle(p, q)
+
+
+def test_sub_matches_term_merge_oracle():
+    rng = random.Random(109)
+    for _ in range(200):
+        p, q = random_poly(rng), random_poly(rng)
+        assert checked_op(operator.sub, p, q).terms == merge_oracle(p, q, sign=-1)
+        # q shares p's monomials, so whole terms cancel
+        shared = p + q
+        assert checked_op(operator.sub, shared, p).terms == merge_oracle(shared, p, sign=-1)
+        assert checked_op(operator.sub, p, p).terms == {}
 
 
 # -- mul ---------------------------------------------------------------
@@ -59,6 +92,22 @@ def test_mul_variable_square():
 
 def test_mul_annihilator():
     assert ((A + D) * ZERO).is_zero()
+
+
+def test_mul_matches_product_oracle_on_cancelling_products():
+    rng = random.Random(110)
+    for _ in range(100):
+        p, q = random_poly(rng), random_poly(rng)
+        assert checked_op(operator.mul, p, q).terms == product_oracle(p, q)
+        # (p+q)(p-q): the cross terms pq and -qp cancel
+        s, d = p + q, p - q
+        assert checked_op(operator.mul, s, d).terms == product_oracle(s, d)
+        assert s * d == p * p - q * q
+        # p(q - q) and (p - p)q: products of a zero
+        assert checked_op(operator.mul, p, q - q).terms == {}
+        assert checked_op(operator.mul, p - p, q).terms == {}
+    # terms that cancel inside one product: (a - b)(a + b)(a^2 + b^2) = a^4 - b^4
+    assert checked_op(operator.mul, (A - B) * (A + B), A ** 2 + B ** 2) == A ** 4 - B ** 4
 
 
 def test_mul_matches_evaluation_oracle():
