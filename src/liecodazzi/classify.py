@@ -19,9 +19,9 @@ Each published verdict is decided one way: recompute the solution set
 of the case (holds-always, holds-on-family on the row's families F,
 never-holds, or a difference naming its evidence), then compare it with
 the print; a mismatch is a paper-discrepancy carrying both claims.
-The transcribed tables are read with poly.parse and the name table of
-their branch (table_names: the sign h and the abbreviations m1..m3,
-n1..n3); solution text knows the sign h only.
+The transcribed tables and families are read with poly.parse and the
+name table of their branch (table_names: the sign h and the
+abbreviations m1..m3, n1..n3); --solution text knows the sign h only.
 """
 
 import dataclasses
@@ -46,7 +46,7 @@ from .liealg import (
     sample_constraint_point,
     sign_names,
 )
-from .connection import Connection, display_name, make_connection
+from .connection import Connection, display_name, make_connection, resolve_kind
 from .tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 __all__ = [
@@ -105,6 +105,15 @@ def table_names(eta: Optional[int]) -> Mapping[str, Polynomial]:
     return MappingProxyType(names)
 
 
+@cache
+def _data_poly(text: str, eta: Optional[int]) -> Polynomial:
+    """A formula of the data files on one branch: parse(text,
+    table_names(eta)), once per text and eta; tables, systems and families
+    share the immutable result.  A text that does not parse raises on
+    every call, as @cache keeps no exception."""
+    return parse(text, table_names(eta))
+
+
 def _key_text(key: tuple) -> str:
     """An index tuple spelled as in the data files and reports: "x,y,j"."""
     return ",".join(map(str, key))
@@ -136,15 +145,6 @@ def _var_name(text: str, names: Mapping[str, Polynomial]) -> str:
     raise PolyError(f"not a parameter name: {quoted(text.strip())}")
 
 
-@cache
-def _family_poly(text: str, eta: Optional[int]) -> Polynomial:
-    """A formula of a data-file solution family on one branch:
-    parse(text, sign_names(eta)), once per text and eta, as _data_poly
-    reads the printed tables.  A text that does not parse raises on every
-    call, as @cache keeps no exception."""
-    return parse(text, sign_names(eta))
-
-
 @dataclass(frozen=True)
 class SolutionFamily:
     """A partial parameter assignment cutting out a family of groups.
@@ -171,11 +171,11 @@ class SolutionFamily:
 
     @classmethod
     def from_spec(cls, spec: Mapping, eta: Optional[int] = None) -> "SolutionFamily":
-        """A family from its data-file form; h is the sign eta.  Each
-        formula is parsed once per text and eta (_family_poly)."""
-        assignment = {var: _family_poly(txt, eta) for var, txt in spec.get("assign", {}).items()}
-        nonzero = tuple(_family_poly(t, eta) for t in spec.get("require_nonzero", ()))
-        quads = tuple((_family_poly(l, eta), _family_poly(r, eta))
+        """A family from its data-file form; each formula is read once per
+        text and eta by _data_poly, as the printed tables are."""
+        assignment = {var: _data_poly(txt, eta) for var, txt in spec.get("assign", {}).items()}
+        nonzero = tuple(_data_poly(t, eta) for t in spec.get("require_nonzero", ()))
+        quads = tuple((_data_poly(l, eta), _data_poly(r, eta))
                       for l, r in spec.get("quadratic", ()))
         return cls(assignment=assignment, extra_inequations=nonzero,
                    quadratic_relations=quads)
@@ -307,13 +307,16 @@ class Derivation:
 
 
 def derivation(L: LieAlgebra, kind: str) -> Derivation:
-    """The Derivation of a connection on L, kept in L.derived and keyed
-    by the content of the connection table."""
-    C = make_connection(L, kind)
-    key = ("table", tuple(C.gamma[(i, j)] for i in (1, 2, 3) for j in (1, 2, 3)))
+    """The Derivation of a connection on L, kept in L.derived under
+    ("derivation", kind id).  On the first request for a kind it reuses a
+    Derivation already on L whose connection has the same table."""
+    key = ("derivation", resolve_kind(kind))
     d = L.derived.get(key)
     if d is None:
-        d = L.derived[key] = Derivation(C)
+        C = make_connection(L, kind)
+        same = [v for v in L.derived.values()
+                if isinstance(v, Derivation) and v.C.gamma == C.gamma]
+        d = L.derived[key] = same[0] if same else Derivation(C)
     return d
 
 
@@ -576,14 +579,6 @@ class _Published:
 
     def branches(self) -> tuple:
         return branches(self.family)
-
-
-@cache
-def _data_poly(text: str, eta: Optional[int]) -> Polynomial:
-    """A formula of the data files on one branch: parse(text,
-    table_names(eta)), once per text and eta.  Polynomials are immutable,
-    so the printed tables and systems share the result."""
-    return parse(text, table_names(eta))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ onto D_perp for j = 3.  All three keep pi_j(Gamma_ij) where e_i and e_j
 lie in the same block and differ only across the blocks (_projection).
 
 They take the Levi-Civita connection of their group (the group is
-lc.algebra), so make_connection builds Levi-Civita once per group.  A
+lc.algebra), so make_connection builds Levi-Civita once per group and
+keeps each connection in L.derived under ("connection", kind).  A
 connection kind has one internal id (KINDS), a set of command-line
 aliases resolved by resolve_kind, and a display name, the id with "_"
 spelled "-" (display_name).

@@ -156,9 +156,10 @@ class LieAlgebra:
     brackets: Mapping[tuple, FrameVector]
     constraints: ConstraintSet
     params: Optional[Point] = None
-    # connections and the objects derived from them, filled on first
-    # request by connection.make_connection and classify.derivation; they
-    # live and die with the group and are shared, so treat them as read-only
+    # ("connection", kind) -> Connection and ("derivation", kind) ->
+    # Derivation, filled on first request by connection.make_connection and
+    # classify.derivation; they live and die with the group and are shared,
+    # so treat them as read-only
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bracket_basis(self, i: int, j: int) -> FrameVector:
@@ -375,10 +376,9 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
 @dataclass
 class JacobiReport:
     passed: bool
-    points_checked: int
     # symbolic residuals that are not identically zero, keyed by basis triple
     symbolic_residuals: dict = field(default_factory=dict)
-    # triple -> point at which a residual failed to vanish (never for G1..G7)
+    # triple -> first nonzero remainder of its residual modulo the equalities
     failures: dict = field(default_factory=dict)
 
 
@@ -386,12 +386,13 @@ def jacobi_check(L: LieAlgebra, points: int = 25, seed: int = 0) -> JacobiReport
     """Check [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] = 0 on all basis triples.
 
     Residuals that are not identically zero (possible only with equality
-    constraints) must vanish exactly at `points` random points on the
-    constraint variety; points must be a positive integer.
+    constraints) must reduce to 0 modulo the equalities, divided by each in
+    turn as in check_on_family; no point is drawn, so seed changes nothing.
+    points must be a positive integer.
     """
     if not isinstance(points, int) or isinstance(points, bool) or points < 1:
         raise ValueError("points must be a positive integer")
-    residuals = {}
+    residuals, failures = {}, {}
     for i in range(1, 4):
         for j in range(1, 4):
             for k in range(1, 4):
@@ -399,16 +400,14 @@ def jacobi_check(L: LieAlgebra, points: int = 25, seed: int = 0) -> JacobiReport
                 r = (bracket(L, X, bracket(L, Y, Z))
                      + bracket(L, Y, bracket(L, Z, X))
                      + bracket(L, Z, bracket(L, X, Y)))
-                if not r.is_zero():
-                    residuals[(i, j, k)] = r
-    if not residuals:
-        return JacobiReport(passed=True, points_checked=0)
-    rng = random.Random(seed)
-    failures = {}
-    for n in range(points):
-        pt = sample_constraint_point(L, rng)
-        for triple, r in residuals.items():
-            if not all(comp.vanishes_at(pt) for comp in r.c):
-                failures[triple] = pt
-    return JacobiReport(passed=not failures, points_checked=points,
-                        symbolic_residuals=residuals, failures=failures)
+                if r.is_zero():
+                    continue
+                residuals[(i, j, k)] = r
+                for comp in r.c:
+                    for divisor in L.constraints.equalities:
+                        comp = comp.remainder(divisor)
+                    if comp:
+                        failures[(i, j, k)] = comp
+                        break
+    return JacobiReport(passed=not failures, symbolic_residuals=residuals,
+                        failures=failures)

@@ -387,9 +387,9 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        # a constant equals its value (see __eq__), so it hashes as that
-        # value; tested by length first, as hash(Fraction) is slow and most
-        # polynomials hashed (connection table keys) are 0
+        # a constant, 0 included, equals its value (see __eq__), so it hashes
+        # as that value: 3 in {Polynomial.const(3)} depends on it; no engine
+        # store is keyed by polynomials, only callers' sets and dicts are
         terms = self.terms
         if not terms:
             return hash(0)

@@ -306,7 +306,7 @@ def test_criterion_6_structural_identities_hold():
 
     groups = all_groups()
 
-    # bracket antisymmetry on the frame, Jacobi on 25 sampled points
+    # bracket antisymmetry on the frame, Jacobi exactly modulo the equalities
     for L in groups:
         for i in (1, 2, 3):
             assert bracket(L, BASIS[i - 1], BASIS[i - 1]).is_zero()

@@ -178,6 +178,19 @@ def test_from_spec_resolves_eta():
     assert fam.assignment["b"] == parse("a/2-1")
 
 
+def test_families_and_printed_systems_share_one_formula_cache():
+    # a data-file text is parsed once per (text, eta), whichever reader asks
+    system = next(s for s in load_printed_systems() if s.id == "(2.34)")
+    for eta in (1, -1):
+        for pos, printed in system.materialize(eta):
+            text = system.equations[pos - 1]
+            fam = SolutionFamily.from_spec({"require_nonzero": [text]}, eta)
+            assert fam.extra_inequations[0] is printed, (eta, text)
+    # so family texts may use the table shorthand too
+    fam = SolutionFamily.from_spec({"assign": {"d": "n3"}}, eta=-1)
+    assert fam.assignment["d"] == parse("a/2-1")
+
+
 def test_contains_checks_all_conditions():
     fam = SolutionFamily.from_text("a=0,g!=0")
     point = {"a": 0, "b": 3, "g": 1, "d": 0}

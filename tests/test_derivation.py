@@ -80,6 +80,23 @@ def test_connection_request_derives_nothing_else(monkeypatch):
     assert len(curvatures) == 1
 
 
+def test_warm_requests_hash_no_polynomial(monkeypatch):
+    # the store is keyed by kind, so a second round of requests looks up
+    # the same Derivation without hashing the connection table
+    liealg._symbolic_group.cache_clear()  # start from a cold store
+    L = make_group("G2")
+    cold = {kind: derivation(L, kind) for kind in KINDS}
+    for kind in KINDS:
+        for structure in STRUCTURES:
+            build_system(L, kind, structure)
+    hashes = counting(monkeypatch, Polynomial, "__hash__")
+    for kind in KINDS:
+        assert derivation(L, kind) is cold[kind]
+        for structure in STRUCTURES:
+            build_system(L, kind, structure)
+    assert hashes == []
+
+
 def test_cold_derivation_multiplies_no_zero(monkeypatch):
     # every product in the chain connection -> curvature -> Ricci -> nabla
     # omega -> residual systems has two nonzero factors

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the package and the tests is read,
 every private module-level definition of the package is read, zero tests
-go through vanishes_at, term merges seed no zero, and the package runs
-generated code in one place."""
+go through vanishes_at, term merges seed no zero, the package runs
+generated code in one place, and only the sampling entry points build a
+random generator."""
 
 import ast
 import pathlib
@@ -179,9 +180,9 @@ def test_ring_merges_seed_no_zero(path):
     assert zero_seeded_merges(path.read_text(encoding="utf-8")) == []
 
 
-def dynamic_code_calls(source: str) -> list:
-    """Calls of eval, exec or compile by name, as (line, enclosing
-    function or None, name)."""
+def calls_named(source: str, name_of) -> list:
+    """Calls whose callee name_of(func node) names, as (line, enclosing
+    function or None, name); name_of returns None for any other call."""
     calls = []
 
     def visit(node, function):
@@ -189,13 +190,19 @@ def dynamic_code_calls(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("eval", "exec", "compile")):
-                calls.append((child.lineno, function, child.func.id))
+            if isinstance(child, ast.Call) and name_of(child.func):
+                calls.append((child.lineno, function, name_of(child.func)))
             visit(child, function)
 
     visit(ast.parse(source), None)
     return sorted(calls)
+
+
+def dynamic_code_calls(source: str) -> list:
+    """Calls of eval, exec or compile by name, as (line, enclosing
+    function or None, name)."""
+    return calls_named(source, lambda f: f.id if isinstance(f, ast.Name)
+                       and f.id in ("eval", "exec", "compile") else None)
 
 
 def test_scan_finds_dynamic_code_calls():
@@ -210,3 +217,32 @@ def test_generated_code_runs_only_in_the_kernel_builder():
     calls = [(path.name, function, name) for path in PACKAGE
              for _, function, name in dynamic_code_calls(path.read_text(encoding="utf-8"))]
     assert calls == [("poly.py", "_make_kernel", "exec")]
+
+
+def rng_constructions(source: str) -> list:
+    """Calls of random.Random or a bare Random, as (line, enclosing
+    function or None, name)."""
+
+    def name_of(f):
+        if (isinstance(f, ast.Attribute) and f.attr == "Random"
+                and isinstance(f.value, ast.Name) and f.value.id == "random"):
+            return "random.Random"
+        return "Random" if isinstance(f, ast.Name) and f.id == "Random" else None
+
+    return calls_named(source, name_of)
+
+
+def test_scan_finds_rng_constructions():
+    source = ("import random\nfrom random import Random\n"
+              "def draw(seed, rng: random.Random):\n    return random.Random(seed)\n"
+              "def other():\n    x = Random(1)\n    return rng.random()\n"
+              "RNG = random.Random(0)\nrandom.seed(3)\n")
+    assert rng_constructions(source) == [(4, "draw", "random.Random"), (6, "other", "Random"),
+                                         (8, None, "random.Random")]
+
+
+def test_only_the_sampling_entry_points_build_a_generator():
+    # every other verdict is exact; seeded draws start in these two places
+    calls = [(path.name, function) for path in PACKAGE
+             for _, function, _ in rng_constructions(path.read_text(encoding="utf-8"))]
+    assert calls == [("classify.py", "sample_necessity"), ("classify.py", "_audit_branch")]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_groups, random_poly
+from liecodazzi import liealg
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
     SamplerStarvation, _bilinear, _rand_pair, _raw_algebra, abelian, bracket, jacobi_check,
@@ -281,7 +282,6 @@ def test_jacobi_g1_identically_zero():
     report = jacobi_check(make_group("G1"))
     assert report.passed
     assert report.symbolic_residuals == {}
-    assert report.points_checked == 0
 
 
 def test_jacobi_g6_holds_on_variety():
@@ -316,6 +316,48 @@ def test_jacobi_abelian():
     report = jacobi_check(abelian())
     assert report.passed
     assert report.symbolic_residuals == {}
+
+
+A = Polynomial.var("a")
+
+
+def off_grid_table():
+    """A non-Lie table whose equality a = 11 no sampled point meets: draws
+    are n/m with |n| <= 10 and 1 <= m <= 10."""
+    return _raw_algebra(FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero(),
+                        ConstraintSet(equalities=(parse("a-11"),)))
+
+
+def test_jacobi_decides_where_the_sampler_starves():
+    bad = off_grid_table()
+    with pytest.raises(SamplerStarvation):
+        sample_constraint_point(bad, random.Random(1))
+    report = jacobi_check(bad, points=25, seed=1)
+    assert not report.passed
+    # each residual is +-a^2 e2, which is +-121 modulo a - 11
+    assert report.failures.keys() == report.symbolic_residuals.keys()
+    remainders = list(report.failures.values())
+    assert remainders.count(121) == remainders.count(-121) == 3
+
+
+def test_jacobi_passes_residuals_in_the_equalities():
+    # not a Lie algebra for a != 0, but every residual lies in <a>
+    L = _raw_algebra(FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero(),
+                     ConstraintSet(equalities=(A,)))
+    report = jacobi_check(L)
+    assert report.passed and report.failures == {}
+    assert report.symbolic_residuals
+    assert all(r in (FrameVector(0, A * A, 0), FrameVector(0, -A * A, 0))
+               for r in report.symbolic_residuals.values())
+
+
+def test_jacobi_draws_no_point(monkeypatch):
+    def no_draw(L, rng):
+        raise AssertionError("jacobi_check drew a point")
+
+    monkeypatch.setattr(liealg, "sample_constraint_point", no_draw)
+    for L in all_groups() + [abelian(), off_grid_table()]:
+        assert jacobi_check(L, seed=0) == jacobi_check(L, seed=1), L.label()
 
 
 def test_family_json_shape():
