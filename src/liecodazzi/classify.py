@@ -255,20 +255,21 @@ class SolutionFamily:
 class Derivation:
     """The objects derived from one connection table, each built on first use.
 
-    C is the connection, R its curvature, rho its Ricci tensor, omega the
+    R is the curvature of the connection, rho its Ricci tensor, omega the
     symmetrized Ricci tensor, D = nabla omega and T the torsion; codazzi
     and quasistatistical are the two residual systems.  Connections with
     the same table share one Derivation (Bott and Kobayashi-Nomizu
-    coincide on G1..G7), and every consumer reads the same objects, so
-    treat them as read-only.
+    coincide on G1..G7), so the connection itself stays private: its kind
+    is whichever was requested first.  Every consumer reads the same
+    objects, so treat them as read-only.
     """
 
     def __init__(self, C: Connection):
-        self.C = C
+        self._C = C
 
     @cached_property
     def R(self):
-        return curvature(self.C)
+        return curvature(self._C)
 
     @cached_property
     def rho(self):
@@ -280,11 +281,11 @@ class Derivation:
 
     @cached_property
     def D(self):
-        return cov_deriv_02(self.C, self.omega)
+        return cov_deriv_02(self._C, self.omega)
 
     @cached_property
     def T(self):
-        return torsion(self.C)
+        return torsion(self._C)
 
     @cached_property
     def codazzi(self) -> dict:
@@ -315,7 +316,7 @@ def derivation(L: LieAlgebra, kind: str) -> Derivation:
     if d is None:
         C = make_connection(L, kind)
         same = [v for v in L.derived.values()
-                if isinstance(v, Derivation) and v.C.gamma == C.gamma]
+                if isinstance(v, Derivation) and v._C.gamma == C.gamma]
         d = L.derived[key] = same[0] if same else Derivation(C)
     return d
 
@@ -385,8 +386,8 @@ def check_on_family(system: PolySystem, family: SolutionFamily) -> CheckResult:
 
     The divisors are the group's equalities and the family's relations
     lhs - rhs, substituted by the assignment; an inequation or residual
-    is substituted, then divided by each divisor in turn, and the
-    remainder is what is left of it on the family.  Raises
+    is substituted, then reduced by Polynomial.remainder(*divisors), and
+    the remainder is what is left of it on the family.  Raises
     ConstraintViolation when an equality or relation substitutes to a
     nonzero constant, or an inequation reduces to zero."""
     L = system.algebra
@@ -397,19 +398,12 @@ def check_on_family(system: PolySystem, family: SolutionFamily) -> CheckResult:
             raise ConstraintViolation(rel, "equality")
         if r:
             divisors.append(r)
-
-    def remainder(p):
-        p = p.substitute(family.assignment)
-        for divisor in divisors:
-            p = p.remainder(divisor)
-        return p
-
     for q in L.constraints.inequations + family.extra_inequations:
-        if not remainder(q):
+        if not q.substitute(family.assignment).remainder(*divisors):
             raise ConstraintViolation(q, "inequation")
     residuals = {}
     for key, p in system.entries.items():
-        r = remainder(p)
+        r = p.substitute(family.assignment).remainder(*divisors)
         if r:
             residuals[key] = r
     return CheckResult(holds=not residuals, residuals=residuals)
@@ -823,14 +817,16 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
     """Recompute one branch's solution set, then compare it with the print.
 
     F is the row's recomputed families, else its printed ones.  A trivial
-    system holds always, with no sampling.  Otherwise every family in F is
-    checked, up to 25 member points of each family without a quadratic
-    relation are evaluated, and one necessity sample is drawn outside F;
-    the recomputed status is holds-on-family on a nonempty clean F,
-    never-holds on an empty F when no sampled point satisfies the system,
-    and otherwise a difference that names its evidence.  The verdict is
-    that status when it equals the printed claim, else a paper-discrepancy
-    carrying both."""
+    system holds always, with no sampling.  Otherwise check_on_family
+    decides each family in F exactly, once, and one necessity sample is
+    drawn outside F; the recomputed status is holds-on-family on a
+    nonempty F where every check holds, never-holds on an empty F when no
+    sampled point satisfies the system, and otherwise a difference that
+    names its evidence.  The witness of a holding verdict is one member
+    point of the first holding family without a quadratic relation; a
+    difference shows the necessity counterexample, or none.  The verdict
+    is that status when it equals the printed claim, else a
+    paper-discrepancy carrying both."""
     system = build_system(L, claim.connection, claim.structure)
     eta = L.eta
     shown = tuple(SolutionFamily.from_spec(s, eta) for s in claim.families)
@@ -839,45 +835,31 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
     desc = tuple(f.describe() for f in fams)
     printed = {"always": "holds-always", "never": "never-holds"}.get(
         claim.status, "holds-on-family: " + " | ".join(f.describe() for f in shown))
-    witness = values = None
+    witness = None
     if system.is_trivial():
         recomputed, explanation = "holds-always", "all nine residuals vanish identically"
     else:
         evidence = []
+        rng = random.Random(seed ^ 0x5EED)
         for fam in fams:
             res = check_on_family(system, fam)
-            if not res.holds and not evidence:
-                key = min(res.residuals)
-                evidence.append(f"on [{fam.describe()}] residual ({_key_text(key)}) = "
-                            f"{res.residuals[key].text()}")
-        rng = random.Random(seed ^ 0x5EED)
-        bad_member = None
-        for fam in fams:
-            if fam.quadratic_relations:
-                continue  # no rational parametrization to sample
-            for _ in range(25):
-                pt = sample_family_member(L, fam, rng)
-                if not all(p.vanishes_at(pt) for p in system.entries.values()):
-                    if bad_member is None:
-                        bad_member = (fam, pt, _eval_all(system, pt))
-                    break
-                if witness is None:
-                    witness, values = pt, _eval_all(system, pt)
+            if not res.holds:
+                if not evidence:
+                    key = min(res.residuals)
+                    evidence.append(f"on [{fam.describe()}] residual ({_key_text(key)}) = "
+                                    f"{res.residuals[key].text()}")
+            elif witness is None and not fam.quadratic_relations:
+                # a family with a relation has no rational parametrization to sample
+                witness = sample_family_member(L, fam, rng)
         report = sample_necessity(system, fams, trials, seed)
         cx = report.counterexample
-        if bad_member:
-            fam, pt, pv = bad_member
-            key = next(k for k, v in sorted(pv.items()) if v)
-            evidence.append(f"member point of [{fam.describe()}] gives "
-                        f"f({_key_text(key)}) = {pv[key]}")
         if cx is not None:
             evidence.append("system holds " + ("outside the families " if fams else "")
-                        + "at " + cx.text())
+                            + "at " + cx.text())
         if evidence:
             recomputed = "solution set differs: " + "; ".join(evidence)
             explanation = "; ".join(evidence)
-            witness = cx if cx is not None else bad_member[1] if bad_member else None
-            values = None if witness is None else _eval_all(system, witness)
+            witness = cx
         elif not fams:
             recomputed = "never-holds"
             witness, values = report.witness, report.witness_residuals
@@ -901,7 +883,7 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
         status=recomputed.partition(":")[0] if recomputed == printed
         else "paper-discrepancy",
         families_desc=desc, witness=witness,
-        residuals=values,
+        residuals=None if witness is None else _eval_all(system, witness),
         explanation=explanation, paper_claim=printed, recomputed_claim=recomputed)
 
 

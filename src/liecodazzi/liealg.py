@@ -382,16 +382,13 @@ class JacobiReport:
     failures: dict = field(default_factory=dict)
 
 
-def jacobi_check(L: LieAlgebra, points: int = 25, seed: int = 0) -> JacobiReport:
+def jacobi_check(L: LieAlgebra) -> JacobiReport:
     """Check [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] = 0 on all basis triples.
 
     Residuals that are not identically zero (possible only with equality
-    constraints) must reduce to 0 modulo the equalities, divided by each in
-    turn as in check_on_family; no point is drawn, so seed changes nothing.
-    points must be a positive integer.
+    constraints) must reduce to 0 modulo the equalities, through
+    Polynomial.remainder as in check_on_family; no point is drawn.
     """
-    if not isinstance(points, int) or isinstance(points, bool) or points < 1:
-        raise ValueError("points must be a positive integer")
     residuals, failures = {}, {}
     for i in range(1, 4):
         for j in range(1, 4):
@@ -404,8 +401,7 @@ def jacobi_check(L: LieAlgebra, points: int = 25, seed: int = 0) -> JacobiReport
                     continue
                 residuals[(i, j, k)] = r
                 for comp in r.c:
-                    for divisor in L.constraints.equalities:
-                        comp = comp.remainder(divisor)
+                    comp = comp.remainder(*L.constraints.equalities)
                     if comp:
                         failures[(i, j, k)] = comp
                         break

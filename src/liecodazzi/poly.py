@@ -363,22 +363,25 @@ class Polynomial:
         lc = self.leading_coeff()
         return self.scale(1 / lc) if lc else self
 
-    def remainder(self, divisor: "Polynomial") -> "Polynomial":
-        """self minus a multiple of divisor, with no term a multiple of the
-        divisor's graded-lex leading term; a zero divisor leaves self.
-        Each step cancels the largest such term and brings in smaller
-        ones, and the order is a well-order, so the loop ends."""
-        if not divisor.terms:
-            return self
-        lead = divisor._lead()
+    def remainder(self, *divisors: "Polynomial") -> "Polynomial":
+        """self reduced by each divisor in turn, in the given order: minus
+        a multiple of the divisor, with no term a multiple of its graded-lex
+        leading term.  A zero divisor, or none at all, leaves the
+        polynomial.  Each step cancels the largest such term and brings in
+        smaller ones, and the order is a well-order, so each loop ends."""
         p = self
-        while True:
-            hits = [e for e in p.terms if all(map(ge, e, lead))]
-            if not hits:
-                return p
-            top = max(hits, key=_term_key)
-            quotient = _raw({tuple(map(sub, top, lead)): p.terms[top] / divisor.terms[lead]})
-            p = p - quotient * divisor
+        for divisor in divisors:
+            if not divisor.terms:
+                continue
+            lead = divisor._lead()
+            while True:
+                hits = [e for e in p.terms if all(map(ge, e, lead))]
+                if not hits:
+                    break
+                top = max(hits, key=_term_key)
+                quotient = _raw({tuple(map(sub, top, lead)): p.terms[top] / divisor.terms[lead]})
+                p = p - quotient * divisor
+        return p
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

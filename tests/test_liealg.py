@@ -274,7 +274,7 @@ def test_constraint_points_repeat_the_reference_sampler():
 
 def test_jacobi_all_families():
     for L in all_groups():
-        report = jacobi_check(L, points=25, seed=1)
+        report = jacobi_check(L)
         assert report.passed, (L.label(), report.symbolic_residuals)
 
 
@@ -289,25 +289,16 @@ def test_jacobi_g6_holds_on_variety():
     # a*g-b*d=0 is a classification side condition, not a Jacobi
     # consequence.  The check still passes on the constraint variety.
     L = make_group("G6")
-    report = jacobi_check(L, points=25, seed=2)
+    report = jacobi_check(L)
     assert report.passed
     assert report.symbolic_residuals == {}
-
-
-def test_jacobi_rejects_fewer_than_one_point():
-    # with no point checked, a table with residuals would pass unchecked
-    bad = _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector.zero())
-    for L in (bad, make_group("G6")):
-        for points in (0, -3, 2.5, True):
-            with pytest.raises(ValueError, match="points must be a positive integer"):
-                jacobi_check(L, points=points)
 
 
 def test_jacobi_detects_broken_structure():
     # a deliberately non-Lie bracket table must fail
     bad = _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0),
                        FrameVector.zero())
-    report = jacobi_check(bad, points=5, seed=3)
+    report = jacobi_check(bad)
     assert report.symbolic_residuals
     assert not report.passed
 
@@ -332,7 +323,7 @@ def test_jacobi_decides_where_the_sampler_starves():
     bad = off_grid_table()
     with pytest.raises(SamplerStarvation):
         sample_constraint_point(bad, random.Random(1))
-    report = jacobi_check(bad, points=25, seed=1)
+    report = jacobi_check(bad)
     assert not report.passed
     # each residual is +-a^2 e2, which is +-121 modulo a - 11
     assert report.failures.keys() == report.symbolic_residuals.keys()
@@ -356,8 +347,9 @@ def test_jacobi_draws_no_point(monkeypatch):
         raise AssertionError("jacobi_check drew a point")
 
     monkeypatch.setattr(liealg, "sample_constraint_point", no_draw)
-    for L in all_groups() + [abelian(), off_grid_table()]:
-        assert jacobi_check(L, seed=0) == jacobi_check(L, seed=1), L.label()
+    for L in all_groups() + [abelian()]:
+        assert jacobi_check(L).passed, L.label()
+    assert not jacobi_check(off_grid_table()).passed
 
 
 def test_family_json_shape():

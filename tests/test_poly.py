@@ -692,6 +692,14 @@ def test_remainder_by_zero_constant_and_monomial_divisors():
     assert ZERO.remainder(A) == ZERO
 
 
+def test_remainder_by_several_divisors_reduces_by_each_in_turn():
+    rng = random.Random(227)
+    for _ in range(50):
+        p, f, g = random_poly(rng), random_poly(rng, max_terms=3), random_poly(rng, max_terms=3)
+        assert p.remainder(f, g) == p.remainder(f).remainder(g), (p, f, g)
+        assert p.remainder() == p
+
+
 def test_remainder_ends_when_the_tail_shares_variables_with_the_lead():
     # each step brings in a smaller term of the same variables
     assert (A ** 5).remainder(A ** 2 - A * B) == A * B ** 4
