@@ -36,6 +36,7 @@ from typing import Mapping, Optional, Sequence
 
 from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
 from .liealg import (
+    ConstraintSet,
     ConstraintViolation,
     FrameVector,
     LieAlgebra,
@@ -84,6 +85,9 @@ OBJECTS = ("connection", "curvature", "ricci", "ricci-sym",
            "nabla-ricci-sym", "torsion")
 
 SEVERITIES = ("typo-suspected", "verdict-conflict")
+
+# the "schema" of every report: the register and each command-line payload
+REPORT_SCHEMA = "1"
 
 _TABLE_FILES = ("printed_bott.json", "printed_canonical.json", "printed_kn.json")
 
@@ -172,7 +176,12 @@ class SolutionFamily:
     @classmethod
     def from_spec(cls, spec: Mapping, eta: Optional[int] = None) -> "SolutionFamily":
         """A family from its data-file form; each formula is read once per
-        text and eta by _data_poly, as the printed tables are."""
+        text and eta by _data_poly, as the printed tables are.  A key other
+        than assign, require_nonzero and quadratic raises ValueError."""
+        unknown = sorted(set(spec) - {"assign", "require_nonzero", "quadratic"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in a family spec; "
+                             "expected assign, require_nonzero or quadratic")
         assignment = {var: _data_poly(txt, eta) for var, txt in spec.get("assign", {}).items()}
         nonzero = tuple(_data_poly(t, eta) for t in spec.get("require_nonzero", ()))
         quads = tuple((_data_poly(l, eta), _data_poly(r, eta))
@@ -209,24 +218,16 @@ class SolutionFamily:
         return cls(assignment=assignment, extra_inequations=tuple(nonzero))
 
     @cached_property
-    def _conditions(self) -> tuple:
-        """(vanish, nonzero): the family is where every polynomial of
-        vanish is 0, x_v - p for each assignment v = p and lhs - rhs for
-        each relation, and no polynomial of nonzero is."""
+    def _conditions(self) -> ConstraintSet:
+        """The family as side conditions: it is where x_v - p vanishes for
+        each assignment v = p and lhs - rhs for each relation, and no extra
+        inequation does."""
         vanish = tuple(Polynomial.var(v) - self.assignment[v] for v in sorted(self.assignment))
         vanish += tuple(lhs - rhs for lhs, rhs in self.quadratic_relations)
-        return vanish, self.extra_inequations
+        return ConstraintSet(equalities=vanish, inequations=self.extra_inequations)
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
-        point = Point.of(point)
-        vanish, nonzero = self._conditions
-        for p in vanish:
-            if not p.vanishes_at(point):
-                return False
-        for q in nonzero:
-            if q.vanishes_at(point):
-                return False
-        return True
+        return self._conditions.violated(point) is None
 
     def describe(self, greek: bool = False) -> str:
         parts = []
@@ -260,8 +261,9 @@ class Derivation:
     and quasistatistical are the two residual systems.  Connections with
     the same table share one Derivation (Bott and Kobayashi-Nomizu
     coincide on G1..G7), so the connection itself stays private: its kind
-    is whichever was requested first.  Every consumer reads the same
-    objects, so treat them as read-only.
+    is whichever was requested first.  Each object is a plain dict keyed by
+    index tuple, read as table[key] like C.gamma; every consumer reads the
+    same dicts, so treat them as read-only.
     """
 
     def __init__(self, C: Connection):
@@ -290,7 +292,7 @@ class Derivation:
     @cached_property
     def codazzi(self) -> dict:
         D = self.D
-        return {(x, y, j): D.at(x, y, j) - D.at(y, x, j)
+        return {(x, y, j): D[(x, y, j)] - D[(y, x, j)]
                 for x, y in PAIRS for j in (1, 2, 3)}
 
     @cached_property
@@ -299,8 +301,8 @@ class Derivation:
         for (x, y, j), f in self.codazzi.items():
             # omega(T(e_x, e_y), e_j), skipping the products with a zero factor
             pairing = Polynomial.zero()
-            for k, t in enumerate(self.T.at(x, y).c, start=1):
-                w = self.omega.at(k, j)
+            for k, t in enumerate(self.T[(x, y)].c, start=1):
+                w = self.omega[(k, j)]
                 if t and w:
                     pairing = pairing + t * w
             out[(x, y, j)] = f + pairing
@@ -532,7 +534,7 @@ class DiscrepancyRegister:
         return iter(self._entries)
 
     def to_json(self) -> dict:
-        return {"schema": "1", "entries": [e.to_json() for e in self._entries]}
+        return {"schema": REPORT_SCHEMA, "entries": [e.to_json() for e in self._entries]}
 
 
 # -- published data ----------------------------------------------------------
@@ -639,6 +641,8 @@ class Claim(_Published):
                              "expected always, families or never")
         if self.status == "families" and not self.families:
             raise ValueError(f"{case}: a families claim lists no families")
+        if self.status != "families" and self.families:
+            raise ValueError(f"{case}: a claim of status {self.status!r} lists families")
 
 
 def _load_rows(name: str, key: str, cls) -> list:
@@ -676,10 +680,10 @@ def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
     if obj not in OBJECTS:
         raise ValueError(f"unknown object {obj!r}; expected one of {OBJECTS}")
     if obj == "connection":
-        at = make_connection(L, kind).entry
+        table = make_connection(L, kind).gamma
     else:
-        at = getattr(derivation(L, kind), _DERIVED_ATTR[obj]).at
-    return {_key_text(key): at(*key) for key in _KIND_KEYS[obj]}
+        table = getattr(derivation(L, kind), _DERIVED_ATTR[obj])
+    return {_key_text(key): table[key] for key in _KIND_KEYS[obj]}
 
 
 def audit_printed_tables(register: DiscrepancyRegister) -> None:

@@ -20,6 +20,7 @@ from .liealg import (
 from .connection import KINDS, display_name
 from .classify import (
     OBJECTS,
+    REPORT_SCHEMA,
     STRUCTURES,
     SolutionFamily,
     build_system,
@@ -90,7 +91,7 @@ def _cmd_list(args) -> int:
     groups = [make_group(family, eta=e) for family in FAMILIES for e in branches(family)]
     if args.json:
         _emit({
-            "schema": "1",
+            "schema": REPORT_SCHEMA,
             "families": [L.to_json() for L in groups],
             "connections": sorted(display_name(kind) for kind in KINDS),
             "structures": list(STRUCTURES),
@@ -120,7 +121,7 @@ def _cmd_compute(args) -> int:
     table = compute_object(L, args.connection, args.object)
     if args.json:
         _emit({
-            "schema": "1",
+            "schema": REPORT_SCHEMA,
             "family": L.label(),
             "connection": display_name(args.connection),
             "object": args.object,
@@ -142,7 +143,7 @@ def _cmd_check(args) -> int:
     result = check_on_family(system, family)
     if args.json:
         _emit({
-            "schema": "1",
+            "schema": REPORT_SCHEMA,
             "case": system.case_id,
             "solution": family.to_json(),
             **result.to_json(),
@@ -167,7 +168,7 @@ def _cmd_sample(args) -> int:
     system = build_system(L, args.connection, args.structure)
     report = sample_necessity(system, excluded, args.trials, args.seed)
     if args.json:
-        _emit({"schema": "1", "case": system.case_id, "seed": args.seed,
+        _emit({"schema": REPORT_SCHEMA, "case": system.case_id, "seed": args.seed,
                **report.to_json()})
         return 0
     print(f"{system.case_id}: {report.violations} of {report.trials} sampled "
@@ -183,7 +184,7 @@ def _cmd_audit(args) -> int:
     verdicts, register = verify_paper_theorems(trials_per_case=args.trials,
                                                seed=args.seed)
     payload = {
-        "schema": "1",
+        "schema": REPORT_SCHEMA,
         "seed": args.seed,
         "trials_per_case": args.trials,
         "verdicts": [v.to_json() for v in verdicts],

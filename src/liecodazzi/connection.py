@@ -65,9 +65,6 @@ class Connection:
     gamma: Mapping[tuple, FrameVector]
     algebra: LieAlgebra
 
-    def entry(self, i: int, j: int) -> FrameVector:
-        return self.gamma[(i, j)]
-
 
 def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
     """nabla_X Y by bilinear extension of the coefficient table."""

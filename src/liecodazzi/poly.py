@@ -309,12 +309,8 @@ class Polynomial:
         if not isinstance(n, int) or n < 0:
             raise PolyError(f"exponent must be a non-negative integer, got {n!r}")
         out = Polynomial.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(n):
+            out = out * self
         return out
 
     def scale(self, c: Rational) -> "Polynomial":

@@ -4,6 +4,10 @@ Each object is the paper's index formula on the frame e1, e2, e3: an
 argument that is a basis vector is read from its table (the connection
 coefficients nabla_{e_i} e_j, the brackets [e_i, e_j], R(e_i, e_j) e_k),
 and connection.apply extends the connection only to computed vectors.
+Every result is a plain dict of frame components keyed by index tuple,
+read as table[key] like C.gamma: R[(i, j, k)] = R(e_i, e_j) e_k,
+T[(i, j)] = T(e_i, e_j), omega[(i, j)] = omega(e_i, e_j) and
+D[(i, j, k)] = (nabla_{e_i} omega)(e_j, e_k).
 Ricci is the negated trace rho_ij = -sum_k [R(e_i, e_k) e_j]^k, the printed
 weights (-1, -1, +1) on g(v, e_k) = eps_k v^k; it is kept as a full,
 possibly asymmetric table because the source tables are asymmetric.
@@ -13,7 +17,6 @@ The directional-derivative term in the covariant derivative of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -24,23 +27,7 @@ from .poly import Polynomial
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-@dataclass(frozen=True)
-class Tensor:
-    """The full table of a tensor's frame components, keyed by index tuple:
-    entries[(i, j, k)] = R(e_i, e_j) e_k, entries[(i, j)] = T(e_i, e_j) or
-    omega(e_i, e_j), entries[(i, j, k)] = (nabla_{e_i} omega)(e_j, e_k).
-    Values are FrameVectors or Polynomials."""
-
-    entries: Mapping[tuple, object]
-
-    def at(self, *key):
-        return self.entries[key]
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.entries.values())
-
-
-def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> Tensor:
+def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> dict:
     """The full table of a tensor antisymmetric in its first two indices,
     from the entries (i, j, ...) with i < j."""
     entries = dict(upper)
@@ -48,10 +35,10 @@ def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> Tensor:
     for (i, j, *rest), v in upper.items():
         entries[(j, i, *rest)] = -v
         entries[(i, i, *rest)] = entries[(j, j, *rest)] = zero
-    return Tensor(entries)
+    return entries
 
 
-def curvature(C: Connection) -> Tensor:
+def curvature(C: Connection) -> dict:
     """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
     L = C.algebra
     r = {}
@@ -66,26 +53,26 @@ def curvature(C: Connection) -> Tensor:
     return _antisymmetric(r)
 
 
-def ricci(R: Tensor) -> Tensor:
+def ricci(R: Mapping[tuple, FrameVector]) -> dict:
     """rho(e_i,e_j) = -g(R(e_i,e1)e_j,e1) - g(R(e_i,e2)e_j,e2) + g(R(e_i,e3)e_j,e3),
     the negated trace rho_ij = -sum_k [R(e_i,e_k)e_j]^k, as g(v, e_k) = eps_k v^k."""
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            w[(i, j)] = -sum((R.at(i, k, j).c[k - 1] for k in (1, 2, 3)), Polynomial.zero())
-    return Tensor(w)
+            w[(i, j)] = -sum((R[(i, k, j)].c[k - 1] for k in (1, 2, 3)), Polynomial.zero())
+    return w
 
 
-def symmetrize(rho: Tensor) -> Tensor:
+def symmetrize(rho: Mapping[tuple, Polynomial]) -> dict:
     half = Fraction(1, 2)
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            w[(i, j)] = (rho.at(i, j) + rho.at(j, i)).scale(half)
-    return Tensor(w)
+            w[(i, j)] = (rho[(i, j)] + rho[(j, i)]).scale(half)
+    return w
 
 
-def cov_deriv_02(C: Connection, omega: Tensor) -> Tensor:
+def cov_deriv_02(C: Connection, omega: Mapping[tuple, Polynomial]) -> dict:
     """(nabla_{e_i} omega)(e_j, e_k) = -sum_m [G_ij^m omega(e_m, e_k) + G_ik^m omega(e_j, e_m)],
     with G_ij^m component m of nabla_{e_i} e_j; a product with a zero
     factor is skipped.
@@ -99,14 +86,14 @@ def cov_deriv_02(C: Connection, omega: Tensor) -> Tensor:
                 gij, gik = C.gamma[(i, j)].c, C.gamma[(i, k)].c
                 total = Polynomial.zero()
                 for m in (1, 2, 3):
-                    for g, w in ((gij[m - 1], omega.at(m, k)), (gik[m - 1], omega.at(j, m))):
+                    for g, w in ((gij[m - 1], omega[(m, k)]), (gik[m - 1], omega[(j, m)])):
                         if g and w:
                             total = total - g * w
                 d[(i, j, k)] = total
-    return Tensor(d)
+    return d
 
 
-def torsion(C: Connection) -> Tensor:
+def torsion(C: Connection) -> dict:
     """T(e_i,e_j) = nabla_i e_j - nabla_j e_i - [e_i,e_j]."""
     t = {}
     for i, j in PAIRS:
@@ -114,15 +101,15 @@ def torsion(C: Connection) -> Tensor:
     return _antisymmetric(t)
 
 
-def metric_tensor02() -> Tensor:
+def metric_tensor02() -> dict:
     """The flat Lorentzian metric as a (0,2)-tensor table."""
     w = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             w[(i, j)] = metric(BASIS[i - 1], BASIS[j - 1])
-    return Tensor(w)
+    return w
 
 
-def cov_deriv_metric(C: Connection) -> Tensor:
+def cov_deriv_metric(C: Connection) -> dict:
     """nabla g; identically zero exactly when C is metric-compatible."""
     return cov_deriv_02(C, metric_tensor02())

@@ -113,7 +113,7 @@ def test_quasistat_minus_codazzi_is_torsion_pairing_everywhere():
             for x, y in PAIRS:
                 for j in (1, 2, 3):
                     pairing = sum(
-                        (T.at(x, y).c[k - 1] * omega.at(k, j) for k in (1, 2, 3)),
+                        (T[x, y].c[k - 1] * omega[k, j] for k in (1, 2, 3)),
                         Polynomial.zero())
                     assert qs.entries[(x, y, j)] - cod.entries[(x, y, j)] == pairing
 
@@ -128,8 +128,8 @@ def test_residuals_antisymmetric_in_first_pair():
             qs = build_system(L, kind, "quasistatistical")
             for x, y in PAIRS:
                 for j in (1, 2, 3):
-                    swapped = D.at(y, x, j) - D.at(x, y, j) + sum(
-                        (T.at(y, x).c[k - 1] * omega.at(k, j) for k in (1, 2, 3)),
+                    swapped = D[y, x, j] - D[x, y, j] + sum(
+                        (T[y, x].c[k - 1] * omega[k, j] for k in (1, 2, 3)),
                         Polynomial.zero())
                     assert swapped == -qs.entries[(x, y, j)]
 
@@ -189,6 +189,17 @@ def test_families_and_printed_systems_share_one_formula_cache():
     # so family texts may use the table shorthand too
     fam = SolutionFamily.from_spec({"assign": {"d": "n3"}}, eta=-1)
     assert fam.assignment["d"] == parse("a/2-1")
+
+
+@pytest.mark.parametrize("spec", [
+    {"assign": {"a": "0"}, "require_nonzer": ["g"]},
+    {"assign": {"a": "0"}, "quadratics": [["b^2", "2*a^2"]]},
+])
+def test_from_spec_rejects_unknown_keys(spec):
+    # a misspelt condition would otherwise be dropped without a word
+    bad = next(k for k in spec if k != "assign")
+    with pytest.raises(ValueError, match=bad):
+        SolutionFamily.from_spec(spec)
 
 
 def test_contains_checks_all_conditions():
@@ -530,6 +541,23 @@ def test_loaders_reject_bad_claim_status(monkeypatch, status, families, message)
     monkeypatch.setattr(classify, "_load_json", lambda name: {"claims": [row]})
     with pytest.raises(ValueError, match=message):
         load_claims()
+
+
+@pytest.mark.parametrize("status", ["always", "never"])
+def test_loaders_reject_families_on_always_and_never_rows(monkeypatch, status):
+    # the audit would take printed families of such a row as its F
+    row = {"family": "G2", "connection": "bott", "structure": "codazzi",
+           "anchor": "(0.0)", "status": status, "families": [{"assign": {"a": "0"}}]}
+    monkeypatch.setattr(classify, "_load_json", lambda name: {"claims": [row]})
+    with pytest.raises(ValueError, match=f"status '{status}' lists families"):
+        load_claims()
+
+
+def test_recomputed_families_allowed_on_never_rows():
+    claim = classify.Claim(family="G2", connection="bott", structure="codazzi",
+                           anchor="(0.0)", status="never",
+                           recomputed_families=({"assign": {"a": "0"}},))
+    assert claim.recomputed_families and not claim.families
 
 
 def test_claims_cover_42_cases():

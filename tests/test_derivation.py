@@ -201,7 +201,7 @@ def test_derived_tables_are_pinned():
 
 def pair_oracle(omega, X, Y):
     """omega(X, Y) for any frame vectors X, Y."""
-    return sum((omega.at(i, j) * x * y for i, x in enumerate(X.c, 1)
+    return sum((omega[i, j] * x * y for i, x in enumerate(X.c, 1)
                 for j, y in enumerate(Y.c, 1)), Polynomial.zero())
 
 
@@ -211,7 +211,7 @@ def ricci_oracle(R, i, j):
     for k, weight in ((1, -1), (2, -1), (3, 1)):
         rv = FrameVector.zero()
         for m in (1, 2, 3):
-            rv = rv + R.at(i, k, m).scale(BASIS[j - 1].c[m - 1])
+            rv = rv + R[i, k, m].scale(BASIS[j - 1].c[m - 1])
         total = total + metric(rv, BASIS[k - 1]).scale(weight)
     return total
 
@@ -223,7 +223,7 @@ def test_ricci_and_cov_deriv_match_bilinear_oracles():
             rho = ricci(d.R)
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
-                    assert rho.at(i, j) == ricci_oracle(d.R, i, j), (L.label(), kind, i, j)
+                    assert rho[i, j] == ricci_oracle(d.R, i, j), (L.label(), kind, i, j)
             # rho is asymmetric, so it also tells omega(m, k) from omega(k, m)
             for omega in (d.omega, d.rho):
                 D = cov_deriv_02(C, omega)
@@ -233,4 +233,4 @@ def test_ricci_and_cov_deriv_match_bilinear_oracles():
                             ej, ek = BASIS[j - 1], BASIS[k - 1]
                             want = -(pair_oracle(omega, C.gamma[(i, j)], ek)
                                      + pair_oracle(omega, ej, C.gamma[(i, k)]))
-                            assert D.at(i, j, k) == want, (L.label(), kind, i, j, k)
+                            assert D[i, j, k] == want, (L.label(), kind, i, j, k)

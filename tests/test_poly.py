@@ -94,6 +94,14 @@ def test_mul_annihilator():
     assert ((A + D) * ZERO).is_zero()
 
 
+@pytest.mark.parametrize("p", [ZERO, ONE, A, A - B, parse("a^2*g/2 - 3*b*d + 1")])
+def test_pow_is_repeated_product(p):
+    product = ONE
+    for n in range(6):
+        assert p ** n == product, n
+        product = product * p
+
+
 def test_mul_matches_product_oracle_on_cancelling_products():
     rng = random.Random(110)
     for _ in range(100):
