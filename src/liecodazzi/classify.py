@@ -36,6 +36,7 @@ from typing import Mapping, Optional, Sequence
 
 from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
 from .liealg import (
+    PAIRS,
     ConstraintSet,
     ConstraintViolation,
     FrameVector,
@@ -48,7 +49,7 @@ from .liealg import (
     sign_names,
 )
 from .connection import Connection, display_name, make_connection, resolve_kind
-from .tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
+from .tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 __all__ = [
     "CheckResult",

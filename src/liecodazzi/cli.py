@@ -15,7 +15,7 @@ import sys
 
 from .poly import PolyError, quoted
 from .liealg import (
-    FAMILIES, ConstraintViolation, FrameVector, SamplerStarvation, branches, make_group,
+    FAMILIES, PAIRS, ConstraintViolation, FrameVector, SamplerStarvation, branches, make_group,
 )
 from .connection import KINDS, display_name
 from .classify import (
@@ -75,8 +75,13 @@ def _group(args):
     return make_group(args.family, eta=getattr(args, "eta", None))
 
 
+def _report(payload: dict) -> str:
+    """A JSON report: the payload under the report schema, keys sorted."""
+    return json.dumps({"schema": REPORT_SCHEMA, **payload}, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(payload: dict):
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(_report(payload))
 
 
 def _case_rows():
@@ -91,7 +96,6 @@ def _cmd_list(args) -> int:
     groups = [make_group(family, eta=e) for family in FAMILIES for e in branches(family)]
     if args.json:
         _emit({
-            "schema": REPORT_SCHEMA,
             "families": [L.to_json() for L in groups],
             "connections": sorted(display_name(kind) for kind in KINDS),
             "structures": list(STRUCTURES),
@@ -100,9 +104,9 @@ def _cmd_list(args) -> int:
         return 0
     for L in groups:
         print(L.label())
-        for (x, y), v in sorted(L.brackets.items()):
+        for x, y in PAIRS:
             e = "ẽ" if greek else "e"
-            print(f"  [{e}{x},{e}{y}] = {v.text(greek=greek)}")
+            print(f"  [{e}{x},{e}{y}] = {L.brackets[x, y].text(greek=greek)}")
         conds = [f"{p.text(greek=greek)} = 0" for p in L.constraints.equalities]
         conds += [f"{p.text(greek=greek)} {'≠' if greek else '!='} 0"
                   for p in L.constraints.inequations]
@@ -121,7 +125,6 @@ def _cmd_compute(args) -> int:
     table = compute_object(L, args.connection, args.object)
     if args.json:
         _emit({
-            "schema": REPORT_SCHEMA,
             "family": L.label(),
             "connection": display_name(args.connection),
             "object": args.object,
@@ -143,7 +146,6 @@ def _cmd_check(args) -> int:
     result = check_on_family(system, family)
     if args.json:
         _emit({
-            "schema": REPORT_SCHEMA,
             "case": system.case_id,
             "solution": family.to_json(),
             **result.to_json(),
@@ -168,8 +170,7 @@ def _cmd_sample(args) -> int:
     system = build_system(L, args.connection, args.structure)
     report = sample_necessity(system, excluded, args.trials, args.seed)
     if args.json:
-        _emit({"schema": REPORT_SCHEMA, "case": system.case_id, "seed": args.seed,
-               **report.to_json()})
+        _emit({"case": system.case_id, "seed": args.seed, **report.to_json()})
         return 0
     print(f"{system.case_id}: {report.violations} of {report.trials} sampled "
           f"points violate the system (seed {args.seed})")
@@ -183,14 +184,12 @@ def _cmd_sample(args) -> int:
 def _cmd_audit(args) -> int:
     verdicts, register = verify_paper_theorems(trials_per_case=args.trials,
                                                seed=args.seed)
-    payload = {
-        "schema": REPORT_SCHEMA,
+    text = _report({
         "seed": args.seed,
         "trials_per_case": args.trials,
         "verdicts": [v.to_json() for v in verdicts],
         "register": register.to_json(),
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    })
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -68,7 +68,7 @@ class Connection:
 
 def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
     """nabla_X Y by bilinear extension of the coefficient table."""
-    return _bilinear(lambda i, j: C.gamma[(i, j)], X, Y)
+    return _bilinear(C.gamma, X, Y)
 
 
 def levi_civita(L: LieAlgebra) -> Connection:
@@ -76,7 +76,7 @@ def levi_civita(L: LieAlgebra) -> Connection:
 
     Gamma_ij^k = (1/2)(c_ij^k - eps_k eps_i c_jk^i + eps_k eps_j c_ki^j)
     """
-    c = {(i, j): L.bracket_basis(i, j).c for i in (1, 2, 3) for j in (1, 2, 3)}
+    c = {key: v.c for key, v in L.brackets.items()}
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -92,24 +92,25 @@ def _project(v: FrameVector, j: int) -> FrameVector:
     return FrameVector(*(x if e == _EPS[j - 1] else 0 for e, x in zip(_EPS, v.c)))
 
 
-def _projection(lc: Connection, kind: str, mixed) -> Connection:
-    """pi_j(Gamma_ij) where eps_i = eps_j, pi_j(mixed(i, j)) elsewhere."""
+def _projection(lc: Connection, kind: str, mixed: Mapping[tuple, FrameVector]) -> Connection:
+    """pi_j(Gamma_ij) where eps_i = eps_j, pi_j(mixed[i, j]) elsewhere; mixed
+    is read only at the cross-block keys."""
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            v = lc.gamma[(i, j)] if _EPS[i - 1] == _EPS[j - 1] else mixed(i, j)
+            v = lc.gamma[(i, j)] if _EPS[i - 1] == _EPS[j - 1] else mixed[i, j]
             gamma[(i, j)] = _project(v, j)
     return Connection(kind=kind, gamma=gamma, algebra=lc.algebra)
 
 
 def bott(lc: Connection) -> Connection:
     """Bott: pi_j(Gamma_ij) within a block, pi_j([e_i,e_j]) across D and D_perp."""
-    return _projection(lc, "bott", lc.algebra.bracket_basis)
+    return _projection(lc, "bott", lc.algebra.brackets)
 
 
 def canonical(lc: Connection) -> Connection:
     """nabla^c_X Y = nabla^L_X Y - (1/2) (nabla_X J) J Y: pi_j(Gamma_ij) everywhere."""
-    return _projection(lc, "canonical", lambda i, j: lc.gamma[(i, j)])
+    return _projection(lc, "canonical", lc.gamma)
 
 
 def kobayashi_nomizu(lc: Connection) -> Connection:
@@ -118,8 +119,8 @@ def kobayashi_nomizu(lc: Connection) -> Connection:
 
     Levi-Civita is torsion-free, Gamma_ij - Gamma_ji = [e_i,e_j], so this is
     the Bott connection on every group."""
-    return _projection(lc, "kobayashi_nomizu",
-                       lambda i, j: lc.gamma[(i, j)] - lc.gamma[(j, i)])
+    mixed = {(i, j): lc.gamma[i, j] - lc.gamma[j, i] for i, j in ((1, 3), (2, 3), (3, 1), (3, 2))}
+    return _projection(lc, "kobayashi_nomizu", mixed)
 
 
 def make_connection(L: LieAlgebra, kind: str) -> Connection:

@@ -3,10 +3,12 @@
 Each family g_1..g_7 is given by structure constants on a fixed
 pseudo-orthonormal frame e1, e2, e3 (e3 timelike, metric diag(1,1,-1))
 with parameters alpha, beta, gamma, delta subject to the family's
-printed side conditions.  Brackets are stored for i<j and extended by
-antisymmetry; eta (only g_4 has one) is resolved to +1 or -1 at
-construction time and never appears as a ring symbol: texts write it h,
-which sign_names turns into the constant when they are parsed.
+printed side conditions.  The bracket table holds all nine [e_i, e_j],
+read as L.brackets[i, j] like every other frame table: the family gives
+the entries i < j and _antisymmetric fills in the rest.  eta (only g_4
+has one) is resolved to +1 or -1 at construction time and never appears
+as a ring symbol: texts write it h, which sign_names turns into the
+constant when they are parsed.
 """
 
 from __future__ import annotations
@@ -129,6 +131,20 @@ E2 = FrameVector(0, 1, 0)
 E3 = FrameVector(0, 0, 1)
 BASIS = (E1, E2, E3)
 
+# the index pairs i < j of an antisymmetric frame table
+PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> dict:
+    """The full table of a tensor antisymmetric in its first two indices,
+    from the entries (i, j, ...) with i < j."""
+    entries = dict(upper)
+    zero = FrameVector.zero()
+    for (i, j, *rest), v in upper.items():
+        entries[(j, i, *rest)] = -v
+        entries[(i, i, *rest)] = entries[(j, j, *rest)] = zero
+    return entries
+
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -152,7 +168,7 @@ class ConstraintSet:
 class LieAlgebra:
     family: str
     eta: Optional[int]
-    # brackets[(i, j)] = [e_i, e_j] for 1 <= i < j <= 3
+    # brackets[(i, j)] = [e_i, e_j] for all i, j in 1..3
     brackets: Mapping[tuple, FrameVector]
     constraints: ConstraintSet
     params: Optional[Point] = None
@@ -161,13 +177,6 @@ class LieAlgebra:
     # classify.derivation; they live and die with the group and are shared,
     # so treat them as read-only
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def bracket_basis(self, i: int, j: int) -> FrameVector:
-        if i == j:
-            return FrameVector.zero()
-        if i < j:
-            return self.brackets[(i, j)]
-        return -self.brackets[(j, i)]
 
     def label(self) -> str:
         if self.eta is None:
@@ -178,7 +187,7 @@ class LieAlgebra:
         out = {
             "family": self.family,
             "brackets": {
-                f"e{i}e{j}": self.brackets[(i, j)].to_json() for i, j in ((1, 2), (1, 3), (2, 3))
+                f"e{i}e{j}": self.brackets[(i, j)].to_json() for i, j in PAIRS
             },
             "equalities": [p.text() for p in self.constraints.equalities],
             "inequations": [p.text() for p in self.constraints.inequations],
@@ -190,8 +199,9 @@ class LieAlgebra:
         return out
 
 
-def _bilinear(table, X: FrameVector, Y: FrameVector) -> FrameVector:
-    """sum_ij X^i Y^j table(i, j), component by component; a product
+def _bilinear(table: Mapping[tuple, FrameVector], X: FrameVector,
+              Y: FrameVector) -> FrameVector:
+    """sum_ij X^i Y^j table[i, j], component by component; a product
     with a zero factor is skipped, so only nonzero terms are computed."""
     out = [ZERO, ZERO, ZERO]
     for i, xi in enumerate(X.c, start=1):
@@ -201,7 +211,7 @@ def _bilinear(table, X: FrameVector, Y: FrameVector) -> FrameVector:
             if not yj:
                 continue
             s = xi * yj
-            for m, t in enumerate(table(i, j).c):
+            for m, t in enumerate(table[i, j].c):
                 if t:
                     out[m] = out[m] + t * s
     return FrameVector(*out)
@@ -209,7 +219,7 @@ def _bilinear(table, X: FrameVector, Y: FrameVector) -> FrameVector:
 
 def bracket(L: LieAlgebra, X: FrameVector, Y: FrameVector) -> FrameVector:
     """Bilinear antisymmetric extension of the structure constants."""
-    return _bilinear(L.bracket_basis, X, Y)
+    return _bilinear(L.brackets, X, Y)
 
 
 def metric(X: FrameVector, Y: FrameVector) -> Polynomial:
@@ -248,11 +258,8 @@ def _family_structure(family: str, eta: Optional[int]):
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     names = sign_names(eta)
-    brackets = {
-        (1, 2): FrameVector(*(parse(t, names) for t in b12)),
-        (1, 3): FrameVector(*(parse(t, names) for t in b13)),
-        (2, 3): FrameVector(*(parse(t, names) for t in b23)),
-    }
+    brackets = _antisymmetric({key: FrameVector(*(parse(t, names) for t in texts))
+                               for key, texts in zip(PAIRS, (b12, b13, b23))})
     constraints = ConstraintSet(
         equalities=tuple(parse(t) for t in eqs),
         inequations=tuple(parse(t) for t in ineqs),
@@ -284,7 +291,7 @@ def make_group(family: str, eta: Optional[int] = None,
     broken = symbolic.constraints.violated(params)
     if broken is not None:
         raise ConstraintViolation(*broken)
-    brackets = {k: v.substitute(params) for k, v in symbolic.brackets.items()}
+    brackets = _antisymmetric({k: symbolic.brackets[k].substitute(params) for k in PAIRS})
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
                       constraints=symbolic.constraints, params=params)
 
@@ -302,7 +309,7 @@ def _raw_algebra(b12: FrameVector, b13: FrameVector, b23: FrameVector,
                  family: str = "raw") -> LieAlgebra:
     # test-only entry point: arbitrary structure constants, no validation
     return LieAlgebra(family=family, eta=None,
-                      brackets={(1, 2): b12, (1, 3): b13, (2, 3): b23},
+                      brackets=_antisymmetric(dict(zip(PAIRS, (b12, b13, b23)))),
                       constraints=constraints)
 
 
@@ -394,9 +401,9 @@ def jacobi_check(L: LieAlgebra) -> JacobiReport:
         for j in range(1, 4):
             for k in range(1, 4):
                 X, Y, Z = BASIS[i - 1], BASIS[j - 1], BASIS[k - 1]
-                r = (bracket(L, X, bracket(L, Y, Z))
-                     + bracket(L, Y, bracket(L, Z, X))
-                     + bracket(L, Z, bracket(L, X, Y)))
+                r = (bracket(L, X, L.brackets[j, k])
+                     + bracket(L, Y, L.brackets[k, i])
+                     + bracket(L, Z, L.brackets[i, j]))
                 if r.is_zero():
                     continue
                 residuals[(i, j, k)] = r

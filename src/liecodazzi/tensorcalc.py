@@ -2,12 +2,14 @@
 
 Each object is the paper's index formula on the frame e1, e2, e3: an
 argument that is a basis vector is read from its table (the connection
-coefficients nabla_{e_i} e_j, the brackets [e_i, e_j], R(e_i, e_j) e_k),
-and connection.apply extends the connection only to computed vectors.
+coefficients C.gamma[(i, j)] = nabla_{e_i} e_j, the brackets
+L.brackets[(i, j)] = [e_i, e_j], R(e_i, e_j) e_k), and connection.apply
+extends the connection only to computed vectors.
 Every result is a plain dict of frame components keyed by index tuple,
 read as table[key] like C.gamma: R[(i, j, k)] = R(e_i, e_j) e_k,
 T[(i, j)] = T(e_i, e_j), omega[(i, j)] = omega(e_i, e_j) and
-D[(i, j, k)] = (nabla_{e_i} omega)(e_j, e_k).
+D[(i, j, k)] = (nabla_{e_i} omega)(e_j, e_k).  R and T are filled from
+their entries i < j (liealg.PAIRS) by liealg._antisymmetric.
 Ricci is the negated trace rho_ij = -sum_k [R(e_i, e_k) e_j]^k, the printed
 weights (-1, -1, +1) on g(v, e_k) = eps_k v^k; it is kept as a full,
 possibly asymmetric table because the source tables are asymmetric.
@@ -21,21 +23,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .connection import Connection, apply
-from .liealg import BASIS, FrameVector, metric
+from .liealg import BASIS, PAIRS, FrameVector, _antisymmetric, metric
 from .poly import Polynomial
-
-PAIRS = ((1, 2), (1, 3), (2, 3))
-
-
-def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> dict:
-    """The full table of a tensor antisymmetric in its first two indices,
-    from the entries (i, j, ...) with i < j."""
-    entries = dict(upper)
-    zero = FrameVector.zero()
-    for (i, j, *rest), v in upper.items():
-        entries[(j, i, *rest)] = -v
-        entries[(i, i, *rest)] = entries[(j, j, *rest)] = zero
-    return entries
 
 
 def curvature(C: Connection) -> dict:
@@ -44,7 +33,7 @@ def curvature(C: Connection) -> dict:
     r = {}
     for i, j in PAIRS:
         ei, ej = BASIS[i - 1], BASIS[j - 1]
-        lie = L.bracket_basis(i, j)
+        lie = L.brackets[i, j]
         for k in (1, 2, 3):
             ek = BASIS[k - 1]
             r[(i, j, k)] = (apply(C, ei, C.gamma[(j, k)])
@@ -97,7 +86,7 @@ def torsion(C: Connection) -> dict:
     """T(e_i,e_j) = nabla_i e_j - nabla_j e_i - [e_i,e_j]."""
     t = {}
     for i, j in PAIRS:
-        t[(i, j)] = C.gamma[(i, j)] - C.gamma[(j, i)] - C.algebra.bracket_basis(i, j)
+        t[(i, j)] = C.gamma[(i, j)] - C.gamma[(j, i)] - C.algebra.brackets[i, j]
     return _antisymmetric(t)
 
 

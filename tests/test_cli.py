@@ -4,6 +4,7 @@ Everything runs in process through main(argv) so exit codes and
 emitted JSON can be asserted exactly.
 """
 
+import hashlib
 import json
 import time
 
@@ -51,6 +52,22 @@ def test_list_json(capsys):
     assert len(payload["cases"]) == 42
     g1 = payload["families"][0]
     assert "brackets" in g1 and "e1e2" in g1["brackets"]
+
+
+# sha256 of the UTF-8 bytes that `list`, `--ascii list` and `list --json`
+# print; a change to how groups, brackets or cases are walked moves them
+LIST_SHA256 = {
+    ("list",): "6051462b8e6204fdb3f95035bc23d1ad37c666c64d913bf9faf73cab63d23cc5",
+    ("--ascii", "list"): "9fa8305dd3b5923069c9ed148d566ef4a1ca436a535bed8ca1b2d66e74a91d41",
+    ("list", "--json"): "00b188f65da3b7d460ef9f85ecba071c2fbc4973c69d9576d94c03c4ed73b569",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LIST_SHA256), ids=" ".join)
+def test_list_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LIST_SHA256[argv]
 
 
 # -- compute -----------------------------------------------------------------

@@ -66,6 +66,25 @@ def test_numeric_instance_substitutes_brackets():
     assert L.brackets[(1, 2)] == FrameVector(0, 3, Fraction(-1, 2))
 
 
+def bracket_tables():
+    """Every kind of group: the eight symbolic ones, a numeric instance,
+    abelian() and a _raw_algebra table that is not a Lie algebra."""
+    yield from all_groups()
+    yield make_group("G2", numeric_params={"a": 2, "b": Fraction(1, 2), "g": 3, "d": 0})
+    yield abelian()
+    yield _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector(2, 0, 3))
+
+
+def test_bracket_table_holds_all_nine_antisymmetric_entries():
+    for L in bracket_tables():
+        assert sorted(L.brackets) == [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+        for i in (1, 2, 3):
+            assert L.brackets[i, i].is_zero(), (L.label(), i)
+            for j in (1, 2, 3):
+                assert L.brackets[j, i] == -L.brackets[i, j], (L.label(), i, j)
+                assert bracket(L, BASIS[i - 1], BASIS[j - 1]) == L.brackets[i, j]
+
+
 def test_numeric_instance_keeps_its_checked_point():
     raw = {"alpha": 2, "b": Fraction(1, 2), "γ": 3, "d": 0}
     L = make_group("G2", numeric_params=raw)
@@ -155,7 +174,7 @@ def test_bilinear_matches_the_plain_double_sum():
             for j in (1, 2, 3):
                 for m in range(3):
                     plain[m] = plain[m] + X.c[i - 1] * Y.c[j - 1] * table[i, j].c[m]
-        out = _bilinear(lambda i, j: table[i, j], X, Y)
+        out = _bilinear(table, X, Y)
         assert out == FrameVector(*plain)
         assert all(all(c != 0 for c in comp.terms.values()) for comp in out.c)
 
