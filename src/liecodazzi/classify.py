@@ -34,7 +34,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
+from .poly import GREEK, VARS, Point, Polynomial, PolyError, _condition_kernel, parse, quoted
 from .liealg import (
     PAIRS,
     ConstraintSet,
@@ -228,7 +228,9 @@ class SolutionFamily:
         return ConstraintSet(equalities=vanish, inequations=self.extra_inequations)
 
     def contains(self, point: Mapping[str, Fraction]) -> bool:
-        return self._conditions.violated(point) is None
+        """Whether the point lies on the family: one call of the compiled
+        test of its conditions (see ConstraintSet)."""
+        return self._conditions._admits(*Point.of(point)._ints)
 
     def describe(self, greek: bool = False) -> str:
         parts = []
@@ -341,6 +343,12 @@ class PolySystem:
     def is_trivial(self) -> bool:
         return not self.nonzero()
 
+    @cached_property
+    def _solutions(self) -> ConstraintSet:
+        """Where every residual vanishes, as side conditions: its compiled
+        test decides each point sample_necessity evaluates in one call."""
+        return ConstraintSet(equalities=tuple(self.entries.values()))
+
     def reduced(self):
         """Distinct monic residuals, deterministically ordered."""
         seen = {}
@@ -425,10 +433,10 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
             if rng.random() >= 0.5:
                 pairs[i] = _rand_pair(rng, nonzero=True)
         # assigned values use free variables only, so the assigned ones may read 0
-        probe = Point._of_pairs(*pairs)
+        probe = Point._of_ints(sum(pairs, ()))
         for i, p in assigned:
             pairs[i] = p.eval_at(probe).as_integer_ratio()
-        point = Point._of_pairs(*pairs)
+        point = Point._of_ints(sum(pairs, ()))
         if family.contains(point) and L.constraints.violated(point) is None:
             return point
     raise SamplerStarvation(
@@ -465,13 +473,19 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     """Evaluate the system at `trials` admissible points outside every
     excluded family.  All points violating the system supports a
     never-holds verdict; a satisfying point refutes the necessity of the
-    excluded families.  Deterministic for a fixed seed."""
+    excluded families.  Deterministic for a fixed seed.
+
+    Each attempt draws one point with sample_constraint_point and decides
+    it with two compiled tests of its integer pairs: "on some excluded
+    family" (one kernel for all the families, built per call; none when
+    nothing is excluded) and "every residual vanishes" (the system's
+    _solutions)."""
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError("trials must be a positive integer")
     rng = random.Random(seed)
     L = system.algebra
-    # the residuals that are not identically zero decide every point
-    residuals = tuple(p for p in system.entries.values() if p)
+    on_excluded = _condition_kernel(*(f._conditions for f in excluded)) if excluded else None
+    holds = system._solutions._admits
     evaluated = violations = satisfied = 0
     witness = witness_res = counterexample = None
     attempts = 0
@@ -485,10 +499,11 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
                 "leave too little room")
         attempts += 1
         point = sample_constraint_point(L, rng)
-        if any(f.contains(point) for f in excluded):
+        ints = point._ints
+        if on_excluded is not None and on_excluded(*ints):
             continue
         evaluated += 1
-        if all(p.vanishes_at(point) for p in residuals):
+        if holds(*ints):
             satisfied += 1
             if counterexample is None:
                 counterexample = point

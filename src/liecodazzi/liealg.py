@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
 
-from .poly import ZERO, Point, Polynomial, Rational, parse
+from .poly import ZERO, Point, Polynomial, Rational, _condition_kernel, parse
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 METRIC_SIGNATURE = (1, 1, -1)
@@ -148,13 +148,32 @@ def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> dict:
 
 @dataclass(frozen=True)
 class ConstraintSet:
+    """Side conditions: the equalities vanish and the inequations do not.
+
+    On first use the whole question compiles into one kernel,
+    _admits(n0, d0, ..., n3, d3) -> bool of a point's integer pairs
+    (poly._condition_kernel), so an admissible point costs one call.
+    Copies and pickles rebuild the set from its conditions and compile
+    the kernel again: a generated function cannot be pickled."""
+
     equalities: tuple = ()
     inequations: tuple = ()
 
+    @functools.cached_property
+    def _admits(self):
+        return _condition_kernel(self)
+
+    def __reduce__(self):
+        return ConstraintSet, (self.equalities, self.inequations)
+
     def violated(self, point: Mapping[str, Rational]) -> Optional[tuple]:
         """The first side condition the point breaks, as (polynomial,
-        "equality" | "inequation"), or None when the point is admissible."""
+        "equality" | "inequation"), or None when the point is admissible.
+        One kernel call decides; the conditions are walked one by one
+        only to name the broken one."""
         point = Point.of(point)
+        if self._admits(*point._ints):
+            return None
         for p in self.equalities:
             if not p.vanishes_at(point):
                 return p, "equality"
@@ -351,9 +370,12 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
     """One random rational point satisfying the family's equalities and
     inequations.  Equalities are met by explicit parameterization: G5/G6
     solve for delta when the beta coefficient is nonzero, G7 samples the
-    alpha=0 and gamma=0 branches.
+    alpha=0 and gamma=0 branches.  Each draw is tested by one call of the
+    group's compiled test on its integer pairs, and a Point is built only
+    for the draw that passes.
     """
     family = L.family
+    admits = L.constraints._admits
     for _ in range(_SAMPLE_ATTEMPTS):
         a, b, g, d = _rand_pair(rng), _rand_pair(rng), _rand_pair(rng), _rand_pair(rng)
         if family == "G5" or family == "G6":
@@ -371,9 +393,9 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
                 a = (0, 1)
             else:
                 g = (0, 1)
-        point = Point._of_pairs(a, b, g, d)
-        if L.constraints.violated(point) is None:
-            return point
+        ints = a + b + g + d
+        if admits(*ints):
+            return Point._of_ints(ints)
     raise SamplerStarvation(
         f"no admissible point for {L.label()} in {_SAMPLE_ATTEMPTS} attempts")
 

@@ -17,9 +17,13 @@ function of the point's numerators and denominators (its kernel), built
 from integer literals, ``+``, ``-``, ``*`` and ``**`` alone.  A zero
 test (``vanishes_at``) is the kernel's value compared with 0 and builds
 no ``Fraction``; ``eval_at`` divides the same value by the cleared
-denominator, for the values a report shows.  Polynomials are evaluated
-at a :class:`Point`, which keeps its coordinates as integer pairs;
-``eval_at`` builds one from any other mapping.
+denominator, for the values a report shows.  The same integer forms
+write the condition kernels (``_condition_kernel``): one boolean
+function of the point's integers per question "these vanish, those do
+not", or per disjunction of such questions, so a side-condition set, a
+family or a list of families tests a point in one call.  Polynomials
+are evaluated at a :class:`Point`, which keeps its coordinates as
+integer pairs; ``eval_at`` builds one from any other mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -73,7 +77,8 @@ def quoted(text: str) -> str:
 def _as_fraction(c: Rational) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
+    # a bool is an int to isinstance, but True is no exact rational here
+    if isinstance(c, int) and type(c) is not bool:
         return Fraction(c)
     raise PolyError(f"not an exact rational: {c!r}")
 
@@ -111,12 +116,13 @@ class Point(Mapping):
         object.__setattr__(self, "_values", tuple(coords))
 
     @staticmethod
-    def _of_pairs(a: tuple, b: tuple, g: tuple, d: tuple) -> "Point":
-        """The point with coordinates n/m for these (n, m) pairs, in VARS
-        order, unchecked: for pairs the program made itself, each in
-        lowest terms with m > 0, as Fraction.as_integer_ratio gives them."""
+    def _of_ints(ints: tuple) -> "Point":
+        """The point with coordinates n/m for the (n, m) pairs that ints
+        lists one after another, in VARS order, unchecked: for pairs the
+        program made itself, each in lowest terms with m > 0, as
+        Fraction.as_integer_ratio gives them."""
         point = object.__new__(Point)
-        object.__setattr__(point, "_ints", a + b + g + d)
+        object.__setattr__(point, "_ints", ints)
         return point
 
     @property
@@ -169,15 +175,35 @@ def _power(name: str, e: int) -> list:
 
 @lru_cache(maxsize=1024)
 def _make_kernel(expression: str):
-    """The function k(n0, d0, ..., n3, d3) returning expression.  Only
-    Polynomial._compile calls it, with a sum of products of integer
-    literals and those eight names; the function runs with no globals
-    and no builtins.  Equal polynomials built apart (an audit builds
-    each family's conditions per branch) share one function."""
+    """The function k(n0, d0, ..., n3, d3) returning expression.  Two
+    callers write the expression from integer literals and those eight
+    names: Polynomial._compile a sum of products (a polynomial's integer
+    form), _condition_kernel comparisons of such sums with 0 joined by
+    and/or.  The function runs with no globals and no builtins.  Equal
+    expressions built apart (an audit builds each family's conditions per
+    branch) share one function."""
     namespace = {}
     exec(f"def k(n0, d0, n1, d1, n2, d2, n3, d3):\n    return {expression}\n",
          {"__builtins__": {}}, namespace)
     return namespace["k"]
+
+
+def _condition_kernel(*sets):
+    """The kernel k(n0, d0, ..., n3, d3) -> bool of "the point meets one
+    of sets", each set having the polynomial tuples equalities and
+    inequations (a liealg.ConstraintSet): it is met where every equality
+    vanishes and no inequation does.  Each condition tests a polynomial's
+    integer form for 0 ("not (form)" for an equality, "form != 0" for an
+    inequation), which decides it exactly (see Polynomial._integer_form);
+    a set's conditions run in their given order and stop at the first
+    that fails.  A zero equality is left out, so a set without conditions
+    is met everywhere; no set at all is met nowhere."""
+    tests = []
+    for s in sets:
+        test = [f"not ({p._integer_form()[0]})" for p in s.equalities if p.terms]
+        test += [f"{q._integer_form()[0]} != 0" for q in s.inequations]
+        tests.append(f"({' and '.join(test) or 'True'})")
+    return _make_kernel(" or ".join(tests) or "False")
 
 
 def _term_key(exps):
@@ -197,8 +223,9 @@ class Polynomial:
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(VARS) or any(e < 0 for e in exps):
+                exps = tuple(exps)
+                if len(exps) != len(VARS) or not all(
+                        type(e) is not bool and isinstance(e, int) and e >= 0 for e in exps):
                     raise PolyError(f"bad exponent tuple {exps!r}")
                 c = _as_fraction(coeff)
                 clean[exps] = clean[exps] + c if exps in clean else c
@@ -306,7 +333,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or type(n) is bool or n < 0:
             raise PolyError(f"exponent must be a non-negative integer, got {n!r}")
         out = Polynomial.const(1)
         for _ in range(n):
@@ -380,6 +407,9 @@ class Polynomial:
         return p
 
     def __eq__(self, other) -> bool:
+        if type(other) is bool:
+            # no rational (see _as_fraction), so equal to no polynomial
+            return NotImplemented
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -452,14 +482,15 @@ class Polynomial:
             kernel = self._compile()
         return not kernel(*ints)
 
-    def _compile(self):
-        """Build the kernel on the first evaluation and keep it, with
-        _den = (den, tops): den is the lcm of the coefficient
+    def _integer_form(self) -> tuple:
+        """(expression, den, tops): den is the lcm of the coefficient
         denominators and tops the pairs (i, highest exponent of variable
         i) for the variables that occur.  Scaled by d_i^top_i, the power
-        (n_i/d_i)^e becomes n_i^e * d_i^(top_i - e), so the kernel of the
-        point's n0, d0, ..., n3, d3 is the value times den times the
-        product of the d_i^top_i, as one integer sum of products."""
+        (n_i/d_i)^e becomes n_i^e * d_i^(top_i - e), so expression, in
+        the point's n0, d0, ..., n3, d3, is the value times den times the
+        product of the d_i^top_i, as one integer sum of products.  That
+        factor is a nonzero integer, so expression is 0 exactly where the
+        value is."""
         den = lcm(*(c.denominator for c in self.terms.values()))
         tops = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
         products = []
@@ -469,7 +500,13 @@ class Polynomial:
             for i, top in tops:
                 factors += _power(f"n{i}", exps[i]) + _power(f"d{i}", top - exps[i])
             products.append("*".join(factors) or "1")
-        kernel = _make_kernel(" + ".join(products) or "0")
+        return " + ".join(products) or "0", den, tops
+
+    def _compile(self):
+        """Build the kernel of the integer form on the first evaluation
+        and keep it, with _den = (den, tops) to divide its value by."""
+        expression, den, tops = self._integer_form()
+        kernel = _make_kernel(expression)
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_den", (den, tops))
         return kernel

@@ -1,6 +1,6 @@
 """Shared helpers: the eight groups, seeded random rationals and
-polynomials for property tests, and the command line in a fresh
-interpreter."""
+polynomials for property tests, the walk that compiled condition tests
+are checked against, and the command line in a fresh interpreter."""
 
 import os
 import subprocess
@@ -15,6 +15,19 @@ from liecodazzi.poly import VARS, Polynomial
 def all_groups():
     """The eight symbolic groups: G1..G7, with G4 once per metric sign."""
     return [make_group(f, eta=e) for f in FAMILIES for e in branches(f)]
+
+
+def walk_violated(constraints, point):
+    """ConstraintSet.violated as a walk over the polynomials, each tested
+    with vanishes_at: the first equality that does not vanish, else the
+    first inequation that does, as (polynomial, kind); None when none."""
+    for p in constraints.equalities:
+        if not p.vanishes_at(point):
+            return p, "equality"
+    for q in constraints.inequations:
+        if q.vanishes_at(point):
+            return q, "inequation"
+    return None
 
 
 def run_cli(*argv, timeout=None):

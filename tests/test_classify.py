@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
 
-from conftest import all_groups
+from conftest import all_groups, walk_violated
 from liecodazzi import classify
-from liecodazzi.poly import Point, Polynomial, PolyError, parse
+from liecodazzi.poly import Point, Polynomial, PolyError, _condition_kernel, parse
 from liecodazzi.liealg import (
     ConstraintViolation, SamplerStarvation, make_group, sample_constraint_point,
 )
@@ -256,6 +257,57 @@ def test_contains_matches_the_coordinate_compare_oracle():
                     assert got == contains_oracle(fam, pt), (claim.anchor, spec, pt)
                     outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_compiled_tests_agree_with_the_polynomial_walk():
+    # per claim branch, at 200 points the sampler draws on the group
+    # (mostly off the families) and at member points of each family (on
+    # it): every family's test, the exclusion test sample_necessity builds
+    # for the audit's families and the system's residual test, against
+    # walks over their polynomials
+    outcomes = {"family": set(), "excluded": set(), "system": set()}
+    for index, claim in enumerate(load_claims()):
+        for eta in claim.branches():
+            L = make_group(claim.family, eta=eta)
+            rng = random.Random(1500 + index)
+            system = build_system(L, claim.connection, claim.structure)
+            shown = [SolutionFamily.from_spec(s, eta) for s in claim.families]
+            fams = [SolutionFamily.from_spec(s, eta) for s in claim.recomputed_families]
+            excluded = fams or shown
+            points = [sample_constraint_point(L, rng) for _ in range(200)]
+            points += [sample_family_member(L, f, rng) for f in shown + fams
+                       if not f.quadratic_relations for _ in range(5)]
+            on_excluded = _condition_kernel(*(f._conditions for f in excluded))
+            for pt in points:
+                on = []
+                for f in shown + fams:
+                    want = walk_violated(f._conditions, pt)
+                    assert f.contains(pt) is (want is None), (claim.anchor, f.describe(), pt)
+                    assert f._conditions.violated(pt) == want, (claim.anchor, f.describe(), pt)
+                    on.append(want is None)
+                    outcomes["family"].add(want is None)
+                got = on_excluded(*pt._ints)
+                assert got is any(f.contains(pt) for f in excluded), (claim.anchor, pt)
+                outcomes["excluded"].add(got)
+                want = walk_violated(system._solutions, pt)
+                holds = all(p.vanishes_at(pt) for p in system.entries.values())
+                assert system._solutions._admits(*pt._ints) is holds is (want is None)
+                assert system._solutions.violated(pt) == want, (system.case_id, pt)
+                outcomes["system"].add(holds)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def test_families_and_systems_pickle_after_their_tests_ran():
+    L = make_group("G2")
+    system = build_system(L, "bott", "codazzi")
+    fam = SolutionFamily.from_text("a=0,b=0")
+    report = sample_necessity(system, [fam], 20, 1)  # builds both kernels
+    assert fam.contains({"a": 0, "b": 0, "g": 1, "d": 2})
+    for original in (fam, system):
+        twin = pickle.loads(pickle.dumps(original))
+        assert twin == original
+    twin = pickle.loads(pickle.dumps(system))
+    assert sample_necessity(twin, [fam], 20, 1) == report
 
 
 # -- deciding on families ----------------------------------------------------

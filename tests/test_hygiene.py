@@ -1,8 +1,8 @@
 """Source hygiene: every imported name in the package and the tests is read,
 every private module-level definition of the package is read, zero tests
 go through vanishes_at, term merges seed no zero, the package runs
-generated code in one place, and only the sampling entry points build a
-random generator."""
+generated code in one place, only the sampling entry points build a
+random generator, and only the three samplers draw from one."""
 
 import ast
 import pathlib
@@ -180,22 +180,30 @@ def test_ring_merges_seed_no_zero(path):
     assert zero_seeded_merges(path.read_text(encoding="utf-8")) == []
 
 
-def calls_named(source: str, name_of) -> list:
-    """Calls whose callee name_of(func node) names, as (line, enclosing
-    function or None, name); name_of returns None for any other call."""
-    calls = []
+def nodes_named(source: str, name_of) -> list:
+    """Nodes that name_of(node) names, as (line, enclosing function or
+    None, name); name_of returns None for any other node."""
+    found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and name_of(child.func):
-                calls.append((child.lineno, function, name_of(child.func)))
+            name = name_of(child)
+            if name:
+                found.append((child.lineno, function, name))
             visit(child, function)
 
     visit(ast.parse(source), None)
-    return sorted(calls)
+    return sorted(found)
+
+
+def calls_named(source: str, name_of) -> list:
+    """Calls whose callee name_of(func node) names, as (line, enclosing
+    function or None, name); name_of returns None for any other call."""
+    return nodes_named(source, lambda node: name_of(node.func)
+                       if isinstance(node, ast.Call) else None)
 
 
 def dynamic_code_calls(source: str) -> list:
@@ -246,3 +254,31 @@ def test_only_the_sampling_entry_points_build_a_generator():
     calls = [(path.name, function) for path in PACKAGE
              for _, function, _ in rng_constructions(path.read_text(encoding="utf-8"))]
     assert calls == [("classify.py", "sample_necessity"), ("classify.py", "_audit_branch")]
+
+
+def generator_draws(source: str) -> list:
+    """Reads of the attributes getrandbits and random, the draw methods
+    of a random.Random, whether called or bound to a name, as (line,
+    enclosing function or None, name)."""
+    return nodes_named(source, lambda node: node.attr if isinstance(node, ast.Attribute)
+                       and node.attr in ("getrandbits", "random") else None)
+
+
+def test_scan_finds_generator_draws():
+    source = ("import random\n"
+              "def pair(rng: random.Random):\n    bits = rng.getrandbits\n    return bits(5)\n"
+              "def coin(rng):\n    return rng.random() < 0.5 or random.random()\n"
+              "x = random.Random(1).getrandbits(4)\ny = rng.randint(1, 2)\n")
+    assert generator_draws(source) == [(3, "pair", "getrandbits"), (6, "coin", "random"),
+                                       (6, "coin", "random"), (7, None, "getrandbits")]
+
+
+def test_only_the_three_samplers_draw():
+    # the draw stream has one implementation: _rand_pair, the G7 branch
+    # coin of sample_constraint_point and the zero coin of
+    # sample_family_member; a copy of _rand_pair elsewhere would have to
+    # repeat its rejection rules exactly
+    draws = {(path.name, function) for path in PACKAGE
+             for _, function, _ in generator_draws(path.read_text(encoding="utf-8"))}
+    assert draws == {("liealg.py", "_rand_pair"), ("liealg.py", "sample_constraint_point"),
+                     ("classify.py", "sample_family_member")}

@@ -1,18 +1,20 @@
 """Family construction, brackets, metric, constraint sampling, Jacobi."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import all_groups, random_poly
+from conftest import all_groups, random_point, random_poly, walk_violated
 from liecodazzi import liealg
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
     SamplerStarvation, _bilinear, _rand_pair, _raw_algebra, abelian, bracket, jacobi_check,
     make_group, metric, sample_constraint_point,
 )
-from liecodazzi.poly import VARS, Point, Polynomial, PolyError, parse
+from liecodazzi.poly import VARS, ZERO, Point, Polynomial, PolyError, _condition_kernel, parse
 
 
 # -- construction --------------------------------------------------------
@@ -213,6 +215,59 @@ def test_sample_points_respect_constraints():
                 assert p.eval_at(pt) != 0
             assert type(pt) is Point
             assert all(isinstance(v, Fraction) for v in pt.values())
+
+
+def test_group_tests_agree_with_the_polynomial_walk():
+    # each group's compiled test at every group's admissible points and at
+    # unconstrained points, so both answers occur on every group with a
+    # condition; violated names the condition the walk names
+    rng = random.Random(1400)
+    groups = all_groups()
+    points = [Point(random_point(rng)) for _ in range(200)]
+    points += [sample_constraint_point(L, rng) for L in groups for _ in range(30)]
+    points += [Point(dict.fromkeys(VARS, 0))]
+    for L in groups:
+        outcomes = set()
+        for pt in points:
+            want = walk_violated(L.constraints, pt)
+            assert L.constraints._admits(*pt._ints) is (want is None), (L.label(), pt)
+            assert L.constraints.violated(pt) == want, (L.label(), pt)
+            outcomes.add(want is None)
+        assert outcomes == ({True, False} if L.constraints.inequations else {True})
+
+
+def test_condition_tests_of_empty_zero_and_constant_sets():
+    rng = random.Random(1401)
+    points = [Point(random_point(rng)) for _ in range(50)] + [Point(dict.fromkeys(VARS, 0))]
+    three = Polynomial.const(3)
+    cases = [
+        (ConstraintSet(), None),                               # admits everything
+        (ConstraintSet(inequations=(ZERO,)), (ZERO, "inequation")),  # admits nothing
+        (ConstraintSet(equalities=(ZERO,)), None),             # a zero equality is skipped
+        (ConstraintSet(equalities=(ZERO, three)), (three, "equality")),  # admits nothing
+        (ConstraintSet(equalities=(ZERO,), inequations=(three,)), None),
+    ]
+    for constraints, want in cases:
+        for pt in points:
+            assert constraints._admits(*pt._ints) is (want is None)
+            assert constraints.violated(pt) == want == walk_violated(constraints, pt)
+    # no set at all is met nowhere; one of several sets is enough
+    assert _condition_kernel()(*points[0]._ints) is False
+    either = _condition_kernel(cases[1][0], cases[0][0])
+    assert all(either(*pt._ints) is True for pt in points)
+
+
+def test_condition_sets_copy_and_pickle_without_their_kernel():
+    L = make_group("G5")
+    pt = sample_constraint_point(L, random.Random(3))
+    assert L.constraints.violated(pt) is None  # builds the kernel
+    for original in (L.constraints, L):
+        for twin in (copy.copy(original), copy.deepcopy(original),
+                     pickle.loads(pickle.dumps(original))):
+            assert twin == original
+    twin = pickle.loads(pickle.dumps(L.constraints))
+    assert twin.violated(pt) is None
+    assert twin.violated({**pt, "a": 1}) == walk_violated(L.constraints, Point({**pt, "a": 1}))
 
 
 def test_sample_deterministic_for_seed():

@@ -13,7 +13,7 @@ import pytest
 from conftest import random_point, random_poly, random_rational
 from liecodazzi import poly
 from liecodazzi.classify import _point_json, build_system
-from liecodazzi.liealg import E1, FrameVector, make_group
+from liecodazzi.liealg import E1, ConstraintSet, FrameVector, make_group
 from liecodazzi.poly import (
     A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError, parse,
 )
@@ -379,6 +379,42 @@ def test_kernel_source_is_integer_arithmetic_on_the_eight_names(monkeypatch):
         assert kernel.__code__.co_names == () and kernel.__globals__ == {"__builtins__": {}}
 
 
+def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
+    sources = []
+    build = poly._make_kernel
+    monkeypatch.setattr(poly, "_make_kernel", lambda expression: sources.append(expression)
+                        or build(expression))
+    rng = random.Random(122)
+    raws = kernel_test_points(rng)
+    polys = kernel_test_polys(rng) + [ZERO, Polynomial.const(-2)]
+    sets = [ConstraintSet(tuple(rng.sample(polys, rng.randint(0, 2))),
+                          tuple(rng.sample(polys, rng.randint(0, 2)))) for _ in range(12)]
+    slices = [sets[i:i + n] for n in (0, 1, 3) for i in range(0, 12, 3)]
+    kernels = [poly._condition_kernel(*some) for some in slices]
+    assert len(sources) == len(kernels)
+    allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.Add,
+               ast.Sub, ast.Mult, ast.Pow, ast.USub, ast.Not, ast.And, ast.Or, ast.NotEq,
+               ast.Load)
+    for expression in sources:
+        for node in ast.walk(ast.parse(expression, mode="eval")):
+            if isinstance(node, ast.Constant):
+                assert type(node.value) in (int, bool), expression
+            elif isinstance(node, ast.Name):
+                assert node.id in KERNEL_ARGS, expression
+            else:
+                assert isinstance(node, allowed), (ast.dump(node), expression)
+    # each kernel against the oracle's values: one of its sets is met
+    seen = set()
+    for some, kernel in zip(slices, kernels):
+        for raw in raws:
+            want = any(all(eval_oracle(p, raw) == 0 for p in s.equalities)
+                       and all(eval_oracle(q, raw) != 0 for q in s.inequations)
+                       for s in some)
+            assert kernel(*Point(raw)._ints) is want, (some, raw)
+            seen.add(want)
+    assert seen == {True, False}
+
+
 # -- Point -------------------------------------------------------------
 
 
@@ -427,13 +463,13 @@ def test_coordinate_built_point_equals_the_checked_one():
     for raw in kernel_test_points(rng) + [random_point(rng) for _ in range(50)]:
         checked = Point(raw)
         pairs = tuple(Fraction(raw[v]).as_integer_ratio() for v in VARS)
-        built = Point._of_pairs(*pairs)
+        built = Point._of_ints(sum(pairs, ()))
         assert dict(built) == dict(checked) == {v: Fraction(raw[v]) for v in VARS}
         assert built._pairs == checked._pairs == pairs and built._ints == checked._ints
         assert built == checked and built.text() == checked.text()
         assert all(type(built[v]) is Fraction for v in VARS)
     coords = (Fraction(3, 4), Fraction(3, 4), Fraction(-7, 2), Fraction(0))
-    pt = Point._of_pairs(*(c.as_integer_ratio() for c in coords))
+    pt = Point._of_ints(sum((c.as_integer_ratio() for c in coords), ()))
     raw = dict(zip(VARS, coords))
     assert pt == Point(raw) == raw and pt._pairs == Point(raw)._pairs
     assert pt._pairs == ((3, 4), (3, 4), (-7, 2), (0, 1))
@@ -477,6 +513,29 @@ def test_point_rejects_bad_input_with_the_eval_messages():
         Point({"a": 1, "b": 2, "g": 3})
     with pytest.raises(PolyError, match="not an exact rational: 0.5"):
         Point({**full, "b": 0.5})
+
+
+def test_polynomial_rejects_an_exponent_that_is_not_an_int():
+    # int() would read 1.5 as 1, True as 1 and "2" as 2
+    for exps in ((1.5, 0, 0, 0), (True, 0, 0, 0), (0, 0, False, 0), (Fraction(2), 0, 0, 0),
+                 ("2", 0, 0, 0), (0, -1, 0, 0), (1, 0, 0)):
+        with pytest.raises(PolyError, match="bad exponent tuple"):
+            Polynomial({exps: 1})
+    assert Polynomial({(2, 0, 0, 1): 3, (0, 0, 0, 0): -1}) == parse("3*a^2*d-1")
+
+
+def test_bools_are_not_exact_rationals():
+    # a bool is an int to isinstance, and would pass as 0 or 1
+    p = parse("a+b")
+    spellings = (lambda: Polynomial.const(True), lambda: Point({"a": True, "b": 0, "g": 0, "d": 0}),
+                 lambda: p ** True, lambda: p + True, lambda: False * p, lambda: p.scale(True),
+                 lambda: p.substitute({"a": True}), lambda: p.eval_at({"a": 1, "b": 0, "g": 0, "d": False}))
+    for spelling in spellings:
+        with pytest.raises(PolyError):
+            spelling()
+    # equality asks no rationality: no polynomial equals a bool
+    assert ONE != True and not ONE == True and ZERO != False
+    assert p ** 1 == p + 0 == p and Polynomial.const(1) == ONE
 
 
 def test_point_json_of_a_point_is_unchanged():
