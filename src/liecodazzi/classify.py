@@ -34,7 +34,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .poly import GREEK, VARS, Point, Polynomial, PolyError, _condition_kernel, parse, quoted
+from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
 from .liealg import (
     PAIRS,
     ConstraintSet,
@@ -343,12 +343,6 @@ class PolySystem:
     def is_trivial(self) -> bool:
         return not self.nonzero()
 
-    @cached_property
-    def _solutions(self) -> ConstraintSet:
-        """Where every residual vanishes, as side conditions: its compiled
-        test decides each point sample_necessity evaluates in one call."""
-        return ConstraintSet(equalities=tuple(self.entries.values()))
-
     def reduced(self):
         """Distinct monic residuals, deterministically ordered."""
         seen = {}
@@ -476,16 +470,16 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     excluded families.  Deterministic for a fixed seed.
 
     Each attempt draws one point with sample_constraint_point and decides
-    it with two compiled tests of its integer pairs: "on some excluded
-    family" (one kernel for all the families, built per call; none when
-    nothing is excluded) and "every residual vanishes" (the system's
-    _solutions)."""
+    it by compiled tests of its integer pairs (see ConstraintSet): it is
+    skipped when the test of some excluded family admits it, and
+    otherwise the system holds there when the test of "every residual
+    vanishes", built once per call, admits it."""
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError("trials must be a positive integer")
     rng = random.Random(seed)
     L = system.algebra
-    on_excluded = _condition_kernel(*(f._conditions for f in excluded)) if excluded else None
-    holds = system._solutions._admits
+    on_excluded = tuple(f._conditions._admits for f in excluded)
+    holds = ConstraintSet(equalities=tuple(system.entries.values()))._admits
     evaluated = violations = satisfied = 0
     witness = witness_res = counterexample = None
     attempts = 0
@@ -500,17 +494,21 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
         attempts += 1
         point = sample_constraint_point(L, rng)
         ints = point._ints
-        if on_excluded is not None and on_excluded(*ints):
-            continue
-        evaluated += 1
-        if holds(*ints):
-            satisfied += 1
-            if counterexample is None:
-                counterexample = point
+        # a plain loop: any() over a generator here costs more than the
+        # kernel calls it makes
+        for on in on_excluded:
+            if on(*ints):
+                break
         else:
-            violations += 1
-            if witness is None:
-                witness, witness_res = point, _eval_all(system, point)
+            evaluated += 1
+            if holds(*ints):
+                satisfied += 1
+                if counterexample is None:
+                    counterexample = point
+            else:
+                violations += 1
+                if witness is None:
+                    witness, witness_res = point, _eval_all(system, point)
     return SampleReport(trials=evaluated, violations=violations,
                         satisfied=satisfied, witness=witness,
                         witness_residuals=witness_res,

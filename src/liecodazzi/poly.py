@@ -20,10 +20,10 @@ no ``Fraction``; ``eval_at`` divides the same value by the cleared
 denominator, for the values a report shows.  The same integer forms
 write the condition kernels (``_condition_kernel``): one boolean
 function of the point's integers per question "these vanish, those do
-not", or per disjunction of such questions, so a side-condition set, a
-family or a list of families tests a point in one call.  Polynomials
-are evaluated at a :class:`Point`, which keeps its coordinates as
-integer pairs; ``eval_at`` builds one from any other mapping.
+not", so a side-condition set or a family tests a point in one call.
+Polynomials are evaluated at a :class:`Point`, which keeps its
+coordinates as integer pairs; ``eval_at`` builds one from any other
+mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -179,7 +179,7 @@ def _make_kernel(expression: str):
     callers write the expression from integer literals and those eight
     names: Polynomial._compile a sum of products (a polynomial's integer
     form), _condition_kernel comparisons of such sums with 0 joined by
-    and/or.  The function runs with no globals and no builtins.  Equal
+    and.  The function runs with no globals and no builtins.  Equal
     expressions built apart (an audit builds each family's conditions per
     branch) share one function."""
     namespace = {}
@@ -188,22 +188,19 @@ def _make_kernel(expression: str):
     return namespace["k"]
 
 
-def _condition_kernel(*sets):
-    """The kernel k(n0, d0, ..., n3, d3) -> bool of "the point meets one
-    of sets", each set having the polynomial tuples equalities and
-    inequations (a liealg.ConstraintSet): it is met where every equality
-    vanishes and no inequation does.  Each condition tests a polynomial's
-    integer form for 0 ("not (form)" for an equality, "form != 0" for an
-    inequation), which decides it exactly (see Polynomial._integer_form);
-    a set's conditions run in their given order and stop at the first
-    that fails.  A zero equality is left out, so a set without conditions
-    is met everywhere; no set at all is met nowhere."""
-    tests = []
-    for s in sets:
-        test = [f"not ({p._integer_form()[0]})" for p in s.equalities if p.terms]
-        test += [f"{q._integer_form()[0]} != 0" for q in s.inequations]
-        tests.append(f"({' and '.join(test) or 'True'})")
-    return _make_kernel(" or ".join(tests) or "False")
+def _condition_kernel(conditions):
+    """The kernel k(n0, d0, ..., n3, d3) -> bool of "the point meets
+    conditions", which has the polynomial tuples equalities and
+    inequations (a liealg.ConstraintSet): every equality vanishes and no
+    inequation does.  Each condition tests a polynomial's integer form
+    for 0 ("not (form)" for an equality, "form != 0" for an inequation),
+    which decides it exactly (see Polynomial._integer_form); the
+    conditions run in their given order and stop at the first that
+    fails.  A zero equality is left out, so a set without conditions is
+    met everywhere."""
+    tests = [f"not ({p._integer_form()[0]})" for p in conditions.equalities if p.terms]
+    tests += [f"{q._integer_form()[0]} != 0" for q in conditions.inequations]
+    return _make_kernel(" and ".join(tests) or "True")
 
 
 def _term_key(exps):

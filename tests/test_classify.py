@@ -9,9 +9,9 @@ import pytest
 
 from conftest import all_groups, walk_violated
 from liecodazzi import classify
-from liecodazzi.poly import Point, Polynomial, PolyError, _condition_kernel, parse
+from liecodazzi.poly import Point, Polynomial, PolyError, parse
 from liecodazzi.liealg import (
-    ConstraintViolation, SamplerStarvation, make_group, sample_constraint_point,
+    ConstraintSet, ConstraintViolation, SamplerStarvation, make_group, sample_constraint_point,
 )
 from liecodazzi.tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 from liecodazzi.connection import make_connection
@@ -262,52 +262,42 @@ def test_contains_matches_the_coordinate_compare_oracle():
 def test_compiled_tests_agree_with_the_polynomial_walk():
     # per claim branch, at 200 points the sampler draws on the group
     # (mostly off the families) and at member points of each family (on
-    # it): every family's test, the exclusion test sample_necessity builds
-    # for the audit's families and the system's residual test, against
-    # walks over their polynomials
-    outcomes = {"family": set(), "excluded": set(), "system": set()}
+    # it): every family's test and the residual test sample_necessity
+    # builds, against walks over their polynomials
+    outcomes = {"family": set(), "system": set()}
     for index, claim in enumerate(load_claims()):
         for eta in claim.branches():
             L = make_group(claim.family, eta=eta)
             rng = random.Random(1500 + index)
             system = build_system(L, claim.connection, claim.structure)
-            shown = [SolutionFamily.from_spec(s, eta) for s in claim.families]
-            fams = [SolutionFamily.from_spec(s, eta) for s in claim.recomputed_families]
-            excluded = fams or shown
+            residuals = ConstraintSet(equalities=tuple(system.entries.values()))
+            fams = [SolutionFamily.from_spec(s, eta)
+                    for s in claim.families + claim.recomputed_families]
             points = [sample_constraint_point(L, rng) for _ in range(200)]
-            points += [sample_family_member(L, f, rng) for f in shown + fams
+            points += [sample_family_member(L, f, rng) for f in fams
                        if not f.quadratic_relations for _ in range(5)]
-            on_excluded = _condition_kernel(*(f._conditions for f in excluded))
             for pt in points:
-                on = []
-                for f in shown + fams:
+                for f in fams:
                     want = walk_violated(f._conditions, pt)
                     assert f.contains(pt) is (want is None), (claim.anchor, f.describe(), pt)
                     assert f._conditions.violated(pt) == want, (claim.anchor, f.describe(), pt)
-                    on.append(want is None)
                     outcomes["family"].add(want is None)
-                got = on_excluded(*pt._ints)
-                assert got is any(f.contains(pt) for f in excluded), (claim.anchor, pt)
-                outcomes["excluded"].add(got)
-                want = walk_violated(system._solutions, pt)
+                want = walk_violated(residuals, pt)
                 holds = all(p.vanishes_at(pt) for p in system.entries.values())
-                assert system._solutions._admits(*pt._ints) is holds is (want is None)
-                assert system._solutions.violated(pt) == want, (system.case_id, pt)
+                assert residuals._admits(*pt._ints) is holds is (want is None)
+                assert residuals.violated(pt) == want, (system.case_id, pt)
                 outcomes["system"].add(holds)
     assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
-def test_families_and_systems_pickle_after_their_tests_ran():
-    L = make_group("G2")
-    system = build_system(L, "bott", "codazzi")
+def test_families_pickle_after_their_tests_ran():
+    system = build_system(make_group("G2"), "bott", "codazzi")
     fam = SolutionFamily.from_text("a=0,b=0")
-    report = sample_necessity(system, [fam], 20, 1)  # builds both kernels
+    report = sample_necessity(system, [fam], 20, 1)  # builds the family's kernel
     assert fam.contains({"a": 0, "b": 0, "g": 1, "d": 2})
-    for original in (fam, system):
-        twin = pickle.loads(pickle.dumps(original))
-        assert twin == original
-    twin = pickle.loads(pickle.dumps(system))
-    assert sample_necessity(twin, [fam], 20, 1) == report
+    twin = pickle.loads(pickle.dumps(fam))
+    assert twin == fam
+    assert sample_necessity(system, [twin], 20, 1) == report
 
 
 # -- deciding on families ----------------------------------------------------

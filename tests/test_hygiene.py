@@ -6,6 +6,7 @@ random generator, and only the three samplers draw from one."""
 
 import ast
 import pathlib
+import random
 
 import pytest
 
@@ -256,21 +257,32 @@ def test_only_the_sampling_entry_points_build_a_generator():
     assert calls == [("classify.py", "sample_necessity"), ("classify.py", "_audit_branch")]
 
 
+# every public method of a random.Random that reads its state to draw
+DRAW_METHODS = frozenset(name for name in dir(random.Random) if not name.startswith("_")) - {
+    "VERSION", "seed", "getstate", "setstate"}
+
+
 def generator_draws(source: str) -> list:
-    """Reads of the attributes getrandbits and random, the draw methods
-    of a random.Random, whether called or bound to a name, as (line,
-    enclosing function or None, name)."""
+    """Reads of an attribute named like a draw method of a random.Random
+    (DRAW_METHODS: getrandbits, random, randint, choice, shuffle, ...),
+    whether called or bound to a name, as (line, enclosing function or
+    None, name)."""
     return nodes_named(source, lambda node: node.attr if isinstance(node, ast.Attribute)
-                       and node.attr in ("getrandbits", "random") else None)
+                       and node.attr in DRAW_METHODS else None)
 
 
 def test_scan_finds_generator_draws():
     source = ("import random\n"
               "def pair(rng: random.Random):\n    bits = rng.getrandbits\n    return bits(5)\n"
               "def coin(rng):\n    return rng.random() < 0.5 or random.random()\n"
-              "x = random.Random(1).getrandbits(4)\ny = rng.randint(1, 2)\n")
+              "x = random.Random(1).getrandbits(4)\ny = rng.randint(1, 2)\n"
+              "def pick(rng, xs):\n    rng.seed(3)\n    rng.shuffle(xs)\n"
+              "    return rng.choice(xs), rng.getstate(), args.seed\n")
     assert generator_draws(source) == [(3, "pair", "getrandbits"), (6, "coin", "random"),
-                                       (6, "coin", "random"), (7, None, "getrandbits")]
+                                       (6, "coin", "random"), (7, None, "getrandbits"),
+                                       (8, None, "randint"), (11, "pick", "shuffle"),
+                                       (12, "pick", "choice")]
+    assert {"randrange", "choices", "sample", "uniform", "gauss", "randbytes"} <= DRAW_METHODS
 
 
 def test_only_the_three_samplers_draw():

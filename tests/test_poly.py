@@ -389,12 +389,10 @@ def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
     polys = kernel_test_polys(rng) + [ZERO, Polynomial.const(-2)]
     sets = [ConstraintSet(tuple(rng.sample(polys, rng.randint(0, 2))),
                           tuple(rng.sample(polys, rng.randint(0, 2)))) for _ in range(12)]
-    slices = [sets[i:i + n] for n in (0, 1, 3) for i in range(0, 12, 3)]
-    kernels = [poly._condition_kernel(*some) for some in slices]
+    kernels = [poly._condition_kernel(s) for s in sets]
     assert len(sources) == len(kernels)
     allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.Add,
-               ast.Sub, ast.Mult, ast.Pow, ast.USub, ast.Not, ast.And, ast.Or, ast.NotEq,
-               ast.Load)
+               ast.Sub, ast.Mult, ast.Pow, ast.USub, ast.Not, ast.And, ast.NotEq, ast.Load)
     for expression in sources:
         for node in ast.walk(ast.parse(expression, mode="eval")):
             if isinstance(node, ast.Constant):
@@ -403,14 +401,13 @@ def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
                 assert node.id in KERNEL_ARGS, expression
             else:
                 assert isinstance(node, allowed), (ast.dump(node), expression)
-    # each kernel against the oracle's values: one of its sets is met
+    # each kernel against the oracle's values: its set is met
     seen = set()
-    for some, kernel in zip(slices, kernels):
+    for s, kernel in zip(sets, kernels):
         for raw in raws:
-            want = any(all(eval_oracle(p, raw) == 0 for p in s.equalities)
-                       and all(eval_oracle(q, raw) != 0 for q in s.inequations)
-                       for s in some)
-            assert kernel(*Point(raw)._ints) is want, (some, raw)
+            want = (all(eval_oracle(p, raw) == 0 for p in s.equalities)
+                    and all(eval_oracle(q, raw) != 0 for q in s.inequations))
+            assert kernel(*Point(raw)._ints) is want, (s, raw)
             seen.add(want)
     assert seen == {True, False}
 
