@@ -11,6 +11,12 @@ quasi-statistical residual adds the torsion pairing,
 
     ft(x, y, j) = f(x, y, j) + omega(T(e_x, e_y), e_j).
 
+Each table derived from a connection is named once, as in OBJECTS and
+STRUCTURES, by the stage table _STAGES: the tables it reads and the stage
+that computes it (curvature <- connection, ..., quasistatistical <-
+codazzi, torsion, ricci-sym).  _derived fills one store per (group, kind)
+from it on request, and build_system and compute_object read through it.
+
 This module builds both systems exactly, decides them on solution
 families, samples admissible parameter points for necessity arguments,
 and audits the published tables shipped under data/ against independent
@@ -48,13 +54,12 @@ from .liealg import (
     sample_constraint_point,
     sign_names,
 )
-from .connection import Connection, display_name, make_connection, resolve_kind
+from .connection import display_name, make_connection, resolve_kind
 from .tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 __all__ = [
     "CheckResult",
     "Claim",
-    "Derivation",
     "DiscrepancyRegister",
     "GarbledValue",
     "PolySystem",
@@ -70,7 +75,6 @@ __all__ = [
     "case_id",
     "check_on_family",
     "compute_object",
-    "derivation",
     "load_claims",
     "load_printed_systems",
     "load_printed_tables",
@@ -256,74 +260,53 @@ class SolutionFamily:
 # -- derivations ------------------------------------------------------------
 
 
-class Derivation:
-    """The objects derived from one connection table, each built on first use.
-
-    R is the curvature of the connection, rho its Ricci tensor, omega the
-    symmetrized Ricci tensor, D = nabla omega and T the torsion; codazzi
-    and quasistatistical are the two residual systems.  Connections with
-    the same table share one Derivation (Bott and Kobayashi-Nomizu
-    coincide on G1..G7), so the connection itself stays private: its kind
-    is whichever was requested first.  Each object is a plain dict keyed by
-    index tuple, read as table[key] like C.gamma; every consumer reads the
-    same dicts, so treat them as read-only.
-    """
-
-    def __init__(self, C: Connection):
-        self._C = C
-
-    @cached_property
-    def R(self):
-        return curvature(self._C)
-
-    @cached_property
-    def rho(self):
-        return ricci(self.R)
-
-    @cached_property
-    def omega(self):
-        return symmetrize(self.rho)
-
-    @cached_property
-    def D(self):
-        return cov_deriv_02(self._C, self.omega)
-
-    @cached_property
-    def T(self):
-        return torsion(self._C)
-
-    @cached_property
-    def codazzi(self) -> dict:
-        D = self.D
-        return {(x, y, j): D[(x, y, j)] - D[(y, x, j)]
-                for x, y in PAIRS for j in (1, 2, 3)}
-
-    @cached_property
-    def quasistatistical(self) -> dict:
-        out = {}
-        for (x, y, j), f in self.codazzi.items():
-            # omega(T(e_x, e_y), e_j), skipping the products with a zero factor
-            pairing = Polynomial.zero()
-            for k, t in enumerate(self.T[(x, y)].c, start=1):
-                w = self.omega[(k, j)]
-                if t and w:
-                    pairing = pairing + t * w
-            out[(x, y, j)] = f + pairing
-        return out
+def _quasistatistical(f: Mapping, T: Mapping, omega: Mapping) -> dict:
+    out = {}
+    for (x, y, j), fxyj in f.items():
+        # omega(T(e_x, e_y), e_j), skipping the products with a zero factor
+        pairing = Polynomial.zero()
+        for k, t in enumerate(T[(x, y)].c, start=1):
+            w = omega[(k, j)]
+            if t and w:
+                pairing = pairing + t * w
+        out[(x, y, j)] = fxyj + pairing
+    return out
 
 
-def derivation(L: LieAlgebra, kind: str) -> Derivation:
-    """The Derivation of a connection on L, kept in L.derived under
-    ("derivation", kind id).  On the first request for a kind it reuses a
-    Derivation already on L whose connection has the same table."""
+# each table derived from a connection: the tables it reads and the stage
+# that computes it from them.  A stage names its function when it runs, so
+# it calls whatever the module attribute holds then.
+_STAGES = {
+    "curvature": (("connection",), lambda C: curvature(C)),
+    "ricci": (("curvature",), lambda R: ricci(R)),
+    "ricci-sym": (("ricci",), lambda rho: symmetrize(rho)),
+    "nabla-ricci-sym": (("connection", "ricci-sym"), lambda C, omega: cov_deriv_02(C, omega)),
+    "torsion": (("connection",), lambda C: torsion(C)),
+    "codazzi": (("nabla-ricci-sym",), lambda D: {
+        (x, y, j): D[(x, y, j)] - D[(y, x, j)] for x, y in PAIRS for j in (1, 2, 3)}),
+    "quasistatistical": (("codazzi", "torsion", "ricci-sym"), _quasistatistical),
+}
+
+
+def _derived(L: LieAlgebra, kind: str, name: str) -> dict:
+    """The table name of _STAGES for a connection on L, computed on first
+    request from the tables it reads.  The tables of a kind live in one
+    dict, L.derived[("derivation", kind id)]; on the first request for a
+    kind it reuses the dict of a kind whose connection has the same table
+    (Bott and Kobayashi-Nomizu coincide on G1..G7).  Every consumer reads
+    the same dicts, so treat them as read-only."""
     key = ("derivation", resolve_kind(kind))
-    d = L.derived.get(key)
-    if d is None:
+    store = L.derived.get(key)
+    if store is None:
         C = make_connection(L, kind)
-        same = [v for v in L.derived.values()
-                if isinstance(v, Derivation) and v._C.gamma == C.gamma]
-        d = L.derived[key] = same[0] if same else Derivation(C)
-    return d
+        store = L.derived[key] = next(
+            (v for k, v in L.derived.items()
+             if k[0] == "derivation" and v["connection"].gamma == C.gamma),
+            {"connection": C})
+    if name not in store:
+        reads, stage = _STAGES[name]
+        store[name] = stage(*(_derived(L, kind, r) for r in reads))
+    return store[name]
 
 
 # -- residual systems ------------------------------------------------------
@@ -366,9 +349,8 @@ def case_id(label: str, kind: str, structure: str) -> str:
 def build_system(L: LieAlgebra, kind: str, structure: str) -> PolySystem:
     if structure not in STRUCTURES:
         raise ValueError(f"unknown structure {structure!r}; expected one of {STRUCTURES}")
-    entries = getattr(derivation(L, kind), structure)
-    return PolySystem(case_id=case_id(L.label(), kind, structure), entries=entries,
-                      algebra=L)
+    return PolySystem(case_id=case_id(L.label(), kind, structure),
+                      entries=_derived(L, kind, structure), algebra=L)
 
 
 # -- deciding a system on a family ------------------------------------------
@@ -569,8 +551,7 @@ def _load_json(name: str) -> dict:
 
 _VECTOR_KINDS = ("connection", "curvature", "torsion")
 
-# the index tuples of each object, in table order, and the Derivation
-# attribute that holds it (the connection itself needs no Derivation)
+# the index tuples of each object, in table order
 _KIND_KEYS = {
     "connection": [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
     "curvature": [(x, y, k) for x, y in PAIRS for k in (1, 2, 3)],
@@ -580,8 +561,6 @@ _KIND_KEYS = {
                         for p, q in ((x, y), (y, x))],
     "torsion": PAIRS,
 }
-_DERIVED_ATTR = {"curvature": "R", "ricci": "rho", "ricci-sym": "omega",
-                 "nabla-ricci-sym": "D", "torsion": "T"}
 
 
 class _Published:
@@ -693,10 +672,7 @@ def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
     The dict is fresh on every call; its values are shared and immutable."""
     if obj not in OBJECTS:
         raise ValueError(f"unknown object {obj!r}; expected one of {OBJECTS}")
-    if obj == "connection":
-        table = make_connection(L, kind).gamma
-    else:
-        table = getattr(derivation(L, kind), _DERIVED_ATTR[obj])
+    table = make_connection(L, kind).gamma if obj == "connection" else _derived(L, kind, obj)
     return {_key_text(key): table[key] for key in _KIND_KEYS[obj]}
 
 

@@ -127,8 +127,9 @@ def make_connection(L: LieAlgebra, kind: str) -> Connection:
     """The connection of the given kind on L, built once per group.
 
     Levi-Civita is built first and reused by the other three kinds.  The
-    result is kept in L.derived and shared, so treat it as read-only; the
-    builders above stay uncached."""
+    result is kept in L.derived under ("connection", kind id), beside the
+    store of tables classify._derived derives from it, and shared, so treat
+    it as read-only; the builders above stay uncached."""
     internal = resolve_kind(kind)
     key = ("connection", internal)
     C = L.derived.get(key)

@@ -191,10 +191,10 @@ class LieAlgebra:
     brackets: Mapping[tuple, FrameVector]
     constraints: ConstraintSet
     params: Optional[Point] = None
-    # ("connection", kind) -> Connection and ("derivation", kind) ->
-    # Derivation, filled on first request by connection.make_connection and
-    # classify.derivation; they live and die with the group and are shared,
-    # so treat them as read-only
+    # ("connection", kind) -> Connection, filled by connection.make_connection,
+    # and ("derivation", kind) -> {table name: table}, filled one table at a
+    # time by classify._derived; they live and die with the group and are
+    # shared, so treat them as read-only
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def label(self) -> str:
@@ -290,7 +290,8 @@ def make_group(family: str, eta: Optional[int] = None,
                numeric_params: Optional[Mapping[str, Rational]] = None) -> LieAlgebra:
     """Build one of G1..G7, symbolic or at a numeric parameter point.
 
-    eta must be one of branches(family): +1 or -1 for G4, None otherwise.
+    eta must be one of branches(family): the int +1 or -1 for G4, None
+    otherwise; any other value, True and 1.0 included, raises ValueError.
     numeric_params is a Point, or any mapping poly.Point accepts: each
     of the four parameters given once as an exact rational (int or
     Fraction), else PolyError.  The instance is checked against the
@@ -300,7 +301,8 @@ def make_group(family: str, eta: Optional[int] = None,
     """
     family = family.upper()
     signs = branches(family)
-    if eta not in signs:
+    # True and 1.0 equal 1, and the cache below would take them for it
+    if eta not in signs or type(eta) not in (int, type(None)):
         raise ValueError(f"{family} takes no eta" if signs == (None,)
                          else f"{family} requires eta=+1 or eta=-1")
     symbolic = _symbolic_group(family, eta)

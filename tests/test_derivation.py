@@ -4,21 +4,23 @@ in the audit's output."""
 import gc
 import hashlib
 import json
+import random
+import sys
 import weakref
 
 from conftest import all_groups, run_cli
 from liecodazzi import classify, connection, liealg
 from liecodazzi.classify import (
-    OBJECTS, STRUCTURES, Derivation, build_system, compute_object, derivation,
-    verify_paper_theorems,
+    _STAGES, OBJECTS, STRUCTURES, _derived, build_system, compute_object, verify_paper_theorems,
 )
 from liecodazzi.cli import main
 from liecodazzi.connection import (
     KINDS, Connection, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
+    resolve_kind,
 )
-from liecodazzi.liealg import BASIS, FrameVector, make_group, metric
+from liecodazzi.liealg import BASIS, FrameVector, make_group, metric, sample_constraint_point
 from liecodazzi.poly import Polynomial
-from liecodazzi.tensorcalc import cov_deriv_02, ricci
+from liecodazzi.tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 AUDITED_BUILDERS = (bott, canonical, kobayashi_nomizu)
 
@@ -53,21 +55,28 @@ def test_symbolic_groups_are_shared_numeric_ones_are_not():
     assert make_group("G1", numeric_params=pt) is not make_group("G1", numeric_params=pt)
 
 
+def store(L, kind):
+    """The dict of tables _derived keeps for a kind on L, or None."""
+    return L.derived.get(("derivation", resolve_kind(kind)))
+
+
 def test_bott_and_kn_share_one_derivation():
     for L in all_groups():
-        assert derivation(L, "bott") is derivation(L, "kn"), L.label()
-        assert derivation(L, "bott") is not derivation(L, "canonical"), L.label()
+        assert _derived(L, "bott", "codazzi") is _derived(L, "kn", "codazzi"), L.label()
+        assert store(L, "bott") is store(L, "kn"), L.label()
+        assert store(L, "bott") is not store(L, "canonical"), L.label()
 
 
 def test_a_shared_derivation_shows_no_connection():
-    # KN first: a Derivation that kept its connection public would name
-    # kobayashi_nomizu when asked for Bott
+    # KN first: the shared store holds the KN connection, and no table
+    # served for Bott may show it
     L = make_group("G3", numeric_params={"a": 1, "b": 2, "g": 3, "d": 0})
-    d = derivation(L, "kn")
-    assert derivation(L, "bott") is d
-    public = [name for name in dir(d) if not name.startswith("_")]
-    assert public
-    assert not [name for name in public if isinstance(getattr(d, name), Connection)]
+    build_system(L, "kn", "quasistatistical")
+    served = [compute_object(L, "bott", obj) for obj in OBJECTS]
+    served += [build_system(L, "bott", structure).entries for structure in STRUCTURES]
+    assert store(L, "bott") is store(L, "kn")
+    assert served[0] == {f"{i},{j}": v for (i, j), v in bott(levi_civita(L)).gamma.items()}
+    assert not [v for table in served for v in table.values() if isinstance(v, Connection)]
 
 
 def test_curvature_built_once_per_distinct_table_in_an_audit(monkeypatch):
@@ -88,27 +97,64 @@ def test_connection_request_derives_nothing_else(monkeypatch):
     L = make_group("G5", numeric_params={"a": 2, "b": 2, "g": 1, "d": -1})
     compute_object(L, "bott", "connection")
     assert not curvatures
-    assert not any(isinstance(v, Derivation) for v in L.derived.values())
+    assert not [key for key in L.derived if key[0] == "derivation"]
     compute_object(L, "bott", "ricci-sym")
-    d = derivation(L, "bott")
-    assert "omega" in vars(d) and "D" not in vars(d) and "T" not in vars(d)
+    # a ricci-sym request builds its reads and no nabla-ricci-sym or torsion
+    assert list(store(L, "bott")) == ["connection", "curvature", "ricci", "ricci-sym"]
     assert len(curvatures) == 1
+
+
+def test_each_stage_runs_once_per_distinct_connection_table(monkeypatch):
+    # patched where the tracer patches: in every module namespace holding
+    # the function, so a stage that kept the function it saw at import
+    # would count nothing here, and nothing in a traced run either
+    modules = [m for name, m in sorted(sys.modules.items())
+               if name.startswith("liecodazzi.") and m is not None]
+    stages = (curvature, ricci, symmetrize, cov_deriv_02, torsion)
+    calls = {fn.__name__: [] for fn in stages}
+    for fn in stages:
+        def wrapper(*args, _fn=fn):
+            calls[_fn.__name__].append(args)
+            return _fn(*args)
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    rng = random.Random(0)
+    for symbolic in all_groups():
+        point = sample_constraint_point(symbolic, rng)
+        L = make_group(symbolic.family, eta=symbolic.eta, numeric_params=point)
+        lc = levi_civita(L)
+        distinct = {tuple(sorted(C.gamma.items()))
+                    for C in (lc, *(build(lc) for build in AUDITED_BUILDERS))}
+        for counts in calls.values():
+            counts.clear()
+        for kind in KINDS:
+            for structure in STRUCTURES:
+                build_system(L, kind, structure)
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(
+            calls, len(distinct)), L.label()
 
 
 def test_warm_requests_hash_no_polynomial(monkeypatch):
     # the store is keyed by kind, so a second round of requests looks up
-    # the same Derivation without hashing the connection table
+    # the same tables without hashing the connection table
     liealg._symbolic_group.cache_clear()  # start from a cold store
     L = make_group("G2")
-    cold = {kind: derivation(L, kind) for kind in KINDS}
     for kind in KINDS:
         for structure in STRUCTURES:
             build_system(L, kind, structure)
+    cold = {kind: store(L, kind) for kind in KINDS}
+    cold_tables = {(kind, name): _derived(L, kind, name) for kind in KINDS for name in _STAGES}
     hashes = counting(monkeypatch, Polynomial, "__hash__")
     for kind in KINDS:
-        assert derivation(L, kind) is cold[kind]
+        for name in _STAGES:
+            assert _derived(L, kind, name) is cold_tables[kind, name]
+        for obj in OBJECTS:
+            compute_object(L, kind, obj)
         for structure in STRUCTURES:
-            build_system(L, kind, structure)
+            assert build_system(L, kind, structure).entries is cold_tables[kind, structure]
+        assert store(L, kind) is cold[kind]
     assert hashes == []
 
 
@@ -127,9 +173,10 @@ def test_cold_derivation_multiplies_no_zero(monkeypatch):
     monkeypatch.setattr(Polynomial, "__rmul__", recording)
     for L in all_groups():
         for kind in KINDS:
-            d = derivation(L, kind)
-            for name in ("R", "rho", "omega", "D", "T", "codazzi", "quasistatistical"):
-                getattr(d, name)
+            for obj in OBJECTS:
+                compute_object(L, kind, obj)
+            for structure in STRUCTURES:
+                build_system(L, kind, structure)
     assert operands
     assert [(p, q) for p, q in operands if not p or not q] == []
 
@@ -149,10 +196,11 @@ def test_numeric_instances_do_not_pile_up():
     L = make_group("G2", numeric_params={"a": 1, "b": 2, "g": 3, "d": 0})
     for structure in STRUCTURES:
         build_system(L, "kn", structure)
-    ref = weakref.ref(L)
+    assert set(store(L, "kn")) == {"connection", *_STAGES}
+    ref, connection_ref = weakref.ref(L), weakref.ref(store(L, "kn")["connection"])
     del L
     gc.collect()
-    assert ref() is None
+    assert ref() is None and connection_ref() is None
 
 
 def test_cold_cli_audit_matches_warm_in_process_audit(capsys):
@@ -219,13 +267,13 @@ def ricci_oracle(R, i, j):
 def test_ricci_and_cov_deriv_match_bilinear_oracles():
     for L in all_groups():
         for kind in KINDS:
-            d, C = derivation(L, kind), make_connection(L, kind)
-            rho = ricci(d.R)
+            R, C = _derived(L, kind, "curvature"), make_connection(L, kind)
+            rho = ricci(R)
             for i in (1, 2, 3):
                 for j in (1, 2, 3):
-                    assert rho[i, j] == ricci_oracle(d.R, i, j), (L.label(), kind, i, j)
+                    assert rho[i, j] == ricci_oracle(R, i, j), (L.label(), kind, i, j)
             # rho is asymmetric, so it also tells omega(m, k) from omega(k, m)
-            for omega in (d.omega, d.rho):
+            for omega in (_derived(L, kind, "ricci-sym"), rho):
                 D = cov_deriv_02(C, omega)
                 for i in (1, 2, 3):
                     for j in (1, 2, 3):

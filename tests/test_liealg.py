@@ -38,6 +38,20 @@ def test_g4_needs_eta():
         make_group("G1", eta=1)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("eta", [True, False, 1.0, -1.0, Fraction(1)], ids=repr)
+def test_eta_must_be_an_int_on_a_cold_or_warm_cache(eta, warm):
+    # True == 1 and 1.0 == 1, so a cached eta=1 group must not answer them
+    liealg._symbolic_group.cache_clear()
+    if warm:
+        for sign in (1, -1):
+            make_group("G4", eta=sign)
+    with pytest.raises(ValueError, match="G4 requires eta=\\+1 or eta=-1"):
+        make_group("G4", eta=eta)
+    with pytest.raises(ValueError, match="G1 takes no eta"):
+        make_group("G1", eta=eta)
+
+
 def test_numeric_instance_violating_inequation():
     with pytest.raises(ConstraintViolation) as exc:
         make_group("G1", numeric_params={"a": 0, "b": 1, "g": 0, "d": 0})
