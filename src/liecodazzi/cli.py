@@ -158,15 +158,27 @@ def _cmd_check(args) -> int:
     return 0 if result.holds else 1
 
 
+def _excluded_family(text: str, eta) -> SolutionFamily:
+    """The family that --exclude text names.  An inequation that is a
+    constant on the family (its assignment substituted) decides nothing
+    about a point: ValueError when one is 0 ("0!=0", "a=0,a!=0"), since
+    the family is then empty and excludes no point, and when the text has
+    no assignment and only such constants ("1!=0", "h!=0" on G4, or no
+    condition at all), since it then excludes every point."""
+    family = SolutionFamily.from_text(text, eta=eta)
+    nonzero = [q.substitute(family.assignment) for q in family.extra_inequations]
+    if not all(nonzero):
+        raise ValueError(f"--exclude {quoted(text)} can never hold, so it would "
+                         "exclude no point")
+    if not family.assignment and all(q.is_constant() for q in nonzero):
+        raise ValueError(f"--exclude {quoted(text)} states no condition, so it would "
+                         "exclude every point")
+    return family
+
+
 def _cmd_sample(args) -> int:
     L = _group(args)
-    excluded = []
-    for text in args.exclude:
-        family = SolutionFamily.from_text(text, eta=L.eta)
-        if not (family.assignment or family.extra_inequations):
-            raise ValueError(f"--exclude {quoted(text)} states no condition, so it would "
-                             "exclude every point")
-        excluded.append(family)
+    excluded = [_excluded_family(text, L.eta) for text in args.exclude]
     system = build_system(L, args.connection, args.structure)
     report = sample_necessity(system, excluded, args.trials, args.seed)
     if args.json:

@@ -2,28 +2,33 @@
 
 Every quantity in the engine lives in the ring Q[a, b, g, d] where the
 ASCII names a, b, g, d stand for the parameters alpha, beta, gamma,
-delta.  Polynomials are kept in canonical form at all times: a term map
-from exponent tuples to nonzero ``Fraction`` coefficients, so equality
-is dict equality and "is zero" is "map empty".  No floating point
-appears anywhere.  The ring operations merge term maps directly: a sum
-or difference copies the left operand's terms and inserts each term of
-the right one as it is (negated for a difference), and a product
-inserts c1*c2 for each new exponent tuple; coefficients are added only
-where two terms meet, and a sum that cancels is deleted.  p + 0, 0 + p
-and p - 0 return p itself, with no copy.  Evaluation is exact integer
-arithmetic: on its first evaluation a polynomial clears its
-denominators and compiles the integer form into one straight-line
-function of the point's numerators and denominators (its kernel), built
-from integer literals, ``+``, ``-``, ``*`` and ``**`` alone.  A zero
-test (``vanishes_at``) is the kernel's value compared with 0 and builds
-no ``Fraction``; ``eval_at`` divides the same value by the cleared
-denominator, for the values a report shows.  The same integer forms
-write the condition kernels (``_condition_kernel``): one boolean
-function of the point's integers per question "these vanish, those do
-not", so a side-condition set or a family tests a point in one call.
-Polynomials are evaluated at a :class:`Point`, which keeps its
-coordinates as integer pairs; ``eval_at`` builds one from any other
-mapping.
+delta.  A polynomial keeps its value in integer form: a map from
+exponent tuples to nonzero ``int`` numerators and one positive ``int``
+denominator, canonical at all times (the gcd of the denominator and all
+numerators is 1), so equality is a plain comparison and "is zero" is
+"map empty".  No floating point appears anywhere.  The ring operations
+do integer arithmetic only: a sum or difference brings both numerator
+maps to the lcm of the denominators, copies the left one and inserts
+each term of the right one as it is (negated for a difference), and a
+product inserts n1*n2 for each new exponent tuple over the product of
+the denominators; numerators are added only where two terms meet, a sum
+that cancels is deleted, and each result is brought to canonical form
+by one ``gcd`` of its denominator and numerators.  p + 0, 0 + p and
+p - 0 return p itself, with no copy.  ``terms`` is the read-only
+``{exponent tuple: Fraction}`` view, built on its first read, for
+rendering, hashing and callers.  Evaluation is exact integer
+arithmetic: on its first evaluation a polynomial compiles its integer
+form into one straight-line function of the point's numerators and
+denominators (its kernel), built from integer literals, ``+``, ``-``,
+``*`` and ``**`` alone.  A zero test (``vanishes_at``) is the kernel's
+value compared with 0 and builds no ``Fraction``; ``eval_at`` divides
+the same value by the denominator, for the values a report shows.  The
+same integer forms write the condition kernels (``_condition_kernel``):
+one boolean function of the point's integers per question "these
+vanish, those do not", so a side-condition set or a family tests a
+point in one call.  Polynomials are evaluated at a :class:`Point`,
+which keeps its coordinates as integer pairs; ``eval_at`` builds one
+from any other mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -38,8 +43,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import ge, sub
+from types import MappingProxyType
 from typing import Union
 
 VARS = ("a", "b", "g", "d")
@@ -198,7 +204,7 @@ def _condition_kernel(conditions):
     conditions run in their given order and stop at the first that
     fails.  A zero equality is left out, so a set without conditions is
     met everywhere."""
-    tests = [f"not ({p._integer_form()[0]})" for p in conditions.equalities if p.terms]
+    tests = [f"not ({p._integer_form()[0]})" for p in conditions.equalities if p]
     tests += [f"{q._integer_form()[0]} != 0" for q in conditions.inequations]
     return _make_kernel(" and ".join(tests) or "True")
 
@@ -210,11 +216,14 @@ def _term_key(exps):
 
 
 class Polynomial:
-    """Immutable multivariate polynomial over Q in the fixed variables."""
+    """Immutable multivariate polynomial over Q in the fixed variables,
+    kept as integer numerators over one positive denominator."""
 
-    # _kernel and _den hold the compiled integer form once the first
-    # evaluation has built it (see _compile)
-    __slots__ = ("terms", "_kernel", "_den")
+    # _nums and _den hold the value (see the module docstring); _terms
+    # holds the Fraction view once read (see terms); _kernel and _tops
+    # hold the compiled integer form once the first evaluation has built
+    # it (see _compile)
+    __slots__ = ("_nums", "_den", "_terms", "_kernel", "_tops")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
         clean = {}
@@ -227,35 +236,51 @@ class Polynomial:
                 c = _as_fraction(coeff)
                 clean[exps] = clean[exps] + c if exps in clean else c
             clean = {e: c for e, c in clean.items() if c}
-        object.__setattr__(self, "terms", clean)
+        # the lcm of lowest-terms denominators shares no factor with all
+        # the numerators it gives, so the form is canonical as built
+        den = lcm(*(c.denominator for c in clean.values()))
+        object.__setattr__(self, "_nums", {e: c.numerator * (den // c.denominator)
+                                           for e, c in clean.items()})
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the terms (the kernel is compiled
-        # again on first evaluation); __setattr__ refuses their slot writes
-        return Polynomial, (self.terms,)
+        # copy and pickle rebuild from the integer form (the kernel is
+        # compiled again on first evaluation); __setattr__ refuses their
+        # slot writes
+        return _raw, (self._nums, self._den)
+
+    @property
+    def terms(self) -> Mapping[tuple, Fraction]:
+        """The read-only map from exponent tuples to nonzero Fraction
+        coefficients, built on its first read and kept."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self._den
+            view = MappingProxyType({e: Fraction(n, den) for e, n in self._nums.items()})
+            object.__setattr__(self, "_terms", view)
+            return view
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial()
+        return ZERO
 
     @staticmethod
     def const(c: Rational) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial({(0, 0, 0, 0): c} if c else None)
+        n, d = _ratio(c)
+        return _raw({_CONST: n}, d) if n else ZERO
 
     @staticmethod
     def var(name: str) -> "Polynomial":
         i = _NAME_INDEX.get(name)
         if i is None:
             raise PolyError(f"unknown variable {name!r}; expected one of {VARS}")
-        exps = [0, 0, 0, 0]
-        exps[i] = 1
-        return Polynomial({tuple(exps): 1})
+        return _VARIABLES[i]
 
     # -- ring operations ----------------------------------------------
 
@@ -263,44 +288,24 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
+        if not other._nums:
             return self
-        if not self.terms:
+        if not self._nums:
             return other
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in merged:
-                s = merged[exps] + c
-                if s:
-                    merged[exps] = s
-                else:
-                    del merged[exps]
-            else:
-                merged[exps] = c
-        return _raw(merged)
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _raw({e: -c for e, c in self.terms.items()})
+        return _raw({e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.terms:
+        if not other._nums:
             return self
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in merged:
-                s = merged[exps] - c
-                if s:
-                    merged[exps] = s
-                else:
-                    del merged[exps]
-            else:
-                merged[exps] = -c
-        return _raw(merged)
+        return self._merge(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -308,63 +313,92 @@ class Polynomial:
             return NotImplemented
         return other - self
 
+    def _merge(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other, sign 1 or -1, for a nonzero other: both
+        numerator maps brought to the lcm of the denominators, the left
+        one copied and each right term inserted as it is, or added where
+        the two meet (a sum that cancels is deleted)."""
+        den, right_den = self._den, other._den
+        if den == right_den:
+            merged = dict(self._nums)
+            factor = sign
+        else:
+            g = gcd(den, right_den)
+            left_factor = right_den // g
+            merged = {e: n * left_factor for e, n in self._nums.items()}
+            factor = sign * (den // g)
+            den *= left_factor
+        for exps, n in other._nums.items():
+            n *= factor
+            if exps in merged:
+                s = merged[exps] + n
+                if s:
+                    merged[exps] = s
+                else:
+                    del merged[exps]
+            else:
+                merged[exps] = n
+        return _normal(merged, den)
+
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         prod: dict = {}
-        right = other.terms.items()
-        for (x0, x1, x2, x3), c1 in self.terms.items():
-            for (y0, y1, y2, y3), c2 in right:
+        right = other._nums.items()
+        for (x0, x1, x2, x3), n1 in self._nums.items():
+            for (y0, y1, y2, y3), n2 in right:
                 exps = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
                 if exps in prod:
-                    s = prod[exps] + c1 * c2
+                    s = prod[exps] + n1 * n2
                     if s:
                         prod[exps] = s
                     else:
                         del prod[exps]
                 else:
-                    prod[exps] = c1 * c2
-        return _raw(prod)
+                    prod[exps] = n1 * n2
+        return _normal(prod, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or type(n) is bool or n < 0:
             raise PolyError(f"exponent must be a non-negative integer, got {n!r}")
-        out = Polynomial.const(1)
-        for _ in range(n):
+        if not n:
+            return ONE
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
     def scale(self, c: Rational) -> "Polynomial":
-        c = _as_fraction(c)
-        if not c:
-            return Polynomial.zero()
-        return _raw({e: coeff * c for e, coeff in self.terms.items()})
+        n, d = _ratio(c)
+        if not n:
+            return ZERO
+        return _normal({e: m * n for e, m in self._nums.items()}, self._den * d)
 
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(e == _CONST for e in self._nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise PolyError(f"not a constant: {self}")
-        return self.terms.get((0, 0, 0, 0), Fraction(0))
+        return Fraction(self._nums.get(_CONST, 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._nums)
 
     def variables(self) -> set:
         used = set()
-        for exps in self.terms:
+        for exps in self._nums:
             for v, e in zip(VARS, exps):
                 if e:
                     used.add(v)
@@ -372,16 +406,17 @@ class Polynomial:
 
     def _lead(self) -> tuple:
         # exponents of the graded-lex leading term of a nonzero polynomial
-        return max(self.terms, key=_term_key)
+        return max(self._nums, key=_term_key)
 
     def leading_coeff(self) -> Fraction:
         """Coefficient of the graded-lex leading term; 0 for zero."""
-        return self.terms[self._lead()] if self.terms else _FRACTION_ZERO
+        return Fraction(self._nums[self._lead()], self._den) if self._nums else _FRACTION_ZERO
 
     def monic(self) -> "Polynomial":
         """Divide by the leading coefficient (zero stays zero)."""
-        lc = self.leading_coeff()
-        return self.scale(1 / lc) if lc else self
+        if not self._nums:
+            return self
+        return self.scale(Fraction(self._den, self._nums[self._lead()]))
 
     def remainder(self, *divisors: "Polynomial") -> "Polynomial":
         """self reduced by each divisor in turn, in the given order: minus
@@ -391,15 +426,18 @@ class Polynomial:
         smaller ones, and the order is a well-order, so each loop ends."""
         p = self
         for divisor in divisors:
-            if not divisor.terms:
+            if not divisor._nums:
                 continue
             lead = divisor._lead()
+            # the lead coefficient of the divisor is lead_num / lead_den
+            lead_num, lead_den = divisor._nums[lead], divisor._den
             while True:
-                hits = [e for e in p.terms if all(map(ge, e, lead))]
+                hits = [e for e in p._nums if all(map(ge, e, lead))]
                 if not hits:
                     break
                 top = max(hits, key=_term_key)
-                quotient = _raw({tuple(map(sub, top, lead)): p.terms[top] / divisor.terms[lead]})
+                c = Fraction(p._nums[top] * lead_den, p._den * lead_num)
+                quotient = _raw({tuple(map(sub, top, lead)): c.numerator}, c.denominator)
                 p = p - quotient * divisor
         return p
 
@@ -410,7 +448,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         # a constant, 0 included, equals its value (see __eq__), so it hashes
@@ -419,12 +457,12 @@ class Polynomial:
         terms = self.terms
         if not terms:
             return hash(0)
-        if len(terms) == 1 and (0, 0, 0, 0) in terms:
-            return hash(terms[(0, 0, 0, 0)])
+        if len(terms) == 1 and _CONST in terms:
+            return hash(terms[_CONST])
         return hash(frozenset(terms.items()))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     # -- substitution and evaluation ------------------------------------
 
@@ -442,10 +480,11 @@ class Polynomial:
             if i in subs:
                 raise _given_twice(assignment, i)
             subs[i] = val if isinstance(val, Polynomial) else Polynomial.const(val)
-        out = Polynomial.zero()
-        for exps, coeff in self.terms.items():
+        out = ZERO
+        den = self._den
+        for exps, n in self._nums.items():
             # the unassigned variables and the coefficient as one monomial
-            term = _raw({tuple(0 if i in subs else e for i, e in enumerate(exps)): coeff})
+            term = _normal({tuple(0 if i in subs else e for i, e in enumerate(exps)): n}, den)
             for i, e in enumerate(exps):
                 if e and i in subs:
                     term = term * subs[i] ** e
@@ -464,8 +503,8 @@ class Polynomial:
         total = kernel(*ints)
         if not total:
             return _FRACTION_ZERO
-        den, tops = self._den
-        for i, top in tops:
+        den = self._den
+        for i, top in self._tops:
             den *= ints[2 * i + 1] ** top
         return Fraction(total, den)
 
@@ -480,32 +519,30 @@ class Polynomial:
         return not kernel(*ints)
 
     def _integer_form(self) -> tuple:
-        """(expression, den, tops): den is the lcm of the coefficient
-        denominators and tops the pairs (i, highest exponent of variable
-        i) for the variables that occur.  Scaled by d_i^top_i, the power
-        (n_i/d_i)^e becomes n_i^e * d_i^(top_i - e), so expression, in
-        the point's n0, d0, ..., n3, d3, is the value times den times the
-        product of the d_i^top_i, as one integer sum of products.  That
-        factor is a nonzero integer, so expression is 0 exactly where the
-        value is."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        tops = tuple((i, top) for i, top in enumerate(map(max, zip(*self.terms))) if top)
+        """(expression, tops): tops is the pairs (i, highest exponent of
+        variable i) for the variables that occur.  Scaled by d_i^top_i,
+        the power (n_i/d_i)^e becomes n_i^e * d_i^(top_i - e), so
+        expression, in the point's n0, d0, ..., n3, d3, is the value
+        times _den times the product of the d_i^top_i, as one integer sum
+        of products of the stored numerators.  That factor is a nonzero
+        integer, so expression is 0 exactly where the value is."""
+        nums = self._nums
+        tops = tuple((i, top) for i, top in enumerate(map(max, zip(*nums))) if top)
         products = []
-        for exps, c in self.terms.items():
-            coeff = c.numerator * (den // c.denominator)
-            factors = [] if coeff == 1 else [str(coeff)]
+        for exps, n in nums.items():
+            factors = [] if n == 1 else [str(n)]
             for i, top in tops:
                 factors += _power(f"n{i}", exps[i]) + _power(f"d{i}", top - exps[i])
             products.append("*".join(factors) or "1")
-        return " + ".join(products) or "0", den, tops
+        return " + ".join(products) or "0", tops
 
     def _compile(self):
         """Build the kernel of the integer form on the first evaluation
-        and keep it, with _den = (den, tops) to divide its value by."""
-        expression, den, tops = self._integer_form()
+        and keep it, with the tops that scale _den to divide its value by."""
+        expression, tops = self._integer_form()
         kernel = _make_kernel(expression)
         object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_den", (den, tops))
+        object.__setattr__(self, "_tops", tops)
         return kernel
 
     # -- rendering -------------------------------------------------------
@@ -515,7 +552,7 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
 
     def text(self, greek: bool = False) -> str:
-        if not self.terms:
+        if not self._nums:
             return "0"
         names = [GREEK[v] if greek else v for v in VARS]
         terms = self.sorted_terms()
@@ -545,11 +582,31 @@ class Polynomial:
         return out
 
 
-def _raw(terms: dict) -> Polynomial:
-    # bypasses __init__ cleaning; callers guarantee canonical input
+def _raw(nums: dict, den: int) -> Polynomial:
+    """The polynomial with numerators nums over den, unchecked: for
+    integer forms the program made canonical itself."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "_nums", nums)
+    object.__setattr__(p, "_den", den)
     return p
+
+
+def _normal(nums: dict, den: int) -> Polynomial:
+    """The polynomial with nonzero int numerators nums over den > 0,
+    brought to canonical form by one gcd: ZERO when nums is empty."""
+    if not nums:
+        return ZERO
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: n // g for e, n in nums.items()}
+            den //= g
+    return _raw(nums, den)
+
+
+def _ratio(c: Rational) -> tuple:
+    """(n, d) with c = n/d in lowest terms and d > 0, for an exact rational c."""
+    return (c, 1) if type(c) is int else _as_fraction(c).as_integer_ratio()
 
 
 def _coerce(x) -> "Polynomial":
@@ -578,12 +635,12 @@ def _term_text(exps, coeff, names) -> str:
     return f"{coeff}*{body}"
 
 
-ZERO = Polynomial.zero()
-ONE = Polynomial.const(1)
-A = Polynomial.var("a")
-B = Polynomial.var("b")
-G = Polynomial.var("g")
-D = Polynomial.var("d")
+_CONST = (0, 0, 0, 0)
+ZERO = _raw({}, 1)
+ONE = _raw({_CONST: 1}, 1)
+# the four variables, shared by every Polynomial.var call
+_VARIABLES = A, B, G, D = tuple(_raw({tuple(int(j == i) for j in range(len(VARS))): 1}, 1)
+                                for i in range(len(VARS)))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -270,6 +270,34 @@ def test_sample_empty_exclude_is_usage_error(capsys):
         assert "no condition" in err and out == ""
 
 
+G4_MINUS = ("--family", "G4", "--eta", "-1")
+
+
+@pytest.mark.parametrize("group, text, message", [
+    (("--family", "G1"), "1!=0", "states no condition, so it would exclude every point"),
+    (("--family", "G1"), "-3/7 != 0, ", "states no condition, so it would exclude every point"),
+    (G4_MINUS, "h!=0", "states no condition, so it would exclude every point"),
+    (("--family", "G1"), "0!=0", "can never hold, so it would exclude no point"),
+    (("--family", "G1"), "a!=0,0!=0", "can never hold, so it would exclude no point"),
+    (G4_MINUS, "b=0,h+1!=0", "can never hold, so it would exclude no point"),
+    # 0 once the assignment is substituted: the family is empty
+    (("--family", "G1"), "a=0,a!=0", "can never hold, so it would exclude no point"),
+    (("--family", "G1"), "a=b/2, g!=0, 2a-b!=0", "can never hold, so it would exclude no point"),
+])
+def test_sample_constant_exclude_is_usage_error_before_derivation(
+        capsys, monkeypatch, group, text, message):
+    # a constant "!= 0" condition always holds or never does, so it
+    # excludes every point or none; h is -1 on the eta = -1 branch of G4,
+    # and the first --exclude is a family that does exclude points
+    from liecodazzi import cli
+    monkeypatch.setattr(cli, "build_system", lambda *args: pytest.fail("derived a system"))
+    code, out, err = run(capsys, "sample", *group, "--connection", "bott",
+                         "--structure", "codazzi", "--exclude", "a=0,b=0",
+                         "--exclude", text, "--trials", "5")
+    assert code == 2, text
+    assert message in err and out == ""
+
+
 def test_sample_rejects_nonpositive_trials(capsys):
     code, _, err = run(capsys, "sample", "--family", "G1", "--connection",
                        "bott", "--structure", "codazzi", "--trials", "0")
@@ -386,6 +414,10 @@ HOSTILE = {
     "too-many-trials": ((*SAMPLE_CASE, "--trials", "10001"), 2, "argument --trials"),
     "all-excluding": ((*SAMPLE_CASE, "--exclude", "a!=0", "--trials", "10000"), 3,
                       "leave too little room"),
+    "constant-exclude": ((*SAMPLE_CASE, "--exclude", "1!=0"), 2, "states no condition"),
+    "sign-exclude": (("sample", "--family", "G4", "--eta", "1", "--connection", "bott",
+                      "--structure", "codazzi", "--exclude", "h!=0"), 2, "states no condition"),
+    "never-holding-exclude": ((*SAMPLE_CASE, "--exclude", "0!=0"), 2, "can never hold"),
 }
 
 

@@ -181,6 +181,30 @@ def test_cold_derivation_multiplies_no_zero(monkeypatch):
     assert [(p, q) for p, q in operands if not p or not q] == []
 
 
+def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
+    # the README's counts: building the eight symbolic groups and deriving
+    # all 256 objects and systems from a cold store; a faster ring must
+    # make each operation cheaper, not make fewer of them
+    liealg._symbolic_group.cache_clear()
+    counts = {"mul": 0, "add": 0}
+    for name, methods in (("mul", ("__mul__", "__rmul__")), ("add", ("__add__", "__radd__"))):
+        original = getattr(Polynomial, methods[0])
+
+        def counted(p, q, name=name, original=original):
+            counts[name] += 1
+            return original(p, q)
+
+        for method in methods:
+            monkeypatch.setattr(Polynomial, method, counted)
+    for L in all_groups():
+        for kind in KINDS:
+            for what in OBJECTS:
+                compute_object(L, kind, what)
+            for structure in STRUCTURES:
+                build_system(L, kind, structure)
+    assert counts == {"mul": 1983, "add": 1974}
+
+
 def test_compute_object_returns_fresh_dicts():
     L = make_group("G3")
     for kind in KINDS:

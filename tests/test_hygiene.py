@@ -2,7 +2,8 @@
 every private module-level definition of the package is read, zero tests
 go through vanishes_at, term merges seed no zero, the package runs
 generated code in one place, only the sampling entry points build a
-random generator, and only the three samplers draw from one."""
+random generator, only the three samplers draw from one, and the ring
+operations of Polynomial name no Fraction."""
 
 import ast
 import pathlib
@@ -294,3 +295,38 @@ def test_only_the_three_samplers_draw():
              for _, function, _ in generator_draws(path.read_text(encoding="utf-8"))}
     assert draws == {("liealg.py", "_rand_pair"), ("liealg.py", "sample_constraint_point"),
                      ("classify.py", "sample_family_member")}
+
+
+# the Polynomial methods (and their module helper) that do the ring
+# arithmetic on the stored integer numerators and denominator
+INTEGER_CORE = frozenset({"__add__", "__sub__", "_merge", "__neg__", "__mul__", "scale",
+                          "__pow__", "_normal", "_integer_form"})
+
+
+def fraction_names(source: str) -> list:
+    """Reads of the name Fraction, bare or as an attribute (fractions.Fraction),
+    as (line, enclosing function or None, name)."""
+    return nodes_named(source, lambda node: "Fraction" if (
+        isinstance(node, ast.Name) and node.id == "Fraction"
+        or isinstance(node, ast.Attribute) and node.attr == "Fraction") else None)
+
+
+def test_scan_finds_fraction_names():
+    source = ("import fractions\nfrom fractions import Fraction\n"
+              "def scale(p, c):\n    return p * Fraction(c)\n"
+              "def half():\n    return fractions.Fraction(1, 2)\n"
+              "def typed(c: Fraction) -> int:\n    return isinstance(c, Fraction)\n"
+              "def fine(c):\n    return c.numerator, 'Fraction'\n")
+    # an import binds the name without reading it; an annotation reads it
+    assert fraction_names(source) == [(4, "scale", "Fraction"), (6, "half", "Fraction"),
+                                      (7, "typed", "Fraction"), (8, "typed", "Fraction")]
+
+
+def test_the_integer_core_names_no_fraction():
+    # the ring operations keep int numerators over one int denominator;
+    # a Fraction there would bring its per-operation gcd and allocation back
+    source = (ROOT / "src" / "liecodazzi" / "poly.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.FunctionDef)}
+    assert INTEGER_CORE <= defined, sorted(INTEGER_CORE - defined)
+    assert [found for found in fraction_names(source) if found[1] in INTEGER_CORE] == []

@@ -7,6 +7,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -49,9 +50,16 @@ def checked_op(op, p, q):
 
 
 def assert_canonical(p):
-    assert all(c != 0 for c in p.terms.values())
-    assert all(isinstance(c, Fraction) for c in p.terms.values())
-    assert all(len(e) == 4 and all(x >= 0 for x in e) for e in p.terms)
+    """p's stored integer form is canonical: a positive int denominator,
+    nonzero int (not bool) numerators, no factor shared by all of them,
+    and terms the Fraction view of exactly that form."""
+    den, nums = p._den, p._nums
+    assert type(den) is int and den > 0, (den, nums)
+    assert all(type(n) is int and n != 0 for n in nums.values()), nums
+    assert gcd(den, *nums.values()) == 1, (den, nums)
+    assert all(len(e) == 4 and all(type(x) is int and x >= 0 for x in e) for e in nums)
+    assert p.terms == {e: Fraction(n, den) for e, n in nums.items()}
+    assert all(type(c) is Fraction for c in p.terms.values())
 
 
 # -- add ---------------------------------------------------------------
@@ -247,6 +255,11 @@ def test_a_constant_hashes_as_the_number_it_equals():
         p = Polynomial.const(c)
         assert p == c and hash(p) == hash(c)
         assert c in {p} and p in {c} and {p: "x"}[c] == "x"
+    # constants that arithmetic leaves behind, whatever their denominators were
+    for p, c in ((parse("6/4"), Fraction(3, 2)), (A.scale(Fraction(1, 2)) * 4 - 2 * A + 5, 5),
+                 (parse("a/3") - A.scale(Fraction(1, 3)), 0), (parse("(a/6+1/4)*12-2a"), 3)):
+        assert_canonical(p)
+        assert p == c and hash(p) == hash(c) and c in {p}, (p, c)
     assert Polynomial.zero() == 0 and 0 in {Polynomial.zero()}
     assert 3 in {Polynomial.const(3)} and 3 not in {A + 3}
     assert hash(A + 3) == hash(3 + A) and hash(parse("a*b/2")) == hash((B * A).scale(Fraction(1, 2)))
@@ -719,6 +732,35 @@ def test_monic_and_leading_coeff():
     assert ZERO.monic() == ZERO
 
 
+def test_no_operation_leaves_a_float_coefficient():
+    # every division is a Fraction or integer one: an int / int slip would
+    # store a float numerator or show a float coefficient
+    half = Fraction(1, 2)
+    results = {
+        "monic": (2 * A + 1).monic(),
+        "monic of a negative lead": (-(A.scale(3)) + Fraction(2, 5)).monic(),
+        "monic of a constant": parse("7/3").monic(),
+        "scale by a Fraction": (A * B + 3).scale(Fraction(2, 3)),
+        "scale by an int": parse("a/4+b/6").scale(6),
+        "parse division": parse("a/2"),
+        "parse division by a fraction": parse("b/(3/4) - 5/10"),
+        "remainder": (A ** 4).remainder(B ** 2 - (A ** 2).scale(2)),
+        "remainder by a fraction lead": parse("a^2*b+3*a*g").remainder(parse("2*a/3-d")),
+    }
+    for what, p in results.items():
+        assert_canonical(p)
+        assert all(type(c) is Fraction for c in p.terms.values()), what
+        assert all(type(c) is Fraction for c in (p.leading_coeff(), p.monic().leading_coeff())), what
+    assert results["monic"] == A + half and results["parse division"] == A.scale(half)
+    assert results["monic of a negative lead"] == A - Fraction(2, 15)
+    assert results["monic of a constant"] == ONE
+    assert results["scale by an int"] == parse("3*a/2+b")
+    assert results["parse division by a fraction"] == parse("4*b/3-1/2")
+    assert results["remainder by a fraction lead"] == parse("9*b*d^2/4+9*g*d/2")
+    for c in (parse("9/6").constant_value(), ZERO.constant_value(), ZERO.leading_coeff()):
+        assert type(c) is Fraction
+
+
 # -- remainder ---------------------------------------------------------
 
 
@@ -790,10 +832,14 @@ def test_copies_and_pickles_equal_their_original():
     build_system(L, "bott", "codazzi")  # fills L.derived
     p = parse("a+b/2")
     p.eval_at({"a": 1, "b": 1, "g": 0, "d": 0})  # builds the kernel
+    assert p.terms  # and the Fraction view
     for original in (p, E1, L):
         for twin in (copy.copy(original), copy.deepcopy(original),
                      pickle.loads(pickle.dumps(original))):
             assert type(twin) is type(original) and twin == original
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert_canonical(twin)
+        assert (twin._nums, twin._den, hash(twin)) == (p._nums, p._den, hash(p))
     assert copy.copy(p).eval_at({"a": 1, "b": 1, "g": 0, "d": 0}) == Fraction(3, 2)
     big = parse(f"{BIG}*a^2*b-g^5*d/7+3")
     pt = Point({"a": Fraction(-2, 3), "b": 5, "g": 0, "d": Fraction(10 ** 30, 7)})
