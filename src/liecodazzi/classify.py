@@ -48,10 +48,10 @@ from .liealg import (
     FrameVector,
     LieAlgebra,
     SamplerStarvation,
-    _rand_pair,
+    _admissible_ints,
+    _rand_pairs,
     branches,
     make_group,
-    sample_constraint_point,
     sign_names,
 )
 from .connection import display_name, make_connection, resolve_kind
@@ -403,11 +403,12 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
     so that families inside the constraint variety are reachable."""
     free = [i for i, v in enumerate(VARS) if v not in family.assignment]
     assigned = [(VARS.index(v), p) for v, p in sorted(family.assignment.items())]
+    draw = _rand_pairs(rng, nonzero=True).__next__
     for _ in range(_MEMBER_ATTEMPTS):
         pairs = [(0, 1)] * len(VARS)
         for i in free:
             if rng.random() >= 0.5:
-                pairs[i] = _rand_pair(rng, nonzero=True)
+                pairs[i] = draw()
         # assigned values use free variables only, so the assigned ones may read 0
         probe = Point._of_ints(sum(pairs, ()))
         for i, p in assigned:
@@ -444,6 +445,13 @@ class SampleReport:
         return out
 
 
+def _check_seed(seed) -> None:
+    # random.seed folds a negative int onto its absolute value and seeds
+    # None from the clock, so either would break "one seed, one stream"
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+
+
 def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
                      trials: int, seed: int) -> SampleReport:
     """Evaluate the system at `trials` admissible points outside every
@@ -451,15 +459,17 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     never-holds verdict; a satisfying point refutes the necessity of the
     excluded families.  Deterministic for a fixed seed.
 
-    Each attempt draws one point with sample_constraint_point and decides
-    it by compiled tests of its integer pairs (see ConstraintSet): it is
-    skipped when the test of some excluded family admits it, and
-    otherwise the system holds there when the test of "every residual
-    vanishes", built once per call, admits it."""
+    Each attempt takes the next point of one liealg._admissible_ints
+    stream per call, as its eight ints, and decides it by compiled tests
+    of them (see ConstraintSet): it is skipped when the test of some
+    excluded family admits it, and otherwise the system holds there when
+    the test of "every residual vanishes", built once per call, admits
+    it.  A Point is built only for the witness and the counterexample.
+    The seed is an int >= 0, else ValueError."""
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
         raise ValueError("trials must be a positive integer")
-    rng = random.Random(seed)
-    L = system.algebra
+    _check_seed(seed)
+    next_ints = _admissible_ints(system.algebra, random.Random(seed)).__next__
     on_excluded = tuple(f._conditions._admits for f in excluded)
     holds = ConstraintSet(equalities=tuple(system.entries.values()))._admits
     evaluated = violations = satisfied = 0
@@ -474,8 +484,7 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
                 f"[{'; '.join(f.describe() for f in excluded) or 'none'}] "
                 "leave too little room")
         attempts += 1
-        point = sample_constraint_point(L, rng)
-        ints = point._ints
+        ints = next_ints()
         # a plain loop: any() over a generator here costs more than the
         # kernel calls it makes
         for on in on_excluded:
@@ -486,11 +495,12 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
             if holds(*ints):
                 satisfied += 1
                 if counterexample is None:
-                    counterexample = point
+                    counterexample = Point._of_ints(ints)
             else:
                 violations += 1
                 if witness is None:
-                    witness, witness_res = point, _eval_all(system, point)
+                    witness = Point._of_ints(ints)
+                    witness_res = _eval_all(system, witness)
     return SampleReport(trials=evaluated, violations=violations,
                         satisfied=satisfied, witness=witness,
                         witness_residuals=witness_res,
@@ -915,7 +925,9 @@ def verify_paper_theorems(trials_per_case: int = 200, seed: int = 0):
     Returns (verdicts, register).  The verdict list covers each of the
     42 family/connection/structure cases, each once unless its two G4
     sign branches disagree or are discrepancies; the register lists every
-    print that the recomputation contradicts, in deterministic order."""
+    print that the recomputation contradicts, in deterministic order.
+    The seed is an int >= 0, else ValueError before any work."""
+    _check_seed(seed)
     register = DiscrepancyRegister()
     audit_printed_tables(register)
     audit_printed_systems(register)

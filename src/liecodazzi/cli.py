@@ -60,14 +60,26 @@ def _parse_eta(text):
     raise argparse.ArgumentTypeError("eta must be +1 or -1")
 
 
-def _trials(text):
-    """A --trials value: an integer from 1 to MAX_TRIALS."""
+def _int(text) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
+def _trials(text):
+    """A --trials value: an integer from 1 to MAX_TRIALS."""
+    n = _int(text)
     if not 1 <= n <= MAX_TRIALS:
         raise argparse.ArgumentTypeError(f"must be an integer from 1 to {MAX_TRIALS}")
+    return n
+
+
+def _seed(text):
+    """A --seed value: an integer >= 0; random.seed would read -n as n."""
+    n = _int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be an integer >= 0")
     return n
 
 
@@ -274,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", action="append", default=[],
                    metavar="SOLUTION", help="family to sample outside of; repeatable")
     p.add_argument("--trials", type=_trials, default=200)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_sample)
 
@@ -282,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                         epilog=_EPILOG)
     p.add_argument("--trials", type=_trials, default=200,
                    help="sampled points per classification case")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=_default_seed())
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", metavar="FILE", help="also write the JSON report here")
     p.set_defaults(func=_cmd_audit)

@@ -342,64 +342,86 @@ def abelian() -> LieAlgebra:
 
 # -- constraint-variety sampling ----------------------------------------
 
-# draws sample_constraint_point makes before it gives up on a group
+# draws _admissible_ints makes for one point before it gives up on a group
 _SAMPLE_ATTEMPTS = 1000
 
 
-# every pair _rand_pair draws: row n + 10 holds n/1 .. n/10 in lowest terms
-_PAIRS = tuple(tuple(Fraction(n, den).as_integer_ratio() for den in range(1, 11))
-               for n in range(-10, 11))
+# the pairs _rand_pairs draws, indexed by its raw bits: row n + 10 holds
+# n/1 .. n/10 in lowest terms; None marks the bits it draws again (rows
+# 21..31, entries 10..15, and the zero row 10 when the draw is nonzero)
+_ROWS = tuple(tuple(Fraction(n, den).as_integer_ratio() for den in range(1, 11)) + (None,) * 6
+              for n in range(-10, 11)) + (None,) * 11
+_NONZERO_ROWS = _ROWS[:10] + (None,) + _ROWS[11:]
 
 
-def _rand_pair(rng: random.Random, nonzero: bool = False) -> tuple:
-    """A random rational as its (numerator, denominator) pair in lowest
-    terms: Fraction(randint(-10, 10), randint(1, 10)), with the same rng
-    state; with nonzero, the numerator 0 is drawn again."""
+def _rand_pairs(rng: random.Random, nonzero: bool = False):
+    """Endless random rationals as (numerator, denominator) pairs in
+    lowest terms: Fraction(randint(-10, 10), randint(1, 10)), with the same
+    rng state after each yield; with nonzero, the numerator 0 is drawn
+    again.  The generator draws only when it is resumed, so other draws
+    from rng may come between two yields."""
     # randint(lo, hi) is lo + _randbelow(hi - lo + 1), and _randbelow(n)
     # calls getrandbits(n.bit_length()) until the value is below n: 5 bits
     # for the 21 rows, 4 for the 10 entries
     getrandbits = rng.getrandbits
-    row = getrandbits(5)
-    while row >= 21 or (nonzero and row == 10):
-        row = getrandbits(5)
-    entry = getrandbits(4)
-    while entry >= 10:
-        entry = getrandbits(4)
-    return _PAIRS[row][entry]
+    rows = _NONZERO_ROWS if nonzero else _ROWS
+    while True:
+        row = rows[getrandbits(5)]
+        while row is None:
+            row = rows[getrandbits(5)]
+        pair = row[getrandbits(4)]
+        while pair is None:
+            pair = row[getrandbits(4)]
+        yield pair
+
+
+def _admissible_ints(L: LieAlgebra, rng: random.Random):
+    """Endless random rational points satisfying the family's equalities
+    and inequations, each as the eight ints n0, d0, ..., n3, d3 of
+    Point._of_ints.  Equalities are met by explicit parameterization:
+    G5/G6 solve for delta when the beta coefficient is nonzero, G7
+    samples the alpha=0 and gamma=0 branches.  Each draw is tested by one
+    call of the group's compiled test; SamplerStarvation after
+    _SAMPLE_ATTEMPTS draws for one point.  Like _rand_pairs, it draws
+    only when it is resumed."""
+    admits = L.constraints._admits
+    draw = _rand_pairs(rng).__next__
+    solve = L.family in ("G5", "G6")
+    # delta = -alpha*gamma/beta on G5 and +alpha*gamma/beta on G6
+    flip = L.family == "G6"
+    coin = rng.random if L.family == "G7" else None
+    while True:
+        for _ in range(_SAMPLE_ATTEMPTS):
+            a, ad = draw()
+            b, bd = draw()
+            g, gd = draw()
+            d, dd = draw()
+            if solve:
+                if not b:
+                    continue
+                # delta as a pair in lowest terms with the sign on the numerator
+                d, dd = a * g * bd, ad * gd * b
+                if (dd < 0) == flip:
+                    d = -d
+                k = gcd(d, dd)
+                d, dd = d // k, abs(dd) // k
+            elif coin is not None:
+                if coin() < 0.5:
+                    a, ad = 0, 1
+                else:
+                    g, gd = 0, 1
+            if admits(a, ad, b, bd, g, gd, d, dd):
+                yield a, ad, b, bd, g, gd, d, dd
+                break
+        else:
+            raise SamplerStarvation(
+                f"no admissible point for {L.label()} in {_SAMPLE_ATTEMPTS} attempts")
 
 
 def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
     """One random rational point satisfying the family's equalities and
-    inequations.  Equalities are met by explicit parameterization: G5/G6
-    solve for delta when the beta coefficient is nonzero, G7 samples the
-    alpha=0 and gamma=0 branches.  Each draw is tested by one call of the
-    group's compiled test on its integer pairs, and a Point is built only
-    for the draw that passes.
-    """
-    family = L.family
-    admits = L.constraints._admits
-    for _ in range(_SAMPLE_ATTEMPTS):
-        a, b, g, d = _rand_pair(rng), _rand_pair(rng), _rand_pair(rng), _rand_pair(rng)
-        if family == "G5" or family == "G6":
-            if not b[0]:
-                continue
-            # delta = -alpha*gamma/beta on G5 and +alpha*gamma/beta on G6, as
-            # a pair in lowest terms with the sign on the numerator
-            num, den = a[0] * g[0] * b[1], a[1] * g[1] * b[0]
-            if (den < 0) == (family == "G6"):
-                num = -num
-            k = gcd(num, den)
-            d = (num // k, abs(den) // k)
-        elif family == "G7":
-            if rng.random() < 0.5:
-                a = (0, 1)
-            else:
-                g = (0, 1)
-        ints = a + b + g + d
-        if admits(*ints):
-            return Point._of_ints(ints)
-    raise SamplerStarvation(
-        f"no admissible point for {L.label()} in {_SAMPLE_ATTEMPTS} attempts")
+    inequations: the next point of _admissible_ints(L, rng)."""
+    return Point._of_ints(next(_admissible_ints(L, rng)))
 
 
 # -- well-formedness ------------------------------------------------------

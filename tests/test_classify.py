@@ -471,18 +471,24 @@ SAMPLE_SHA256 = {
 }
 
 
-def claim_sample_digest(seed: int) -> str:
-    """sha256 of the 48 claim-branch sample reports at 200 trials and seed."""
-    reports = []
+def claim_sample_cases() -> list:
+    """The 48 claim-branch systems, each with the families its claim excludes."""
+    cases = []
     for claim in load_claims():
         for eta in claim.branches():
             L = make_group(claim.family, eta=eta)
             specs = {"families": claim.families,
                      "never": claim.recomputed_families}.get(claim.status, ())
             excluded = [SolutionFamily.from_spec(s, eta) for s in specs]
-            system = build_system(L, claim.connection, claim.structure)
-            reports.append(sample_necessity(system, excluded, 200, seed=seed).to_json())
-    assert len(reports) == 48
+            cases.append((build_system(L, claim.connection, claim.structure), excluded))
+    assert len(cases) == 48
+    return cases
+
+
+def claim_sample_digest(seed: int) -> str:
+    """sha256 of the 48 claim-branch sample reports at 200 trials and seed."""
+    reports = [sample_necessity(system, excluded, 200, seed=seed).to_json()
+               for system, excluded in claim_sample_cases()]
     return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
 
 
@@ -493,6 +499,33 @@ def test_sample_reports_of_all_claim_systems_are_pinned():
 @pytest.mark.parametrize("seed", sorted(SAMPLE_SHA256))
 def test_sample_reports_of_all_claim_systems_are_pinned_for_more_seeds(seed):
     assert claim_sample_digest(seed) == SAMPLE_SHA256[seed]
+
+
+def test_sample_necessity_builds_a_point_only_for_what_it_reports(monkeypatch):
+    # the draws stay integer tuples: a Point for the first witness and the
+    # first counterexample at most, not one per sampled point
+    built = []
+    of_ints = Point._of_ints
+    monkeypatch.setattr(Point, "_of_ints",
+                        staticmethod(lambda ints: built.append(ints) or of_ints(ints)))
+    for system, excluded in claim_sample_cases():
+        built.clear()
+        report = sample_necessity(system, excluded, 200, seed=0)
+        assert len(built) <= 2, system.case_id
+        shown = [p._ints for p in (report.witness, report.counterexample) if p is not None]
+        assert sorted(built) == sorted(shown), system.case_id
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.0, "7", -7],
+                         ids=["None", "True", "1.0", "str", "-7"])
+def test_a_seed_that_is_not_a_non_negative_int_is_rejected(seed):
+    # None seeds from the clock, and random.seed reads -7 as 7: neither
+    # would be the one stream of its seed
+    system = build_system(make_group("G1"), "bott", "codazzi")
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        sample_necessity(system, [], 5, seed)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        verify_paper_theorems(5, seed)
 
 
 # -- compute_object ----------------------------------------------------------

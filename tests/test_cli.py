@@ -345,6 +345,14 @@ def test_sample_bad_seed_env_is_usage_error(capsys, monkeypatch):
     assert "argument --seed: invalid int value: 'zzz'" in err
 
 
+@pytest.mark.parametrize("command", [SAMPLE_CASE, ("audit",)], ids=["sample", "audit"])
+def test_negative_seed_env_is_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("LIECODAZZI_SEED", "-7")
+    code, out, err = run(capsys, *command, "--trials", "5")
+    assert code == 2 and out == ""
+    assert "argument --seed: must be an integer >= 0" in err
+
+
 # -- audit -------------------------------------------------------------------
 
 
@@ -418,6 +426,11 @@ HOSTILE = {
     "sign-exclude": (("sample", "--family", "G4", "--eta", "1", "--connection", "bott",
                       "--structure", "codazzi", "--exclude", "h!=0"), 2, "states no condition"),
     "never-holding-exclude": ((*SAMPLE_CASE, "--exclude", "0!=0"), 2, "can never hold"),
+    # random.seed reads -7 as 7, so a negative seed would alias a positive one
+    "negative-sample-seed": ((*SAMPLE_CASE, "--seed", "-7", "--json"), 2,
+                             "argument --seed: must be an integer >= 0"),
+    "negative-audit-seed": (("audit", "--seed", "-7", "--json"), 2,
+                            "argument --seed: must be an integer >= 0"),
 }
 
 

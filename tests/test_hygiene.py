@@ -287,13 +287,13 @@ def test_scan_finds_generator_draws():
 
 
 def test_only_the_three_samplers_draw():
-    # the draw stream has one implementation: _rand_pair, the G7 branch
-    # coin of sample_constraint_point and the zero coin of
-    # sample_family_member; a copy of _rand_pair elsewhere would have to
+    # the draw stream has one implementation: the _rand_pairs generator,
+    # the G7 branch coin of _admissible_ints and the zero coin of
+    # sample_family_member; a copy of _rand_pairs elsewhere would have to
     # repeat its rejection rules exactly
     draws = {(path.name, function) for path in PACKAGE
              for _, function, _ in generator_draws(path.read_text(encoding="utf-8"))}
-    assert draws == {("liealg.py", "_rand_pair"), ("liealg.py", "sample_constraint_point"),
+    assert draws == {("liealg.py", "_rand_pairs"), ("liealg.py", "_admissible_ints"),
                      ("classify.py", "sample_family_member")}
 
 

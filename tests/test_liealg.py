@@ -11,7 +11,7 @@ from conftest import all_groups, random_point, random_poly, walk_violated
 from liecodazzi import liealg
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
-    SamplerStarvation, _bilinear, _rand_pair, _raw_algebra, abelian, bracket, jacobi_check,
+    SamplerStarvation, _admissible_ints, _bilinear, _rand_pairs, _raw_algebra, abelian, bracket, jacobi_check,
     make_group, metric, sample_constraint_point,
 )
 from liecodazzi.poly import VARS, ZERO, Point, Polynomial, PolyError, parse
@@ -333,24 +333,31 @@ def reference_constraint_point(L, rng):
 
 def test_table_draws_repeat_the_randint_stream():
     # same values and same generator state after every draw, with nonzero
-    # either way and other calls on the generator in between
+    # either way from two streams on one generator and other calls on the
+    # generator in between
     new, ref = random.Random(1212), random.Random(1212)
+    streams = {nonzero: _rand_pairs(new, nonzero).__next__ for nonzero in (False, True)}
     for n in range(100_000):
         nonzero = n % 3 == 0
-        assert _rand_pair(new, nonzero) == reference_rand_rational(ref, nonzero).as_integer_ratio()
+        assert streams[nonzero]() == reference_rand_rational(ref, nonzero).as_integer_ratio()
+        assert new.getstate() == ref.getstate()
         if n % 7 == 0:
             assert new.random() == ref.random()
     assert new.getstate() == ref.getstate()
 
 
 def test_constraint_points_repeat_the_reference_sampler():
+    # the public one-point call, and one _admissible_ints stream read point
+    # by point: the same points and the same generator state after each
     for L in all_groups():
-        new, ref = random.Random(1213), random.Random(1213)
+        public, stream, ref = (random.Random(1213) for _ in range(3))
+        points = _admissible_ints(L, stream)
         for _ in range(200):
-            pt = sample_constraint_point(L, new)
             want = reference_constraint_point(L, ref)
-            assert pt == want and pt._pairs == Point(want)._pairs, L.label()
-        assert new.getstate() == ref.getstate(), L.label()
+            for pt, rng in ((sample_constraint_point(L, public), public),
+                            (Point._of_ints(next(points)), stream)):
+                assert pt == want and pt._pairs == Point(want)._pairs, L.label()
+                assert rng.getstate() == ref.getstate(), L.label()
 
 
 # -- Jacobi -------------------------------------------------------------------
