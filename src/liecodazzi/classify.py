@@ -400,10 +400,12 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
                          rng: random.Random) -> Point:
     """One rational parameter point on the family satisfying all side
     conditions.  Free variables are drawn with a strong bias toward zero
-    so that families inside the constraint variety are reachable."""
+    so that families inside the constraint variety are reachable; each
+    draw is decided by compiled tests of its ints (see ConstraintSet)."""
     free = [i for i, v in enumerate(VARS) if v not in family.assignment]
     assigned = [(VARS.index(v), p) for v, p in sorted(family.assignment.items())]
     draw = _rand_pairs(rng, nonzero=True).__next__
+    on_family, admits = family._conditions._admits, L.constraints._admits
     for _ in range(_MEMBER_ATTEMPTS):
         pairs = [(0, 1)] * len(VARS)
         for i in free:
@@ -413,9 +415,9 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
         probe = Point._of_ints(sum(pairs, ()))
         for i, p in assigned:
             pairs[i] = p.eval_at(probe).as_integer_ratio()
-        point = Point._of_ints(sum(pairs, ()))
-        if family.contains(point) and L.constraints.violated(point) is None:
-            return point
+        ints = sum(pairs, ())
+        if on_family(*ints) and admits(*ints):
+            return Point._of_ints(ints)
     raise SamplerStarvation(
         f"no member of family [{family.describe()}] on {L.label()} "
         f"in {_MEMBER_ATTEMPTS} attempts")
@@ -445,6 +447,12 @@ class SampleReport:
         return out
 
 
+def _check_trials(trials) -> None:
+    # a float or a bool would run: 2.5 evaluated 3 points, reported as trials = 3
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ValueError("trials must be a positive integer")
+
+
 def _check_seed(seed) -> None:
     # random.seed folds a negative int onto its absolute value and seeds
     # None from the clock, so either would break "one seed, one stream"
@@ -465,9 +473,8 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     excluded family admits it, and otherwise the system holds there when
     the test of "every residual vanishes", built once per call, admits
     it.  A Point is built only for the witness and the counterexample.
-    The seed is an int >= 0, else ValueError."""
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ValueError("trials must be a positive integer")
+    trials is an int >= 1 and the seed an int >= 0, else ValueError."""
+    _check_trials(trials)
     _check_seed(seed)
     next_ints = _admissible_ints(system.algebra, random.Random(seed)).__next__
     on_excluded = tuple(f._conditions._admits for f in excluded)
@@ -553,6 +560,16 @@ class GarbledValue:
     raw: str
 
 
+def _printed(value, eta: Optional[int]):
+    """A printed value on one branch, by its JSON shape: a garbled dict is
+    a GarbledValue, a text a _data_poly, a list of three texts a FrameVector."""
+    if isinstance(value, dict):
+        return GarbledValue(raw=value["raw"])
+    if isinstance(value, str):
+        return _data_poly(value, eta)
+    return FrameVector(*(_data_poly(t, eta) for t in value))
+
+
 def _load_json(name: str) -> dict:
     path = resources.files("liecodazzi.data").joinpath(name)
     with path.open("r", encoding="utf-8") as fh:
@@ -590,22 +607,13 @@ class PrintedTable(_Published):
     all_zero: bool = False
 
     def materialize(self, eta: Optional[int]):
-        """Parsed entries for one branch; garbled values pass through."""
-        out = {}
+        """The entries on one branch, each read by _printed; an all-zero
+        table has every key of its kind, each a zero of the kind's shape."""
+        entries = self.entries
         if self.all_zero:
-            zero = Polynomial.zero()
-            for key in _KIND_KEYS[self.kind]:
-                out[_key_text(key)] = FrameVector(zero, zero, zero) \
-                    if self.kind in _VECTOR_KINDS else zero
-            return out
-        for key, value in self.entries.items():
-            if isinstance(value, dict) and value.get("garbled"):
-                out[key] = GarbledValue(raw=value["raw"])
-            elif self.kind in _VECTOR_KINDS:
-                out[key] = FrameVector(*(_data_poly(t, eta) for t in value))
-            else:
-                out[key] = _data_poly(value, eta)
-        return out
+            zero = ("0", "0", "0") if self.kind in _VECTOR_KINDS else "0"
+            entries = dict.fromkeys(map(_key_text, _KIND_KEYS[self.kind]), zero)
+        return {key: _printed(value, eta) for key, value in entries.items()}
 
 
 @dataclass(frozen=True)
@@ -617,14 +625,9 @@ class PrintedSystem(_Published):
     equations: tuple
 
     def materialize(self, eta: Optional[int]):
-        """(position, Polynomial | GarbledValue) pairs, positions 1-based."""
-        out = []
-        for pos, eq in enumerate(self.equations, start=1):
-            if isinstance(eq, dict) and eq.get("garbled"):
-                out.append((pos, GarbledValue(raw=eq["raw"])))
-            else:
-                out.append((pos, _data_poly(eq, eta)))
-        return out
+        """(position, Polynomial | GarbledValue) pairs on one branch,
+        positions 1-based, each equation read by _printed."""
+        return [(pos, _printed(eq, eta)) for pos, eq in enumerate(self.equations, start=1)]
 
 
 @dataclass(frozen=True)
@@ -692,8 +695,7 @@ def audit_printed_tables(register: DiscrepancyRegister) -> None:
         for eta in tbl.branches():
             L = make_group(tbl.family, eta=eta)
             engine = compute_object(L, tbl.connection, tbl.kind)
-            printed = tbl.materialize(eta)
-            for key, pv in printed.items():
+            for key, pv in tbl.materialize(eta).items():
                 location = f"{tbl.id} entry ({key}){_eta_suffix(eta)}"
                 ev = engine[key]
                 if isinstance(pv, GarbledValue):
@@ -926,7 +928,8 @@ def verify_paper_theorems(trials_per_case: int = 200, seed: int = 0):
     42 family/connection/structure cases, each once unless its two G4
     sign branches disagree or are discrepancies; the register lists every
     print that the recomputation contradicts, in deterministic order.
-    The seed is an int >= 0, else ValueError before any work."""
+    Ints trials_per_case >= 1 and seed >= 0, else ValueError before any work."""
+    _check_trials(trials_per_case)
     _check_seed(seed)
     register = DiscrepancyRegister()
     audit_printed_tables(register)

@@ -3,7 +3,8 @@
 Each family g_1..g_7 is given by structure constants on a fixed
 pseudo-orthonormal frame e1, e2, e3 (e3 timelike, metric diag(1,1,-1))
 with parameters alpha, beta, gamma, delta subject to the family's
-printed side conditions.  The bracket table holds all nine [e_i, e_j],
+printed side conditions, all seven read by poly.parse from one table
+of texts, _FAMILY_TEXTS.  The bracket table holds all nine [e_i, e_j],
 read as L.brackets[i, j] like every other frame table: the family gives
 the entries i < j and _antisymmetric fills in the rest.  eta (only g_4
 has one) is resolved to +1 or -1 at construction time and never appears
@@ -22,7 +23,18 @@ from typing import Mapping, Optional
 
 from .poly import ZERO, Point, Polynomial, Rational, _condition_kernel, parse
 
-FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
+# each family as printed: the component texts of [e1,e2], [e1,e3] and
+# [e2,e3], then the texts of its equalities and of its inequations
+_FAMILY_TEXTS = {
+    "G1": ((("a", "0", "-b"), ("-a", "-b", "0"), ("b", "a", "a")), (), ("a",)),
+    "G2": ((("0", "g", "-b"), ("0", "-b", "-g"), ("a", "0", "0")), (), ("g",)),
+    "G3": ((("0", "0", "-g"), ("0", "-b", "0"), ("a", "0", "0")), (), ()),
+    "G4": ((("0", "-1", "2*h-b"), ("0", "-b", "1"), ("a", "0", "0")), (), ()),
+    "G5": ((("0", "0", "0"), ("a", "b", "0"), ("g", "d", "0")), ("a*g+b*d",), ("a+d",)),
+    "G6": ((("0", "a", "b"), ("0", "g", "d"), ("0", "0", "0")), ("a*g-b*d",), ("a+d",)),
+    "G7": ((("-a", "-b", "-b"), ("a", "b", "b"), ("g", "d", "d")), ("a*g",), ("a+d",)),
+}
+FAMILIES = tuple(_FAMILY_TEXTS)
 METRIC_SIGNATURE = (1, 1, -1)
 
 
@@ -249,42 +261,7 @@ def metric(X: FrameVector, Y: FrameVector) -> Polynomial:
     return out
 
 
-# -- family tables -----------------------------------------------------
-
-def _family_structure(family: str, eta: Optional[int]):
-    e = {}  # texts for [e1,e2], [e1,e3], [e2,e3] and the constraints
-    if family == "G1":
-        b12, b13, b23 = ("a", "0", "-b"), ("-a", "-b", "0"), ("b", "a", "a")
-        eqs, ineqs = (), ("a",)
-    elif family == "G2":
-        b12, b13, b23 = ("0", "g", "-b"), ("0", "-b", "-g"), ("a", "0", "0")
-        eqs, ineqs = (), ("g",)
-    elif family == "G3":
-        b12, b13, b23 = ("0", "0", "-g"), ("0", "-b", "0"), ("a", "0", "0")
-        eqs, ineqs = (), ()
-    elif family == "G4":
-        b12, b13, b23 = ("0", "-1", "2*h-b"), ("0", "-b", "1"), ("a", "0", "0")
-        eqs, ineqs = (), ()
-    elif family == "G5":
-        b12, b13, b23 = ("0", "0", "0"), ("a", "b", "0"), ("g", "d", "0")
-        eqs, ineqs = ("a*g+b*d",), ("a+d",)
-    elif family == "G6":
-        b12, b13, b23 = ("0", "a", "b"), ("0", "g", "d"), ("0", "0", "0")
-        eqs, ineqs = ("a*g-b*d",), ("a+d",)
-    elif family == "G7":
-        b12, b13, b23 = ("-a", "-b", "-b"), ("a", "b", "b"), ("g", "d", "d")
-        eqs, ineqs = ("a*g",), ("a+d",)
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    names = sign_names(eta)
-    brackets = _antisymmetric({key: FrameVector(*(parse(t, names) for t in texts))
-                               for key, texts in zip(PAIRS, (b12, b13, b23))})
-    constraints = ConstraintSet(
-        equalities=tuple(parse(t) for t in eqs),
-        inequations=tuple(parse(t) for t in ineqs),
-    )
-    return brackets, constraints
-
+# -- groups --------------------------------------------------------------
 
 def make_group(family: str, eta: Optional[int] = None,
                numeric_params: Optional[Mapping[str, Rational]] = None) -> LieAlgebra:
@@ -305,6 +282,8 @@ def make_group(family: str, eta: Optional[int] = None,
     if eta not in signs or type(eta) not in (int, type(None)):
         raise ValueError(f"{family} takes no eta" if signs == (None,)
                          else f"{family} requires eta=+1 or eta=-1")
+    if family not in _FAMILY_TEXTS:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     symbolic = _symbolic_group(family, eta)
     if numeric_params is None:
         return symbolic
@@ -319,8 +298,13 @@ def make_group(family: str, eta: Optional[int] = None,
 
 @functools.lru_cache(maxsize=None)
 def _symbolic_group(family: str, eta: Optional[int]) -> LieAlgebra:
-    # at most eight entries: unknown families raise and are not cached
-    brackets, constraints = _family_structure(family, eta)
+    # at most eight entries: make_group passes known (family, eta) only
+    rows, equalities, inequations = _FAMILY_TEXTS[family]
+    names = sign_names(eta)
+    brackets = _antisymmetric({key: FrameVector(*(parse(t, names) for t in texts))
+                               for key, texts in zip(PAIRS, rows)})
+    constraints = ConstraintSet(equalities=tuple(map(parse, equalities)),
+                                inequations=tuple(map(parse, inequations)))
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
                       constraints=constraints)
 

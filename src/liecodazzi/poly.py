@@ -454,12 +454,9 @@ class Polynomial:
         # a constant, 0 included, equals its value (see __eq__), so it hashes
         # as that value: 3 in {Polynomial.const(3)} depends on it; no engine
         # store is keyed by polynomials, only callers' sets and dicts are
-        terms = self.terms
-        if not terms:
-            return hash(0)
-        if len(terms) == 1 and _CONST in terms:
-            return hash(terms[_CONST])
-        return hash(frozenset(terms.items()))
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self._den, frozenset(self._nums.items())))
 
     def __bool__(self):
         return bool(self._nums)

@@ -414,12 +414,20 @@ def test_sample_necessity_requires_positive_trials():
         sample_necessity(system, [], 0, seed=1)
 
 
-@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3", None])
-def test_sample_necessity_rejects_a_trials_that_is_not_an_int(trials):
+@pytest.mark.parametrize("trials", [2.5, 3.0, True, "3", None, 0, -3])
+def test_sample_necessity_rejects_a_trials_that_is_not_an_int(trials, monkeypatch):
     # 2.5 used to evaluate 3 points and report trials = 3
     system = build_system(make_group("G1"), "bott", "codazzi")
     with pytest.raises(ValueError, match="trials must be a positive integer"):
         sample_necessity(system, [], trials, seed=0)
+
+    # the audit rejects it before any work: its first step would fail here
+    def no_work():
+        raise AssertionError("the printed tables were read before trials was checked")
+
+    monkeypatch.setattr(classify, "load_printed_tables", no_work)
+    with pytest.raises(ValueError, match="trials must be a positive integer"):
+        verify_paper_theorems(trials, 0)
 
 
 def test_sample_necessity_deterministic():
@@ -585,6 +593,22 @@ def test_printed_tables_load_and_materialize():
         by_id.setdefault(t.id, t)
         for eta in t.branches():
             t.materialize(eta)
+    # materialize decides each value by its JSON shape; on the shipped data
+    # that shape is the one the table's kind asks for
+    shapes = {"text": 0, "vector": 0, "garbled": 0}
+    for t in tables:
+        for value in t.entries.values():
+            if isinstance(value, dict):
+                assert value.keys() == {"garbled", "raw"} and value["garbled"] is True, (t.id, value)
+                shapes["garbled"] += 1
+            elif t.kind in classify._VECTOR_KINDS:
+                assert isinstance(value, list) and len(value) == 3, (t.id, value)
+                assert all(isinstance(x, str) for x in value), (t.id, value)
+                shapes["vector"] += 1
+            else:
+                assert isinstance(value, str), (t.id, value)
+                shapes["text"] += 1
+    assert shapes == {"text": 430, "vector": 300, "garbled": 2}
     assert by_id["(2.9)"].kind == "connection"
     assert by_id["(2.30)"].branches() == (1, -1)
     assert by_id["(2.9)"].branches() == (None,)

@@ -52,6 +52,22 @@ def test_eta_must_be_an_int_on_a_cold_or_warm_cache(eta, warm):
         make_group("G1", eta=eta)
 
 
+@pytest.mark.parametrize("family, eta, message", [
+    ("G8", None, "unknown family 'G8'; expected one of "
+                 "('G1', 'G2', 'G3', 'G4', 'G5', 'G6', 'G7')"),
+    ("g8", None, "unknown family 'G8'; expected one of "
+                 "('G1', 'G2', 'G3', 'G4', 'G5', 'G6', 'G7')"),
+    ("G8", 1, "G8 takes no eta"),
+])
+def test_make_group_names_an_unknown_family(family, eta, message):
+    # the eta check comes first, and nothing is cached for the unknown name
+    cached = liealg._symbolic_group.cache_info().currsize
+    with pytest.raises(ValueError) as exc:
+        make_group(family, eta=eta)
+    assert str(exc.value) == message
+    assert liealg._symbolic_group.cache_info().currsize == cached
+
+
 def test_numeric_instance_violating_inequation():
     with pytest.raises(ConstraintViolation) as exc:
         make_group("G1", numeric_params={"a": 0, "b": 1, "g": 0, "d": 0})
