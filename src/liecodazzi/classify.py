@@ -38,7 +38,7 @@ from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
 from .liealg import (
@@ -460,7 +460,7 @@ def _check_seed(seed) -> None:
         raise ValueError("seed must be a non-negative integer")
 
 
-def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
+def sample_necessity(system: PolySystem, excluded: Iterable[SolutionFamily],
                      trials: int, seed: int) -> SampleReport:
     """Evaluate the system at `trials` admissible points outside every
     excluded family.  All points violating the system supports a
@@ -476,6 +476,7 @@ def sample_necessity(system: PolySystem, excluded: Sequence[SolutionFamily],
     trials is an int >= 1 and the seed an int >= 0, else ValueError."""
     _check_trials(trials)
     _check_seed(seed)
+    excluded = tuple(excluded)  # read twice: for the tests and by a starvation message
     next_ints = _admissible_ints(system.algebra, random.Random(seed)).__next__
     on_excluded = tuple(f._conditions._admits for f in excluded)
     holds = ConstraintSet(equalities=tuple(system.entries.values()))._admits
@@ -716,7 +717,8 @@ def _rref(rows):
         if pivot is None:
             continue
         rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        pv = rows[lead][col]
+        # a Fraction pivot keeps the division exact on int rows
+        pv = Fraction(rows[lead][col])
         # a zero entry stays zero when scaled, and x - f*0 is x
         rows[lead] = [x / pv if x else x for x in rows[lead]]
         for r in range(nrows):
@@ -729,12 +731,13 @@ def _rref(rows):
 
 def systems_equivalent(left: Sequence[Polynomial], right: Sequence[Polynomial]) -> bool:
     """Equality of the rational linear spans of two equation lists."""
-    monos = sorted({e for p in (*left, *right) for e in p.terms}, reverse=True)
+    monos = sorted({e for p in (*left, *right) for e in p._nums}, reverse=True)
     if not monos:
         return True
 
     def rows(ps):
-        return [[p.terms.get(m, Fraction(0)) for m in monos] for p in ps if p.terms]
+        # each row is a polynomial times its denominator > 0: the same span
+        return [[p._nums.get(m, 0) for m in monos] for p in ps if p._nums]
 
     return _rref(rows(left)) == _rref(rows(right))
 
@@ -841,7 +844,7 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
     desc = tuple(f.describe() for f in fams)
     printed = {"always": "holds-always", "never": "never-holds"}.get(
         claim.status, "holds-on-family: " + " | ".join(f.describe() for f in shown))
-    witness = None
+    witness = values = None
     if system.is_trivial():
         recomputed, explanation = "holds-always", "all nine residuals vanish identically"
     else:
@@ -884,12 +887,15 @@ def _audit_branch(claim: Claim, L: LieAlgebra, trials: int, seed: int) -> Verdic
                 explanation = (f"system vanishes identically on each family; "
                                f"{report.violations} sampled points outside them all "
                                "violate it")
+    if values is None and witness is not None:
+        # a never-holds witness carries the values sample_necessity took
+        values = _eval_all(system, witness)
     return Verdict(
         case_id=system.case_id, anchor=f"{claim.anchor}{_eta_suffix(eta)}",
         status=recomputed.partition(":")[0] if recomputed == printed
         else "paper-discrepancy",
         families_desc=desc, witness=witness,
-        residuals=None if witness is None else _eval_all(system, witness),
+        residuals=values,
         explanation=explanation, paper_claim=printed, recomputed_claim=recomputed)
 
 

@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
-from .poly import PolyError, quoted
+from .poly import quoted
 from .liealg import (
-    FAMILIES, PAIRS, ConstraintViolation, FrameVector, SamplerStarvation, branches, make_group,
+    FAMILIES, PAIRS, FrameVector, SamplerStarvation, branches, make_group,
 )
 from .connection import KINDS, display_name
 from .classify import (
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except SamplerStarvation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConstraintViolation, PolyError, ValueError) as exc:
+    except ValueError as exc:  # PolyError and ConstraintViolation among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,7 +122,7 @@ class FrameVector:
             if comp.is_zero():
                 continue
             body = comp.text(greek=greek)
-            if len(comp.terms) > 1:
+            if len(comp._nums) > 1:
                 body = f"({body})"
             unit = f"{frame}{i}"
             s = unit if comp == 1 else "-" + unit if comp == -1 else f"{body}*{unit}"

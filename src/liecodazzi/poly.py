@@ -14,9 +14,10 @@ product inserts n1*n2 for each new exponent tuple over the product of
 the denominators; numerators are added only where two terms meet, a sum
 that cancels is deleted, and each result is brought to canonical form
 by one ``gcd`` of its denominator and numerators.  p + 0, 0 + p and
-p - 0 return p itself, with no copy.  ``terms`` is the read-only
-``{exponent tuple: Fraction}`` view, built on its first read, for
-rendering, hashing and callers.  Evaluation is exact integer
+p - 0 return p itself, with no copy.  The integer form is the only
+stored form: rendering and hashing read it, and ``terms``, the
+read-only ``{exponent tuple: Fraction}`` view for callers, is built
+anew on each read.  Evaluation is exact integer
 arithmetic: on its first evaluation a polynomial compiles its integer
 form into one straight-line function of the point's numerators and
 denominators (its kernel), built from integer literals, ``+``, ``-``,
@@ -27,8 +28,8 @@ same integer forms write the condition kernels (``_condition_kernel``):
 one boolean function of the point's integers per question "these
 vanish, those do not", so a side-condition set or a family tests a
 point in one call.  Polynomials are evaluated at a :class:`Point`,
-which keeps its coordinates as integer pairs; ``eval_at`` builds one
-from any other mapping.
+which stores its coordinates as integer pairs only; ``eval_at`` builds
+one from any other mapping.
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic.
@@ -96,11 +97,11 @@ class Point(Mapping):
     variable given exactly once, under its name or an alias, as an int or
     Fraction.  The point keeps its coordinates as the integers n0, d0,
     ..., n3, d3 of their lowest-terms ratios n_i/d_i (d_i > 0), in VARS
-    order: the arguments of a polynomial's kernel.  The Fraction
-    coordinates are built on the first read, so a sampled point that no
-    report shows never builds them."""
+    order: the arguments of a polynomial's kernel, and its only stored
+    form.  Reading a coordinate builds its Fraction, so a sampled point
+    that no report shows builds none."""
 
-    __slots__ = ("_ints", "_values")
+    __slots__ = ("_ints",)
 
     def __init__(self, values: Mapping[str, Rational]):
         coords = [None] * len(VARS)
@@ -110,16 +111,11 @@ class Point(Mapping):
                 raise PolyError(f"unknown variable {name!r}")
             if coords[i] is not None:
                 raise _given_twice(values, i)
-            coords[i] = v if type(v) is Fraction else _as_fraction(v)
-        # "is None", not "None in coords", which calls Fraction.__eq__
+            coords[i] = _ratio(v)
         missing = [v for v, c in zip(VARS, coords) if c is None]
         if missing:
             raise PolyError(f"point misses variables {missing}")
-        ints = ()
-        for c in coords:
-            ints += c.as_integer_ratio()
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_values", tuple(coords))
+        object.__setattr__(self, "_ints", sum(coords, ()))
 
     @staticmethod
     def _of_ints(ints: tuple) -> "Point":
@@ -131,12 +127,6 @@ class Point(Mapping):
         object.__setattr__(point, "_ints", ints)
         return point
 
-    @property
-    def _pairs(self) -> tuple:
-        """The coordinates as (numerator, denominator) pairs, in VARS order."""
-        ints = self._ints
-        return tuple(zip(ints[0::2], ints[1::2]))
-
     @staticmethod
     def of(point: Mapping[str, Rational]) -> "Point":
         """point itself when it is a Point, else the Point it spells."""
@@ -147,12 +137,8 @@ class Point(Mapping):
         raise AttributeError("Point is immutable")
 
     def __getitem__(self, name: str) -> Fraction:
-        try:
-            values = self._values
-        except AttributeError:
-            values = tuple(Fraction(n, d) for n, d in self._pairs)
-            object.__setattr__(self, "_values", values)
-        return values[_VAR_INDEX[name]]
+        i = 2 * _VAR_INDEX[name]
+        return Fraction(self._ints[i], self._ints[i + 1])
 
     def __iter__(self):
         return iter(VARS)
@@ -183,7 +169,7 @@ def _power(name: str, e: int) -> list:
 def _make_kernel(expression: str):
     """The function k(n0, d0, ..., n3, d3) returning expression.  Two
     callers write the expression from integer literals and those eight
-    names: Polynomial._compile a sum of products (a polynomial's integer
+    names: Polynomial._compiled a sum of products (a polynomial's integer
     form), _condition_kernel comparisons of such sums with 0 joined by
     and.  The function runs with no globals and no builtins.  Equal
     expressions built apart (an audit builds each family's conditions per
@@ -219,11 +205,10 @@ class Polynomial:
     """Immutable multivariate polynomial over Q in the fixed variables,
     kept as integer numerators over one positive denominator."""
 
-    # _nums and _den hold the value (see the module docstring); _terms
-    # holds the Fraction view once read (see terms); _kernel and _tops
-    # hold the compiled integer form once the first evaluation has built
-    # it (see _compile)
-    __slots__ = ("_nums", "_den", "_terms", "_kernel", "_tops")
+    # _nums and _den hold the value (see the module docstring); _kernel
+    # and _tops hold the compiled integer form once the first evaluation
+    # has built it (see _compiled)
+    __slots__ = ("_nums", "_den", "_kernel", "_tops")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
         clean = {}
@@ -255,14 +240,9 @@ class Polynomial:
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
         """The read-only map from exponent tuples to nonzero Fraction
-        coefficients, built on its first read and kept."""
-        try:
-            return self._terms
-        except AttributeError:
-            den = self._den
-            view = MappingProxyType({e: Fraction(n, den) for e, n in self._nums.items()})
-            object.__setattr__(self, "_terms", view)
-            return view
+        coefficients, built from the integer form on each read."""
+        den = self._den
+        return MappingProxyType({e: Fraction(n, den) for e, n in self._nums.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -490,14 +470,10 @@ class Polynomial:
 
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
         """Exact value at a Point, or at any mapping Point accepts: the
-        kernel's integer over the cleared denominator (see _compile), so
+        kernel's integer over the cleared denominator (see _compiled), so
         the value is the only Fraction built."""
         ints = Point.of(point)._ints
-        try:
-            kernel = self._kernel
-        except AttributeError:
-            kernel = self._compile()
-        total = kernel(*ints)
+        total = self._compiled()(*ints)
         if not total:
             return _FRACTION_ZERO
         den = self._den
@@ -508,12 +484,7 @@ class Polynomial:
     def vanishes_at(self, point: Mapping[str, Rational]) -> bool:
         """Whether the value at point is 0, decided on the kernel's
         integer alone: no denominator and no Fraction is built."""
-        ints = Point.of(point)._ints
-        try:
-            kernel = self._kernel
-        except AttributeError:
-            kernel = self._compile()
-        return not kernel(*ints)
+        return not self._compiled()(*Point.of(point)._ints)
 
     def _integer_form(self) -> tuple:
         """(expression, tops): tops is the pairs (i, highest exponent of
@@ -533,20 +504,26 @@ class Polynomial:
             products.append("*".join(factors) or "1")
         return " + ".join(products) or "0", tops
 
-    def _compile(self):
-        """Build the kernel of the integer form on the first evaluation
-        and keep it, with the tops that scale _den to divide its value by."""
-        expression, tops = self._integer_form()
-        kernel = _make_kernel(expression)
-        object.__setattr__(self, "_kernel", kernel)
-        object.__setattr__(self, "_tops", tops)
-        return kernel
+    def _compiled(self):
+        """The kernel of the integer form: built on the first evaluation
+        and kept, with the tops that scale _den to divide its value by."""
+        try:
+            return self._kernel
+        except AttributeError:
+            expression, tops = self._integer_form()
+            kernel = _make_kernel(expression)
+            object.__setattr__(self, "_kernel", kernel)
+            object.__setattr__(self, "_tops", tops)
+            return kernel
 
     # -- rendering -------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda t: _term_key(t[0]), reverse=True)
+        """(exponent tuple, Fraction coefficient) pairs in descending
+        graded-lex order."""
+        den = self._den
+        return [(e, Fraction(self._nums[e], den))
+                for e in sorted(self._nums, key=_term_key, reverse=True)]
 
     def text(self, greek: bool = False) -> str:
         if not self._nums:

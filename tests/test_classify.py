@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -455,6 +456,17 @@ def test_sample_necessity_starves_by_progress_not_by_trials():
         sample_necessity(system, [fam], 10_000, seed=0)
 
 
+def test_sample_necessity_names_excluded_families_given_as_a_generator():
+    # every admissible G7 point has a = 0 or g = 0; a one-shot iterable of
+    # the two families must be named in the message like a list of them
+    system = build_system(make_group("G7"), "bott", "codazzi")
+    texts = ("a=0", "g=0")
+    for excluded in ((SolutionFamily.from_text(t) for t in texts),
+                     [SolutionFamily.from_text(t) for t in texts]):
+        with pytest.raises(SamplerStarvation, match=r"families \[a = 0; g = 0\]"):
+            sample_necessity(system, excluded, 5, seed=0)
+
+
 def test_sample_necessity_skips_excluded_points():
     system = build_system(make_group("G2"), "bott", "codazzi")
     fam = SolutionFamily.from_text("a=0,b=0")
@@ -524,6 +536,18 @@ def test_sample_necessity_builds_a_point_only_for_what_it_reports(monkeypatch):
         assert sorted(built) == sorted(shown), system.case_id
 
 
+def test_an_audit_evaluates_each_witness_once(monkeypatch):
+    # a never-holds verdict shows the residuals sample_necessity took at
+    # its witness; every verdict's residuals are taken once
+    evaluated = []
+    eval_all = classify._eval_all
+    monkeypatch.setattr(classify, "_eval_all", lambda system, point: evaluated.append(
+        (system, point)) or eval_all(system, point))
+    verdicts, _ = verify_paper_theorems(trials_per_case=20, seed=0)
+    assert any(v.status == "never-holds" for v in verdicts)
+    assert len({(id(s), id(p)) for s, p in evaluated}) == len(evaluated)
+
+
 @pytest.mark.parametrize("seed", [None, True, 1.0, "7", -7],
                          ids=["None", "True", "1.0", "str", "-7"])
 def test_a_seed_that_is_not_a_non_negative_int_is_rejected(seed):
@@ -575,6 +599,16 @@ def test_span_detects_missing_direction():
 
 def test_span_scaling_is_irrelevant():
     assert systems_equivalent([parse("2*a^3")], [parse("-a^3/3")])
+
+
+def test_span_comparison_is_exact_for_large_coefficients():
+    # rows in floats would read 10^17 + 1 as 10^17 and call the first pair equal
+    a, b = Polynomial.var("a"), Polynomial.var("b")
+    big = 10 ** 17
+    assert not systems_equivalent([(big + 1) * a + big * b], [a + b])
+    left = [(big + 1) * a + big * b, b.scale(Fraction(3 * big - 1, 7))]
+    assert systems_equivalent(left, [a, b])
+    assert systems_equivalent([(big + 1) * a + big * b], [(2 * big + 2) * a + 2 * big * b])
 
 
 def test_span_of_empty_systems():

@@ -249,6 +249,23 @@ def test_cli_audit_of_seed_7_is_pinned():
     assert hashlib.sha256(out.stdout).hexdigest() == AUDIT_SEED7_SHA256
 
 
+def test_the_engine_reads_no_terms_view(monkeypatch, capsys):
+    # terms is the Fraction view for callers; a cold audit, its report,
+    # the CLI's JSON and every derived table rendered read the integer form
+    liealg._symbolic_group.cache_clear()  # start from a cold store
+    classify._data_poly.cache_clear()
+    reads = []
+    terms = Polynomial.terms
+    monkeypatch.setattr(Polynomial, "terms", property(lambda p: reads.append(p) or terms.fget(p)))
+    verdicts, register = verify_paper_theorems(trials_per_case=200, seed=0)
+    json.dumps([v.to_json() for v in verdicts] + [register.to_json()])
+    assert main(["list", "--json"]) == 0
+    assert main(["compute", "--family", "G3", "--connection", "bott", "--json"]) == 0
+    assert len(derived_tables()) == 256
+    assert capsys.readouterr().out
+    assert reads == []
+
+
 def derived_tables():
     out = {}
     for L in all_groups():

@@ -2,8 +2,9 @@
 every private module-level definition of the package is read, zero tests
 go through vanishes_at, term merges seed no zero, the package runs
 generated code in one place, only the sampling entry points build a
-random generator, only the three samplers draw from one, and the ring
-operations of Polynomial name no Fraction."""
+random generator, only the three samplers draw from one, the ring
+operations of Polynomial name no Fraction, and the package reads no
+Polynomial.terms view."""
 
 import ast
 import pathlib
@@ -330,3 +331,27 @@ def test_the_integer_core_names_no_fraction():
                if isinstance(node, ast.FunctionDef)}
     assert INTEGER_CORE <= defined, sorted(INTEGER_CORE - defined)
     assert [found for found in fraction_names(source) if found[1] in INTEGER_CORE] == []
+
+
+def terms_reads(source: str) -> list:
+    """Reads of an attribute named terms, as (line, enclosing function or
+    None, name); a write or a method named terms is no read."""
+    return nodes_named(source, lambda node: "terms" if isinstance(node, ast.Attribute)
+                       and node.attr == "terms" and isinstance(node.ctx, ast.Load) else None)
+
+
+def test_scan_finds_terms_reads():
+    source = ("def render(p):\n    return sorted(p.terms.items())\n"
+              "def size(p):\n    return len(p.terms), p.sorted_terms(), p._nums\n"
+              "class Poly:\n    @property\n    def terms(self):\n        return self._nums\n"
+              "x = [c for c in q.terms.values()]\np.terms = {}\nterms = 3\n")
+    assert terms_reads(source) == [(2, "render", "terms"), (4, "size", "terms"),
+                                   (9, None, "terms")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_the_package_reads_no_terms_view(path):
+    # the integer form is the only stored form: rendering, hashing and
+    # span comparison read _nums and _den, and terms is built anew on
+    # each read, for callers outside the package
+    assert terms_reads(path.read_text(encoding="utf-8")) == []

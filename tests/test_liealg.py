@@ -372,7 +372,7 @@ def test_constraint_points_repeat_the_reference_sampler():
             want = reference_constraint_point(L, ref)
             for pt, rng in ((sample_constraint_point(L, public), public),
                             (Point._of_ints(next(points)), stream)):
-                assert pt == want and pt._pairs == Point(want)._pairs, L.label()
+                assert pt == want and pt._ints == Point(want)._ints, L.label()
                 assert rng.getstate() == ref.getstate(), L.label()
 
 
