@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -706,27 +707,30 @@ def audit_printed_tables(register: DiscrepancyRegister) -> None:
 
 
 def _rref(rows):
+    """The reduced row echelon form of the integer rows, each row scaled
+    to be primitive with a positive leading entry: unique for their span.
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22
+    (1968)): the chosen pivot row is scaled so, and each other row r
+    becomes pv*row_r - f*row_lead over its gcd (pv > 0 keeps its sign)."""
     rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     lead = 0
-    for col in range(ncols):
-        if lead >= nrows:
-            break
-        pivot = next((r for r in range(lead, nrows) if rows[r][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(lead, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[lead], rows[pivot] = rows[pivot], rows[lead]
-        # a Fraction pivot keeps the division exact on int rows
-        pv = Fraction(rows[lead][col])
-        # a zero entry stays zero when scaled, and x - f*0 is x
-        rows[lead] = [x / pv if x else x for x in rows[lead]]
-        for r in range(nrows):
-            if r != lead and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], rows[lead])]
+        row = rows[pivot]
+        g = gcd(*row) if row[col] > 0 else -gcd(*row)
+        top = [x // g for x in row]
+        rows[pivot], rows[lead] = rows[lead], top
+        pv = top[col]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if f and r != lead:
+                row = [pv * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         lead += 1
-    return tuple(tuple(r) for r in rows if any(x != 0 for x in r))
+    return tuple(map(tuple, rows[:lead]))
 
 
 def systems_equivalent(left: Sequence[Polynomial], right: Sequence[Polynomial]) -> bool:

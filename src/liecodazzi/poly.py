@@ -18,16 +18,16 @@ p - 0 return p itself, with no copy.  The integer form is the only
 stored form: rendering and hashing read it, and ``terms``, the
 read-only ``{exponent tuple: Fraction}`` view for callers, is built
 anew on each read.  Evaluation is exact integer
-arithmetic: on its first evaluation a polynomial compiles its integer
-form into one straight-line function of the point's numerators and
-denominators (its kernel), built from integer literals, ``+``, ``-``,
-``*`` and ``**`` alone.  A zero test (``vanishes_at``) is the kernel's
-value compared with 0 and builds no ``Fraction``; ``eval_at`` divides
-the same value by the denominator, for the values a report shows.  The
-same integer forms write the condition kernels (``_condition_kernel``):
-one boolean function of the point's integers per question "these
-vanish, those do not", so a side-condition set or a family tests a
-point in one call.  Polynomials are evaluated at a :class:`Point`,
+arithmetic: one pass over the numerators computes the polynomial's
+integer form, its value with every denominator cleared, from the
+point's numerators and denominators.  A zero test (``vanishes_at``) is
+that integer compared with 0 and builds no ``Fraction``; ``eval_at``
+divides it by the cleared denominator, for the values a report shows.
+The same integer forms, as source text, write the condition kernels
+(``_condition_kernel``): one compiled boolean function of the point's
+integers per question "these vanish, those do not", so a side-condition
+set or a family tests a point in one call of the sampling loops.
+Polynomials are evaluated at a :class:`Point`,
 which stores its coordinates as integer pairs only; ``eval_at`` builds
 one from any other mapping.
 
@@ -97,8 +97,8 @@ class Point(Mapping):
     variable given exactly once, under its name or an alias, as an int or
     Fraction.  The point keeps its coordinates as the integers n0, d0,
     ..., n3, d3 of their lowest-terms ratios n_i/d_i (d_i > 0), in VARS
-    order: the arguments of a polynomial's kernel, and its only stored
-    form.  Reading a coordinate builds its Fraction, so a sampled point
+    order: what evaluation and the condition kernels read, and its only
+    stored form.  Reading a coordinate builds its Fraction, so a sampled point
     that no report shows builds none."""
 
     __slots__ = ("_ints",)
@@ -167,13 +167,12 @@ def _power(name: str, e: int) -> list:
 
 @lru_cache(maxsize=1024)
 def _make_kernel(expression: str):
-    """The function k(n0, d0, ..., n3, d3) returning expression.  Two
-    callers write the expression from integer literals and those eight
-    names: Polynomial._compiled a sum of products (a polynomial's integer
-    form), _condition_kernel comparisons of such sums with 0 joined by
-    and.  The function runs with no globals and no builtins.  Equal
-    expressions built apart (an audit builds each family's conditions per
-    branch) share one function."""
+    """The function k(n0, d0, ..., n3, d3) returning expression, which
+    _condition_kernel writes from integer literals and those eight names:
+    comparisons of polynomials' integer forms with 0, joined by and.  The
+    function runs with no globals and no builtins.  Equal expressions
+    built apart (an audit builds each family's conditions per branch)
+    share one function."""
     namespace = {}
     exec(f"def k(n0, d0, n1, d1, n2, d2, n3, d3):\n    return {expression}\n",
          {"__builtins__": {}}, namespace)
@@ -190,8 +189,8 @@ def _condition_kernel(conditions):
     conditions run in their given order and stop at the first that
     fails.  A zero equality is left out, so a set without conditions is
     met everywhere."""
-    tests = [f"not ({p._integer_form()[0]})" for p in conditions.equalities if p]
-    tests += [f"{q._integer_form()[0]} != 0" for q in conditions.inequations]
+    tests = [f"not ({p._integer_form()})" for p in conditions.equalities if p]
+    tests += [f"{q._integer_form()} != 0" for q in conditions.inequations]
     return _make_kernel(" and ".join(tests) or "True")
 
 
@@ -205,10 +204,9 @@ class Polynomial:
     """Immutable multivariate polynomial over Q in the fixed variables,
     kept as integer numerators over one positive denominator."""
 
-    # _nums and _den hold the value (see the module docstring); _kernel
-    # and _tops hold the compiled integer form once the first evaluation
-    # has built it (see _compiled)
-    __slots__ = ("_nums", "_den", "_kernel", "_tops")
+    # _nums and _den hold the value (see the module docstring), and
+    # nothing else is kept
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None):
         clean = {}
@@ -232,9 +230,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the integer form (the kernel is
-        # compiled again on first evaluation); __setattr__ refuses their
-        # slot writes
+        # copy and pickle rebuild from the integer form; __setattr__
+        # refuses their slot writes
         return _raw, (self._nums, self._den)
 
     @property
@@ -470,30 +467,41 @@ class Polynomial:
 
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
         """Exact value at a Point, or at any mapping Point accepts: the
-        kernel's integer over the cleared denominator (see _compiled), so
-        the value is the only Fraction built."""
-        ints = Point.of(point)._ints
-        total = self._compiled()(*ints)
-        if not total:
-            return _FRACTION_ZERO
-        den = self._den
-        for i, top in self._tops:
-            den *= ints[2 * i + 1] ** top
-        return Fraction(total, den)
+        integer value over its cleared denominator (see _integer_value),
+        so the value is the only Fraction built."""
+        total, den = self._integer_value(Point.of(point)._ints)
+        return Fraction(total, den) if total else _FRACTION_ZERO
 
     def vanishes_at(self, point: Mapping[str, Rational]) -> bool:
-        """Whether the value at point is 0, decided on the kernel's
-        integer alone: no denominator and no Fraction is built."""
-        return not self._compiled()(*Point.of(point)._ints)
+        """Whether the value at point is 0, decided on the integer value
+        alone: no Fraction is built."""
+        return not self._integer_value(Point.of(point)._ints)[0]
 
-    def _integer_form(self) -> tuple:
-        """(expression, tops): tops is the pairs (i, highest exponent of
-        variable i) for the variables that occur.  Scaled by d_i^top_i,
-        the power (n_i/d_i)^e becomes n_i^e * d_i^(top_i - e), so
-        expression, in the point's n0, d0, ..., n3, d3, is the value
-        times _den times the product of the d_i^top_i, as one integer sum
-        of products of the stored numerators.  That factor is a nonzero
-        integer, so expression is 0 exactly where the value is."""
+    def _integer_value(self, ints: tuple) -> tuple:
+        """(total, den) with total/den the value at the point whose
+        integers are ints (n0, d0, ..., n3, d3): total is the integer form
+        (see _integer_form) computed in one pass over _nums, the sum of
+        n * prod n_i^e_i * d_i^(top_i - e_i), and den is _den times the
+        product of the d_i^top_i."""
+        nums = self._nums
+        if not nums:
+            return 0, self._den
+        n0, d0, n1, d1, n2, d2, n3, d3 = ints
+        t0, t1, t2, t3 = map(max, zip(*nums))
+        total = 0
+        for (e0, e1, e2, e3), n in nums.items():
+            total += (n * n0 ** e0 * d0 ** (t0 - e0) * n1 ** e1 * d1 ** (t1 - e1)
+                      * n2 ** e2 * d2 ** (t2 - e2) * n3 ** e3 * d3 ** (t3 - e3))
+        return total, self._den * d0 ** t0 * d1 ** t1 * d2 ** t2 * d3 ** t3
+
+    def _integer_form(self) -> str:
+        """The value times _den times the product of the d_i^top_i, for
+        top_i the highest exponent of variable i, as one integer sum of
+        products of the stored numerators in the point's n0, d0, ..., n3,
+        d3: scaled by d_i^top_i, the power (n_i/d_i)^e becomes
+        n_i^e * d_i^(top_i - e).  That factor is a nonzero integer, so
+        the form is 0 exactly where the value is (the source text of the
+        sum _integer_value computes)."""
         nums = self._nums
         tops = tuple((i, top) for i, top in enumerate(map(max, zip(*nums))) if top)
         products = []
@@ -502,19 +510,7 @@ class Polynomial:
             for i, top in tops:
                 factors += _power(f"n{i}", exps[i]) + _power(f"d{i}", top - exps[i])
             products.append("*".join(factors) or "1")
-        return " + ".join(products) or "0", tops
-
-    def _compiled(self):
-        """The kernel of the integer form: built on the first evaluation
-        and kept, with the tops that scale _den to divide its value by."""
-        try:
-            return self._kernel
-        except AttributeError:
-            expression, tops = self._integer_form()
-            kernel = _make_kernel(expression)
-            object.__setattr__(self, "_kernel", kernel)
-            object.__setattr__(self, "_tops", tops)
-            return kernel
+        return " + ".join(products) or "0"
 
     # -- rendering -------------------------------------------------------
 

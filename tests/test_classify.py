@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -216,6 +217,12 @@ def test_contains_quadratic_relation():
     fam = SolutionFamily(quadratic_relations=((parse("b^2"), parse("2*a^2")),))
     assert fam.contains({"a": 0, "b": 0, "g": 1, "d": 2})
     assert not fam.contains({"a": 1, "b": 1, "g": 0, "d": 0})
+
+
+def test_contains_a_point_where_the_relation_sides_are_equal_and_nonzero():
+    fam = SolutionFamily(quadratic_relations=((parse("a^2"), parse("b^2")),))
+    assert fam.contains({"a": 1, "b": 1, "g": 0, "d": 0})
+    assert not fam.contains({"a": 1, "b": 2, "g": 0, "d": 0})
 
 
 def test_describe_renders_both_alphabets():
@@ -614,6 +621,84 @@ def test_span_comparison_is_exact_for_large_coefficients():
 def test_span_of_empty_systems():
     assert systems_equivalent([], [])
     assert systems_equivalent([Polynomial.zero()], [])
+
+
+def span_test_pairs(rng, count):
+    """Seeded pairs of equation lists: up to 13 equations in up to 14
+    degree-3 monomials, integer coefficients in [-10, 10] with some rows
+    dependent.  In every other pair the right list plants the left span:
+    the left rows recombined (row_i += c*row_j), scaled by nonzero
+    rationals and shuffled; in the others it is drawn afresh or is the
+    left list with one coefficient changed."""
+    cubics = [(i, j, k, 3 - i - j - k) for i in range(4) for j in range(4 - i)
+              for k in range(4 - i - j)]
+    pairs = []
+    for n in range(count):
+        monos = rng.sample(cubics, rng.randint(1, 14))
+        size = rng.randint(1, 13)
+
+        def draw_rows(size):
+            rows = [[rng.randint(-10, 10) if rng.random() < 0.6 else 0 for _ in monos]
+                    for _ in range(size)]
+            for r in rng.sample(range(size), size // 3):  # some dependent rows
+                rows[r] = [x - 2 * y for x, y in zip(rows[rng.randrange(size)],
+                                                     rows[rng.randrange(size)])]
+            return [[Fraction(x) for x in r] for r in rows]
+
+        left = draw_rows(size)
+        if n % 2 == 0:
+            right = [list(r) for r in left]
+            for _ in range(3 * size):
+                i, j = rng.randrange(size), rng.randrange(size)
+                if i != j:
+                    c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    right[i] = [x + c * y for x, y in zip(right[i], right[j])]
+            scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                      for _ in right]
+            right = [[x * c for x in r] for r, c in zip(right, scales)]
+            rng.shuffle(right)
+        elif rng.random() < 0.5:
+            right = draw_rows(rng.randint(1, 13))
+        else:
+            right = [list(r) for r in left]
+            right[rng.randrange(size)][rng.randrange(len(monos))] += rng.choice((-1, 1))
+
+        def polys(rows):
+            return [Polynomial(dict(zip(monos, r))) for r in rows]
+
+        pairs.append((polys(left), polys(right), n % 2 == 0))
+    return pairs
+
+
+def test_span_comparison_agrees_with_sympy_ranks():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    def integer_rows(ps, monos):
+        # each row is a polynomial times its denominator: the same span
+        return [[p._nums.get(m, 0) for m in monos] for p in ps if p._nums]
+
+    def rank(ps, monos):
+        return DomainMatrix.from_list(integer_rows(ps, monos) or [[0] * len(monos)],
+                                      sympy.ZZ).rank()
+
+    verdicts = []
+    for left, right, planted in span_test_pairs(random.Random(331), 200):
+        monos = sorted({e for p in left + right for e in p.terms}, reverse=True)
+        ranks = [rank(left, monos), rank(right, monos)]
+        want = ranks[0] == ranks[1] == rank(left + right, monos)
+        assert systems_equivalent(left, right) is want, (left, right)
+        assert want or not planted
+        verdicts.append(want)
+        for ps, ps_rank in zip((left, right), ranks):
+            reduced = classify._rref(integer_rows(ps, monos))
+            assert len(reduced) == ps_rank
+            pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+            assert pivots == sorted(set(pivots))
+            for row, pivot in zip(reduced, pivots):
+                assert gcd(*row) == 1 and row[pivot] > 0, row
+                assert all(other[pivot] == 0 for other in reduced if other is not row), reduced
+    assert 100 <= verdicts.count(True) < 200
 
 
 # -- data files --------------------------------------------------------------

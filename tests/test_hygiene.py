@@ -1,10 +1,11 @@
 """Source hygiene: every imported name in the package and the tests is read,
 every private module-level definition of the package is read, zero tests
 go through vanishes_at, term merges seed no zero, the package runs
-generated code in one place, only the sampling entry points build a
-random generator, only the three samplers draw from one, the ring
-operations of Polynomial name no Fraction, and the package reads no
-Polynomial.terms view."""
+generated code in one place and compiles kernels for the condition
+tests alone, only the sampling entry points build a random generator,
+only the three samplers draw from one, the ring operations and the
+evaluator of Polynomial and the span comparison name no Fraction, and the
+package reads no Polynomial.terms view."""
 
 import ast
 import pathlib
@@ -230,6 +231,31 @@ def test_generated_code_runs_only_in_the_kernel_builder():
     assert calls == [("poly.py", "_make_kernel", "exec")]
 
 
+def kernel_builds(source: str) -> list:
+    """Calls of _make_kernel, bare or as an attribute, as (line,
+    enclosing function or None, name)."""
+    return calls_named(source, lambda f: "_make_kernel" if (
+        isinstance(f, ast.Name) and f.id == "_make_kernel"
+        or isinstance(f, ast.Attribute) and f.attr == "_make_kernel") else None)
+
+
+def test_scan_finds_kernel_builds():
+    source = ("def _condition_kernel(c):\n    return _make_kernel(c)\n"
+              "class P:\n    def value(self):\n        return poly._make_kernel(self.form)()\n"
+              "k = _make_kernel('0')\nbuild = _make_kernel\n")
+    assert kernel_builds(source) == [(2, "_condition_kernel", "_make_kernel"),
+                                     (5, "value", "_make_kernel"), (6, None, "_make_kernel")]
+
+
+def test_only_the_condition_tests_compile_a_kernel():
+    # a compiled kernel repays its build only in the sampling loops, which
+    # call one condition test thousands of times; a value shown once is
+    # computed from the integer form directly (Polynomial._integer_value)
+    calls = [(path.name, function) for path in PACKAGE
+             for _, function, _ in kernel_builds(path.read_text(encoding="utf-8"))]
+    assert calls == [("poly.py", "_condition_kernel")]
+
+
 def rng_constructions(source: str) -> list:
     """Calls of random.Random or a bare Random, as (line, enclosing
     function or None, name)."""
@@ -299,17 +325,24 @@ def test_only_the_three_samplers_draw():
 
 
 # the Polynomial methods (and their module helper) that do the ring
-# arithmetic on the stored integer numerators and denominator
+# arithmetic and the evaluation on the stored integer numerators and
+# denominator
 INTEGER_CORE = frozenset({"__add__", "__sub__", "_merge", "__neg__", "__mul__", "scale",
-                          "__pow__", "_normal", "_integer_form"})
+                          "__pow__", "_normal", "_integer_form", "_integer_value"})
+
+
+def fraction_name(node) -> str | None:
+    """"Fraction" when node reads that name, bare or as an attribute
+    (fractions.Fraction), else None."""
+    return "Fraction" if (isinstance(node, ast.Name) and node.id == "Fraction"
+                          or isinstance(node, ast.Attribute)
+                          and node.attr == "Fraction") else None
 
 
 def fraction_names(source: str) -> list:
     """Reads of the name Fraction, bare or as an attribute (fractions.Fraction),
     as (line, enclosing function or None, name)."""
-    return nodes_named(source, lambda node: "Fraction" if (
-        isinstance(node, ast.Name) and node.id == "Fraction"
-        or isinstance(node, ast.Attribute) and node.attr == "Fraction") else None)
+    return nodes_named(source, fraction_name)
 
 
 def test_scan_finds_fraction_names():
@@ -331,6 +364,33 @@ def test_the_integer_core_names_no_fraction():
                if isinstance(node, ast.FunctionDef)}
     assert INTEGER_CORE <= defined, sorted(INTEGER_CORE - defined)
     assert [found for found in fraction_names(source) if found[1] in INTEGER_CORE] == []
+
+
+def fraction_names_within(source: str, functions) -> list:
+    """Reads of the name Fraction anywhere inside the module-level
+    functions named in functions, nested functions included, as (line,
+    module-level function)."""
+    return sorted((node.lineno, top.name) for top in ast.parse(source).body
+                  if isinstance(top, ast.FunctionDef) and top.name in functions
+                  for node in ast.walk(top) if fraction_name(node))
+
+
+def test_scan_finds_fraction_names_within_functions():
+    source = ("def _rref(rows):\n    def pivot(x):\n        return Fraction(x)\n"
+              "    return [pivot(r[0]) for r in rows]\n"
+              "def other():\n    return Fraction(1)\n"
+              "def span(ps):\n    return fractions.Fraction(len(ps))\n")
+    assert fraction_names_within(source, {"_rref", "span"}) == [(3, "_rref"), (8, "span")]
+
+
+def test_the_span_comparison_names_no_fraction():
+    # _rref reduces the integer rows fraction-free; a Fraction pivot would
+    # bring its per-entry gcd and allocation back
+    source = (ROOT / "src" / "liecodazzi" / "classify.py").read_text(encoding="utf-8")
+    functions = {"_rref", "systems_equivalent"}
+    assert {top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)} >= functions
+    assert fraction_names_within(source, functions) == []
 
 
 def terms_reads(source: str) -> list:

@@ -87,6 +87,15 @@ def test_numeric_instance_violating_equality():
     assert exc.value.kind == "equality"
 
 
+def test_constraint_violation_texts_say_which_way_the_condition_broke():
+    with pytest.raises(ConstraintViolation) as exc:
+        make_group("G6", numeric_params={"a": 1, "b": 1, "g": 1, "d": 2})
+    assert str(exc.value) == "constraint violated: a*g-b*d = 0"
+    with pytest.raises(ConstraintViolation) as exc:
+        make_group("G5", numeric_params={"a": 1, "b": 1, "g": 1, "d": -1})
+    assert str(exc.value) == "constraint violated: a+d != 0"
+
+
 def test_numeric_instance_rejects_floats():
     with pytest.raises(PolyError):
         make_group("G1", numeric_params={"a": 0.1, "b": 0, "g": 0, "d": 0})

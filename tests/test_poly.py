@@ -94,6 +94,16 @@ def test_sub_matches_term_merge_oracle():
 # -- mul ---------------------------------------------------------------
 
 
+def test_reflected_subtraction_takes_the_polynomial_away():
+    # a number minus a polynomial runs Polynomial.__rsub__
+    assert 1 - A == parse("1-a")
+    assert Fraction(1, 2) - A == parse("1/2-a")
+
+
+def test_zero_has_degree_minus_one():
+    assert (ZERO.degree(), ONE.degree(), parse("a*b^2+g").degree()) == (-1, 0, 3)
+
+
 def test_mul_variable_square():
     assert A * A == A ** 2
 
@@ -363,33 +373,21 @@ def test_kernel_values_and_zero_tests_match_the_oracle():
     assert seen == {True, False}
 
 
-def test_kernel_source_is_integer_arithmetic_on_the_eight_names(monkeypatch):
-    sources = []
-    build = poly._make_kernel
-    monkeypatch.setattr(poly, "_make_kernel", lambda expression: sources.append(expression)
-                        or build(expression))
+def test_evaluation_compiles_no_kernel(monkeypatch):
+    # a value shown once is cheaper to compute from the integer form than
+    # to compile; only the condition kernels of the sampling loops compile
+    builds = []
+    monkeypatch.setattr(poly, "_make_kernel", lambda expression: builds.append(expression))
     rng = random.Random(120)
-    # copies compile their own kernels, also of the shared ZERO and ONE
-    polys = [copy.copy(p) for p in kernel_test_polys(rng)]
-    pt = Point(random_point(rng))
-    for p in polys:
-        p.vanishes_at(pt)
-    assert len(sources) == len(polys)
-    assert str(BIG) in sources[-2]  # the polynomial parsed with 100-digit coefficients
-    allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Pow,
-               ast.USub, ast.Load)
-    for expression in sources:
-        for node in ast.walk(ast.parse(expression, mode="eval")):
-            if isinstance(node, ast.Constant):
-                assert type(node.value) is int, expression
-            elif isinstance(node, ast.Name):
-                assert node.id in KERNEL_ARGS, expression
-            else:
-                assert isinstance(node, allowed), (ast.dump(node), expression)
-    for p in polys:
-        kernel = p._kernel
-        assert tuple(inspect.signature(kernel).parameters) == KERNEL_ARGS
-        assert kernel.__code__.co_names == () and kernel.__globals__ == {"__builtins__": {}}
+    raws = kernel_test_points(rng)
+    for p in kernel_test_polys(rng):
+        for raw in raws:
+            want = eval_oracle(p, raw)
+            for pt in (Point(raw), raw):
+                got = p.eval_at(pt)
+                assert type(got) is Fraction and got == want, (p, raw)
+                assert p.vanishes_at(pt) is (want == 0), (p, raw)
+    assert builds == []
 
 
 def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
@@ -404,6 +402,9 @@ def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
                           tuple(rng.sample(polys, rng.randint(0, 2)))) for _ in range(12)]
     kernels = [poly._condition_kernel(s) for s in sets]
     assert len(sources) == len(kernels)
+    for kernel in kernels:
+        assert tuple(inspect.signature(kernel).parameters) == KERNEL_ARGS
+        assert kernel.__code__.co_names == () and kernel.__globals__ == {"__builtins__": {}}
     allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.Add,
                ast.Sub, ast.Mult, ast.Pow, ast.USub, ast.Not, ast.And, ast.NotEq, ast.Load)
     for expression in sources:
@@ -430,8 +431,8 @@ def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
 
 def test_eval_at_a_shared_point_matches_the_oracle_in_either_order():
     # the polynomials give one variable different top exponents, so their
-    # kernels scale one coordinate differently; each polynomial compiles
-    # its kernel on its first evaluation, whichever order they run in
+    # integer values scale one coordinate differently, whichever order
+    # they run in
     p, q = parse("a^3*b-g/2+d"), parse("a*b^4-3*d^2/5+a^2")
     rng = random.Random(111)
     for _ in range(100):
@@ -831,8 +832,8 @@ def test_copies_and_pickles_equal_their_original():
     L = make_group("G1")
     build_system(L, "bott", "codazzi")  # fills L.derived
     p = parse("a+b/2")
-    p.eval_at({"a": 1, "b": 1, "g": 0, "d": 0})  # builds the kernel
-    assert p.terms  # and the Fraction view
+    p.eval_at({"a": 1, "b": 1, "g": 0, "d": 0})  # keeps nothing on p
+    assert p.terms  # nor does the Fraction view
     for original in (p, E1, L):
         for twin in (copy.copy(original), copy.deepcopy(original),
                      pickle.loads(pickle.dumps(original))):
