@@ -20,7 +20,9 @@ from it on request, and build_system and compute_object read through it.
 This module builds both systems exactly, decides them on solution
 families, samples admissible parameter points for necessity arguments,
 and audits the published tables shipped under data/ against independent
-recomputation, collecting every difference in a DiscrepancyRegister.
+recomputation.  The register of that audit is a tuple of RegisterEntry
+rows: the audit passes map printed rows to register rows, and
+register_json writes them from the row fields.
 Each published verdict is decided one way: recompute the solution set
 of the case (holds-always, holds-on-family on the row's families F,
 never-holds, or a difference naming its evidence), then compare it with
@@ -61,7 +63,6 @@ from .tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 __all__ = [
     "CheckResult",
     "Claim",
-    "DiscrepancyRegister",
     "GarbledValue",
     "PolySystem",
     "PrintedSystem",
@@ -79,6 +80,7 @@ __all__ = [
     "load_claims",
     "load_printed_systems",
     "load_printed_tables",
+    "register_json",
     "sample_family_member",
     "sample_necessity",
     "table_names",
@@ -521,35 +523,22 @@ def sample_necessity(system: PolySystem, excluded: Iterable[SolutionFamily],
 
 @dataclass(frozen=True)
 class RegisterEntry:
+    """One print that recomputation contradicts: where it stands, the
+    printed and recomputed values as text, and one of SEVERITIES."""
+
     location: str
     printed: str
     recomputed: str
     severity: str
 
-    def to_json(self) -> dict:
-        return {"location": self.location, "printed": self.printed,
-                "recomputed": self.recomputed, "severity": self.severity}
-
-
-class DiscrepancyRegister:
-    """Append-only record of print-vs-recomputation differences."""
-
-    def __init__(self):
-        self._entries = []
-
-    def add(self, location: str, printed: str, recomputed: str, severity: str):
-        if severity not in SEVERITIES:
+    def __post_init__(self):
+        if self.severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}")
-        self._entries.append(RegisterEntry(location, printed, recomputed, severity))
 
-    def __len__(self):
-        return len(self._entries)
 
-    def __iter__(self):
-        return iter(self._entries)
-
-    def to_json(self) -> dict:
-        return {"schema": REPORT_SCHEMA, "entries": [e.to_json() for e in self._entries]}
+def register_json(register: Iterable[RegisterEntry]) -> dict:
+    """The register as a report: each row's fields, under the report schema."""
+    return {"schema": REPORT_SCHEMA, "entries": [dataclasses.asdict(e) for e in register]}
 
 
 # -- published data ----------------------------------------------------------
@@ -560,6 +549,10 @@ class GarbledValue:
     """A print too damaged to parse; carries the raw source text."""
 
     raw: str
+
+    def text(self) -> str:
+        """The raw text: a register row shows it as the print of the value."""
+        return self.raw
 
 
 def _printed(value, eta: Optional[int]):
@@ -691,19 +684,18 @@ def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
     return {_key_text(key): table[key] for key in _KIND_KEYS[obj]}
 
 
-def audit_printed_tables(register: DiscrepancyRegister) -> None:
-    """Add every published table entry that recomputation contradicts."""
-    for tbl in load_printed_tables():
+def audit_printed_tables(tables: Iterable[PrintedTable]) -> list:
+    """A typo-suspected RegisterEntry for every printed table entry that
+    recomputation contradicts, in table and key order; a garbled entry
+    equals no value, so it always gets one."""
+    rows = []
+    for tbl in tables:
         for eta in tbl.branches():
-            L = make_group(tbl.family, eta=eta)
-            engine = compute_object(L, tbl.connection, tbl.kind)
-            for key, pv in tbl.materialize(eta).items():
-                location = f"{tbl.id} entry ({key}){_eta_suffix(eta)}"
-                ev = engine[key]
-                if isinstance(pv, GarbledValue):
-                    register.add(location, pv.raw, ev.text(), "typo-suspected")
-                elif pv != ev:
-                    register.add(location, pv.text(), ev.text(), "typo-suspected")
+            engine = compute_object(make_group(tbl.family, eta=eta), tbl.connection, tbl.kind)
+            rows += [RegisterEntry(f"{tbl.id} entry ({key}){_eta_suffix(eta)}",
+                                   pv.text(), engine[key].text(), "typo-suspected")
+                     for key, pv in tbl.materialize(eta).items() if pv != engine[key]]
+    return rows
 
 
 def _rref(rows):
@@ -746,18 +738,19 @@ def systems_equivalent(left: Sequence[Polynomial], right: Sequence[Polynomial]) 
     return _rref(rows(left)) == _rref(rows(right))
 
 
-def audit_printed_systems(register: DiscrepancyRegister) -> None:
-    """Add every published reduced system that recomputation contradicts.
+def audit_printed_systems(systems: Iterable[PrintedSystem]) -> list:
+    """A typo-suspected RegisterEntry for every printed reduced system that
+    recomputation contradicts, in system order.
 
     Systems are compared as rational linear spans, so scaling and
-    recombination of equations never count as differences.  Garbled
-    equations are registered and excluded; the remaining printed
-    equations must then lie inside the recomputed span.
+    recombination of equations never count as differences.  Each garbled
+    equation gets a row and is excluded; the remaining printed equations
+    must then lie inside the recomputed span.
     """
-    for ps in load_printed_systems():
+    rows = []
+    for ps in systems:
         for eta in ps.branches():
-            L = make_group(ps.family, eta=eta)
-            system = build_system(L, ps.connection, ps.structure)
+            system = build_system(make_group(ps.family, eta=eta), ps.connection, ps.structure)
             engine_eqs = system.reduced()
             engine_txt = "; ".join(p.text() for p in engine_eqs)
             parseable = []
@@ -765,19 +758,18 @@ def audit_printed_systems(register: DiscrepancyRegister) -> None:
             for pos, eq in ps.materialize(eta):
                 if isinstance(eq, GarbledValue):
                     garbled = True
-                    register.add(f"{ps.id} equation {pos}{_eta_suffix(eta)}", eq.raw,
-                                 f"recomputed system: {engine_txt}", "typo-suspected")
+                    rows.append(RegisterEntry(f"{ps.id} equation {pos}{_eta_suffix(eta)}",
+                                              eq.raw, f"recomputed system: {engine_txt}",
+                                              "typo-suspected"))
                 else:
                     parseable.append(eq)
-            if garbled:
-                # with unrecoverable lines only containment can be checked
-                ok = systems_equivalent(parseable + engine_eqs, engine_eqs)
-            else:
-                ok = systems_equivalent(parseable, engine_eqs)
-            if not ok:
-                printed_txt = "; ".join(p.text() for p in parseable)
-                register.add(f"{ps.id}{_eta_suffix(eta)}", printed_txt,
-                             engine_txt, "typo-suspected")
+            # with unrecoverable lines only containment can be checked
+            if not systems_equivalent(parseable + engine_eqs if garbled else parseable,
+                                      engine_eqs):
+                rows.append(RegisterEntry(f"{ps.id}{_eta_suffix(eta)}",
+                                          "; ".join(p.text() for p in parseable),
+                                          engine_txt, "typo-suspected"))
+    return rows
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -934,21 +926,19 @@ def _audit_claim(claim: Claim, index: int, trials: int, seed: int):
 def verify_paper_theorems(trials_per_case: int = 200, seed: int = 0):
     """Audit every published table, system, and verdict.
 
-    Returns (verdicts, register).  The verdict list covers each of the
-    42 family/connection/structure cases, each once unless its two G4
-    sign branches disagree or are discrepancies; the register lists every
-    print that the recomputation contradicts, in deterministic order.
+    Returns (verdicts, register), both tuples.  The verdicts cover each of
+    the 42 family/connection/structure cases, each once unless its two G4
+    sign branches disagree or are discrepancies.  The register is one
+    RegisterEntry per print that the recomputation contradicts: the rows
+    of the printed tables, then of the printed systems, then a
+    verdict-conflict row per paper-discrepancy verdict.
     Ints trials_per_case >= 1 and seed >= 0, else ValueError before any work."""
     _check_trials(trials_per_case)
     _check_seed(seed)
-    register = DiscrepancyRegister()
-    audit_printed_tables(register)
-    audit_printed_systems(register)
-    verdicts = []
-    for index, claim in enumerate(load_claims()):
-        for v in _audit_claim(claim, index, trials_per_case, seed):
-            verdicts.append(v)
-            if v.status == "paper-discrepancy":
-                register.add(v.anchor, v.paper_claim, v.recomputed_claim,
-                             "verdict-conflict")
-    return tuple(verdicts), register
+    register = (audit_printed_tables(load_printed_tables())
+                + audit_printed_systems(load_printed_systems()))
+    verdicts = tuple(v for index, claim in enumerate(load_claims())
+                     for v in _audit_claim(claim, index, trials_per_case, seed))
+    register += [RegisterEntry(v.anchor, v.paper_claim, v.recomputed_claim, "verdict-conflict")
+                 for v in verdicts if v.status == "paper-discrepancy"]
+    return verdicts, tuple(register)

@@ -27,6 +27,7 @@ from .classify import (
     case_id,
     check_on_family,
     compute_object,
+    register_json,
     sample_necessity,
     verify_paper_theorems,
 )
@@ -212,7 +213,7 @@ def _cmd_audit(args) -> int:
         "seed": args.seed,
         "trials_per_case": args.trials,
         "verdicts": [v.to_json() for v in verdicts],
-        "register": register.to_json(),
+        "register": register_json(register),
     })
     if args.out:
         try:

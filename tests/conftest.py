@@ -1,15 +1,62 @@
 """Shared helpers: the eight groups, seeded random rationals and
 polynomials for property tests, the walk that compiled condition tests
-are checked against, and the command line in a fresh interpreter."""
+are checked against, and the command line in a fresh interpreter.  Each
+test and each test module's import run under one time limit, so a fault
+that loops fails the suite instead of hanging it."""
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import liecodazzi
 from liecodazzi.liealg import FAMILIES, branches, make_group
 from liecodazzi.poly import VARS, Polynomial
+
+
+# the wall seconds that one test, or the import of one test module, may
+# take; the slowest test takes about 5
+TEST_TIME_LIMIT_S = 60
+
+
+@contextlib.contextmanager
+def _time_limit():
+    """Raise TimeoutError in the code running once the block has taken
+    TEST_TIME_LIMIT_S, by a SIGALRM interval timer armed on entry and
+    disarmed on exit (no limit where the platform has no such timer)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past the {TEST_TIME_LIMIT_S} s limit of one test")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # one test: its set-up (module fixtures too), call and teardown
+    with _time_limit():
+        yield
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_make_collect_report(collector):
+    # a test module builds polynomials at import, so a looping fault can
+    # hang its collection; it becomes a collection error
+    with _time_limit():
+        yield
 
 
 def all_groups():

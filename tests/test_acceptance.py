@@ -24,6 +24,7 @@ from liecodazzi.classify import (
     build_system,
     compute_object,
     load_printed_tables,
+    register_json,
     verify_paper_theorems,
 )
 
@@ -388,13 +389,13 @@ def test_criterion_7_audit_byte_identical_across_runs(audit):
         trials_per_case=AUDIT_TRIALS, seed=AUDIT_SEED)
     payload = {
         "verdicts": [v.to_json() for v in verdicts],
-        "register": register.to_json(),
+        "register": register_json(register),
     }
     first = json.dumps(payload, sort_keys=True, indent=2)
     cached_verdicts, cached_register = audit
     repeat = {
         "verdicts": [cached_verdicts[v.case_id].to_json() for v in verdicts],
-        "register": cached_register.to_json(),
+        "register": register_json(cached_register),
     }
     second = json.dumps(repeat, sort_keys=True, indent=2)
     assert first == second

@@ -1,5 +1,6 @@
 """Tests for the residual systems, family checks, sampling and audits."""
 
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -18,7 +19,7 @@ from liecodazzi.liealg import (
 from liecodazzi.tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
 from liecodazzi.connection import make_connection
 from liecodazzi.classify import (
-    DiscrepancyRegister,
+    RegisterEntry,
     SolutionFamily,
     Verdict,
     build_system,
@@ -27,6 +28,7 @@ from liecodazzi.classify import (
     load_claims,
     load_printed_systems,
     load_printed_tables,
+    register_json,
     sample_family_member,
     sample_necessity,
     systems_equivalent,
@@ -463,6 +465,28 @@ def test_sample_necessity_starves_by_progress_not_by_trials():
         sample_necessity(system, [fam], 10_000, seed=0)
 
 
+def test_sample_necessity_starvation_bound_grows_by_200_per_evaluated_point(monkeypatch):
+    # only points with b = g = d = 0 survive the three exclusions, and
+    # seed 0 finds 3 of them: it starves at attempt 2000 + 200*3, each
+    # attempt one draw of the stream
+    draws = []
+    stream = classify._admissible_ints
+
+    def counted(L, rng):
+        for ints in stream(L, rng):
+            draws.append(ints)
+            yield ints
+
+    monkeypatch.setattr(classify, "_admissible_ints", counted)
+    system = build_system(make_group("G1"), "bott", "codazzi")
+    fams = [SolutionFamily.from_text(t) for t in ("b!=0", "g!=0", "d!=0")]
+    with pytest.raises(SamplerStarvation) as info:
+        sample_necessity(system, fams, 100, seed=0)
+    assert str(info.value).startswith(
+        "only 3 of 100 requested points for G1/bott/codazzi after 2600 attempts; ")
+    assert len(draws) == 2600
+
+
 def test_sample_necessity_names_excluded_families_given_as_a_generator():
     # every admissible G7 point has a = 0 or g = 0; a one-shot iterable of
     # the two families must be named in the message like a list of them
@@ -807,11 +831,37 @@ def test_verdict_rejects_unknown_status():
 
 
 def test_register_validates_severity():
-    reg = DiscrepancyRegister()
     with pytest.raises(ValueError):
-        reg.add("(1.1)", "x", "y", "curious")
-    reg.add("(1.1)", "x", "y", "typo-suspected")
+        RegisterEntry("(1.1)", "x", "y", "curious")
+    reg = (RegisterEntry("(1.1)", "x", "y", "typo-suspected"),)
     assert [e.location for e in reg] == ["(1.1)"]
+
+
+def test_audit_printed_tables_rows_of_a_correct_and_a_garbled_print():
+    # a hand-built print of the engine's G1 Bott connection gets no row;
+    # with one entry garbled, one row that shows the raw text
+    engine = compute_object(make_group("G1"), "bott", "connection")
+    table = classify.PrintedTable(
+        id="(0.1)", family="G1", connection="bott", kind="connection",
+        entries={key: [c.text() for c in v.c] for key, v in engine.items()})
+    assert classify.audit_printed_tables([table]) == []
+    garbled = dataclasses.replace(table, entries={**table.entries, "2,3": {"raw": "\\Gamma_{2"}})
+    assert classify.audit_printed_tables([garbled]) == [RegisterEntry(
+        "(0.1) entry (2,3)", "\\Gamma_{2", engine["2,3"].text(), "typo-suspected")]
+
+
+def test_audit_printed_systems_rows_of_a_correct_and_a_garbled_print():
+    # a garbled line gets its row; the rest lies inside the span, so no
+    # row for the system
+    engine = build_system(make_group("G2"), "bott", "codazzi").reduced()
+    texts = tuple(p.text() for p in engine)
+    printed = classify.PrintedSystem(id="(0.2)", family="G2", connection="bott",
+                                     structure="codazzi", equations=texts)
+    assert classify.audit_printed_systems([printed]) == []
+    garbled = dataclasses.replace(printed, equations=texts[:-1] + ({"raw": "a^2-"},))
+    assert classify.audit_printed_systems([garbled]) == [RegisterEntry(
+        f"(0.2) equation {len(texts)}", "a^2-",
+        "recomputed system: " + "; ".join(texts), "typo-suspected")]
 
 
 @pytest.fixture(scope="module")
@@ -836,6 +886,34 @@ def test_g2_bott_codazzi_discrepancy_carries_evidence(audit_result):
     assert v.to_json()["paper_claim"] == "never-holds"
     rows = [e for e in register if e.location == "(2.21)"]
     assert len(rows) == 1 and rows[0].severity == "verdict-conflict"
+
+
+@pytest.mark.parametrize("statuses, merged", [
+    ({1: "holds-always", -1: "holds-always"}, True),
+    ({1: "holds-always", -1: "never-holds"}, False),
+    ({1: "never-holds", -1: "holds-always"}, False),
+], ids=["agree", "differ", "differ-swapped"])
+def test_g4_claim_merges_its_branches_only_when_they_agree(monkeypatch, statuses, merged):
+    def branch(claim, L, trials, seed):
+        return Verdict(case_id=L.label(), anchor=f"{claim.anchor} {L.eta}",
+                       status=statuses[L.eta], explanation=f"branch {L.eta}")
+
+    monkeypatch.setattr(classify, "_audit_branch", branch)
+    claim = next(c for c in load_claims() if c.family == "G4")
+    verdicts = classify._audit_claim(claim, 0, 200, 0)
+    if merged:
+        assert [(v.case_id, v.anchor, v.status, v.explanation) for v in verdicts] == [
+            (classify.case_id("G4", claim.connection, claim.structure), claim.anchor,
+             statuses[1], "branch 1 (both signs of h agree)")]
+    else:
+        assert [(v.anchor, v.status, v.explanation) for v in verdicts] == [
+            (f"{claim.anchor} {eta}", statuses[eta], f"branch {eta}") for eta in (1, -1)]
+
+
+def test_verify_paper_theorems_defaults_to_200_trials_and_seed_0():
+    verdicts, register = verify_paper_theorems()
+    assert type(verdicts) is tuple and type(register) is tuple
+    assert (verdicts, register) == verify_paper_theorems(200, 0)
 
 
 def test_g4_verdicts_merge_branches(audit_result):
@@ -927,8 +1005,8 @@ def test_never_verdicts_explain_themselves(audit_result):
 def test_audit_json_deterministic_for_seed():
     v1, r1 = verify_paper_theorems(trials_per_case=25, seed=4)
     v2, r2 = verify_paper_theorems(trials_per_case=25, seed=4)
-    blob1 = json.dumps({"v": [x.to_json() for x in v1], "r": r1.to_json()},
+    blob1 = json.dumps({"v": [x.to_json() for x in v1], "r": register_json(r1)},
                        sort_keys=True)
-    blob2 = json.dumps({"v": [x.to_json() for x in v2], "r": r2.to_json()},
+    blob2 = json.dumps({"v": [x.to_json() for x in v2], "r": register_json(r2)},
                        sort_keys=True)
     assert blob1 == blob2

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conftest import run_cli
+from liecodazzi import cli
 from liecodazzi.cli import MAX_TRIALS, main
 
 
@@ -152,6 +153,13 @@ def test_check_fails_exit_one(capsys):
     assert payload["residuals"]
 
 
+def test_check_human_output_fails_exit_one(capsys):
+    code, out, _ = run(capsys, "check", "--family", "G1", "--connection", "bott",
+                       "--structure", "codazzi", "--solution", "b=0")
+    assert code == 1
+    assert out.startswith("G1/bott/codazzi fails on [β = 0]\n  f(1,3,1) = ")
+
+
 def test_check_human_output(capsys):
     code, out, _ = run(capsys, "check", "--family", "G2", "--connection", "b",
                        "--structure", "codazzi", "--solution", "a=0,b=0")
@@ -240,6 +248,14 @@ def test_sample_reports_violations(capsys):
     assert payload["violations"] == 30
     assert payload["satisfied"] == 0
     assert payload["seed"] == 7
+
+
+def test_sample_defaults_to_200_trials_and_prints_the_counterexample(capsys):
+    code, out, _ = run(capsys, "sample", "--family", "G2", "--connection", "bott",
+                       "--structure", "codazzi", "--seed", "0")
+    assert code == 0
+    assert out == ("G2/bott/codazzi: 199 of 200 sampled points violate the system (seed 0)\n"
+                   "  system holds at a = 0, b = 0, d = -3/4, g = -2/5\n")
 
 
 def test_sample_exclude_and_counterexample_fields(capsys):
@@ -389,6 +405,31 @@ def test_audit_human_output_lists_register(capsys):
     assert code == 1
     assert "discrepancy register: 56 entries" in out
     assert "[verdict-conflict] (2.21)" in out
+
+
+def _no_audit(monkeypatch):
+    """Make the audit find nothing; the arguments it is called with."""
+    calls = []
+    monkeypatch.setattr(cli, "verify_paper_theorems",
+                        lambda **kwargs: calls.append(kwargs) or ((), ()))
+    monkeypatch.delenv("LIECODAZZI_SEED", raising=False)
+    return calls
+
+
+def test_audit_defaults_to_200_trials_per_case_and_seed_0(capsys, monkeypatch):
+    calls = _no_audit(monkeypatch)
+    code, payload, _ = run_json(capsys, "audit", "--json")
+    assert calls == [{"trials_per_case": 200, "seed": 0}]
+    assert (payload["trials_per_case"], payload["seed"]) == (200, 0)
+    assert payload["register"] == {"schema": "1", "entries": []}
+    assert code == 0
+
+
+def test_audit_with_an_empty_register_exits_zero(capsys, monkeypatch):
+    _no_audit(monkeypatch)
+    code, out, _ = run(capsys, "audit")
+    assert code == 0
+    assert out == "\ndiscrepancy register: 0 entries\n"
 
 
 # -- parser plumbing ---------------------------------------------------------

@@ -11,7 +11,8 @@ import weakref
 from conftest import all_groups, run_cli
 from liecodazzi import classify, connection, liealg
 from liecodazzi.classify import (
-    _STAGES, OBJECTS, STRUCTURES, _derived, build_system, compute_object, verify_paper_theorems,
+    _STAGES, OBJECTS, STRUCTURES, _derived, build_system, compute_object, register_json,
+    verify_paper_theorems,
 )
 from liecodazzi.cli import main
 from liecodazzi.connection import (
@@ -258,7 +259,7 @@ def test_the_engine_reads_no_terms_view(monkeypatch, capsys):
     terms = Polynomial.terms
     monkeypatch.setattr(Polynomial, "terms", property(lambda p: reads.append(p) or terms.fget(p)))
     verdicts, register = verify_paper_theorems(trials_per_case=200, seed=0)
-    json.dumps([v.to_json() for v in verdicts] + [register.to_json()])
+    json.dumps([v.to_json() for v in verdicts] + [register_json(register)])
     assert main(["list", "--json"]) == 0
     assert main(["compute", "--family", "G3", "--connection", "bott", "--json"]) == 0
     assert len(derived_tables()) == 256

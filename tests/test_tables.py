@@ -8,7 +8,7 @@ deserve a close look before updating the expectation.
 
 import pytest
 
-from liecodazzi.classify import verify_paper_theorems
+from liecodazzi.classify import register_json, verify_paper_theorems
 
 EXPECTED_REGISTER = (
     ("(2.13) entry (2,3,2)", "typo-suspected"),
@@ -95,7 +95,7 @@ def test_no_torsion_table_is_flagged(register):
 
 
 def test_register_serialization_schema(register):
-    blob = register.to_json()
+    blob = register_json(register)
     assert blob["schema"] == "1"
     assert len(blob["entries"]) == len(EXPECTED_REGISTER)
     first = blob["entries"][0]
