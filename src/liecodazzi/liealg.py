@@ -305,8 +305,11 @@ def _symbolic_group(family: str, eta: Optional[int]) -> LieAlgebra:
                                for key, texts in zip(PAIRS, rows)})
     constraints = ConstraintSet(equalities=tuple(map(parse, equalities)),
                                 inequations=tuple(map(parse, inequations)))
-    return LieAlgebra(family=family, eta=eta, brackets=brackets,
-                      constraints=constraints)
+    L = LieAlgebra(family=family, eta=eta, brackets=brackets, constraints=constraints)
+    J = jacobiator(L)
+    if not J.is_zero():
+        raise ValueError(f"{L.label()} breaks the Jacobi identity: J(e1, e2, e3) = {J.text()}")
+    return L
 
 
 def _raw_algebra(b12: FrameVector, b13: FrameVector, b23: FrameVector,
@@ -410,37 +413,15 @@ def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:
 
 # -- well-formedness ------------------------------------------------------
 
-@dataclass
-class JacobiReport:
-    passed: bool
-    # symbolic residuals that are not identically zero, keyed by basis triple
-    symbolic_residuals: dict = field(default_factory=dict)
-    # triple -> first nonzero remainder of its residual modulo the equalities
-    failures: dict = field(default_factory=dict)
-
-
-def jacobi_check(L: LieAlgebra) -> JacobiReport:
-    """Check [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]] = 0 on all basis triples.
-
-    Residuals that are not identically zero (possible only with equality
-    constraints) must reduce to 0 modulo the equalities, through
-    Polynomial.remainder as in check_on_family; no point is drawn.
-    """
-    residuals, failures = {}, {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                X, Y, Z = BASIS[i - 1], BASIS[j - 1], BASIS[k - 1]
-                r = (bracket(L, X, L.brackets[j, k])
-                     + bracket(L, Y, L.brackets[k, i])
-                     + bracket(L, Z, L.brackets[i, j]))
-                if r.is_zero():
-                    continue
-                residuals[(i, j, k)] = r
-                for comp in r.c:
-                    comp = comp.remainder(*L.constraints.equalities)
-                    if comp:
-                        failures[(i, j, k)] = comp
-                        break
-    return JacobiReport(passed=not failures, symbolic_residuals=residuals,
-                        failures=failures)
+def jacobiator(L: LieAlgebra) -> FrameVector:
+    """J(e1, e2, e3) = [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]], each
+    component reduced modulo the equalities by Polynomial.remainder, as
+    in check_on_family; no point is drawn.  It needs an antisymmetric
+    table, which _antisymmetric makes for every group, numeric instance
+    and _raw_algebra: the Jacobiator is then alternating and trilinear,
+    so in dimension 3 it vanishes on every basis triple exactly when it
+    vanishes on this one.  The zero vector means a Lie bracket on the
+    constraint variety."""
+    b = L.brackets
+    J = bracket(L, E1, b[2, 3]) + bracket(L, E2, b[3, 1]) + bracket(L, E3, b[1, 2])
+    return FrameVector(*(c.remainder(*L.constraints.equalities) for c in J.c))

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_groups, random_point, random_poly, walk_violated
-from liecodazzi import liealg
+from liecodazzi import cli, liealg
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
-    SamplerStarvation, _admissible_ints, _bilinear, _rand_pairs, _raw_algebra, abelian, bracket, jacobi_check,
+    SamplerStarvation, _admissible_ints, _bilinear, _rand_pairs, _raw_algebra, abelian, bracket, jacobiator,
     make_group, metric, sample_constraint_point,
 )
 from liecodazzi.poly import VARS, ZERO, Point, Polynomial, PolyError, parse
@@ -389,15 +389,21 @@ def test_constraint_points_repeat_the_reference_sampler():
 
 
 def test_jacobi_all_families():
-    for L in all_groups():
-        report = jacobi_check(L)
-        assert report.passed, (L.label(), report.symbolic_residuals)
+    for L in all_groups() + [abelian()]:
+        assert jacobiator(L) == FrameVector.zero(), L.label()
+
+
+def unconstrained(L):
+    """L's bracket table with no equalities, so its Jacobiator is reduced
+    by nothing."""
+    b = L.brackets
+    return _raw_algebra(b[1, 2], b[1, 3], b[2, 3])
 
 
 def test_jacobi_g1_identically_zero():
-    report = jacobi_check(make_group("G1"))
-    assert report.passed
-    assert report.symbolic_residuals == {}
+    L = make_group("G1")
+    assert jacobiator(L) == FrameVector.zero()
+    assert jacobiator(unconstrained(L)) == FrameVector.zero()
 
 
 def test_jacobi_g6_holds_on_variety():
@@ -405,24 +411,21 @@ def test_jacobi_g6_holds_on_variety():
     # a*g-b*d=0 is a classification side condition, not a Jacobi
     # consequence.  The check still passes on the constraint variety.
     L = make_group("G6")
-    report = jacobi_check(L)
-    assert report.passed
-    assert report.symbolic_residuals == {}
+    assert L.constraints.equalities
+    assert jacobiator(L) == FrameVector.zero()
+    assert jacobiator(unconstrained(L)) == FrameVector.zero()
+
+
+def test_jacobi_abelian():
+    assert jacobiator(abelian()) == FrameVector.zero()
+    assert not abelian().constraints.equalities
 
 
 def test_jacobi_detects_broken_structure():
     # a deliberately non-Lie bracket table must fail
     bad = _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0),
                        FrameVector.zero())
-    report = jacobi_check(bad)
-    assert report.symbolic_residuals
-    assert not report.passed
-
-
-def test_jacobi_abelian():
-    report = jacobi_check(abelian())
-    assert report.passed
-    assert report.symbolic_residuals == {}
+    assert jacobiator(bad) == FrameVector(0, -1, 0)
 
 
 A = Polynomial.var("a")
@@ -439,33 +442,80 @@ def test_jacobi_decides_where_the_sampler_starves():
     bad = off_grid_table()
     with pytest.raises(SamplerStarvation):
         sample_constraint_point(bad, random.Random(1))
-    report = jacobi_check(bad)
-    assert not report.passed
-    # each residual is +-a^2 e2, which is +-121 modulo a - 11
-    assert report.failures.keys() == report.symbolic_residuals.keys()
-    remainders = list(report.failures.values())
-    assert remainders.count(121) == remainders.count(-121) == 3
+    # J(e1, e2, e3) is -a^2 e2, which is -121 e2 modulo a - 11
+    assert jacobiator(bad) == FrameVector(0, -121, 0)
 
 
 def test_jacobi_passes_residuals_in_the_equalities():
-    # not a Lie algebra for a != 0, but every residual lies in <a>
-    L = _raw_algebra(FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero(),
-                     ConstraintSet(equalities=(A,)))
-    report = jacobi_check(L)
-    assert report.passed and report.failures == {}
-    assert report.symbolic_residuals
-    assert all(r in (FrameVector(0, A * A, 0), FrameVector(0, -A * A, 0))
-               for r in report.symbolic_residuals.values())
+    # not a Lie algebra for a != 0, but J(e1, e2, e3) = -a^2 e2 lies in <a>
+    rows = FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero()
+    assert jacobiator(_raw_algebra(*rows)) == FrameVector(0, -A * A, 0)
+    assert jacobiator(_raw_algebra(*rows, ConstraintSet(equalities=(A,)))) == FrameVector.zero()
 
 
 def test_jacobi_draws_no_point(monkeypatch):
     def no_draw(L, rng):
-        raise AssertionError("jacobi_check drew a point")
+        raise AssertionError("jacobiator drew a point")
 
     monkeypatch.setattr(liealg, "sample_constraint_point", no_draw)
     for L in all_groups() + [abelian()]:
-        assert jacobi_check(L).passed, L.label()
-    assert not jacobi_check(off_grid_table()).passed
+        assert jacobiator(L).is_zero(), L.label()
+    assert not jacobiator(off_grid_table()).is_zero()
+
+
+def jacobi_on_every_triple(L):
+    """The reference the one-triple Jacobiator replaces: every basis
+    triple's residual reduces to 0 modulo the equalities."""
+    for X in BASIS:
+        for Y in BASIS:
+            for Z in BASIS:
+                r = (bracket(L, X, bracket(L, Y, Z)) + bracket(L, Y, bracket(L, Z, X))
+                     + bracket(L, Z, bracket(L, X, Y)))
+                if any(c.remainder(*L.constraints.equalities) for c in r.c):
+                    return False
+    return True
+
+
+def bracket_text_edits():
+    """Every single-component edit of the bracket texts, on both G4 signs:
+    a sign flip -(t) of each component, and a for each 0."""
+    for family, (rows, equalities, inequations) in liealg._FAMILY_TEXTS.items():
+        for eta in liealg.branches(family):
+            names = liealg.sign_names(eta)
+            constraints = ConstraintSet(tuple(parse(t) for t in equalities),
+                                        tuple(parse(t) for t in inequations))
+            for r, row in enumerate(rows):
+                for c, text in enumerate(row):
+                    for edit in (f"-({text})",) + (("a",) if text == "0" else ()):
+                        texts = [list(x) for x in rows]
+                        texts[r][c] = edit
+                        yield _raw_algebra(*(FrameVector(*(parse(t, names) for t in x))
+                                             for x in texts), constraints, family)
+
+
+def test_one_triple_decides_as_every_triple_does():
+    tables = list(bracket_text_edits())
+    assert len(tables) == 102
+    verdicts = [jacobiator(L).is_zero() for L in tables]
+    assert verdicts.count(False) == 48
+    assert verdicts == [jacobi_on_every_triple(L) for L in tables]
+
+
+def test_a_group_refuses_a_bracket_text_that_breaks_jacobi(monkeypatch, capsys):
+    # [e1,e2] = -a e1 - b e3 in place of a e1 - b e3: J = -2a^2 e1 - 2ab e2
+    rows, equalities, inequations = liealg._FAMILY_TEXTS["G1"]
+    liealg._symbolic_group.cache_clear()
+    monkeypatch.setitem(liealg._FAMILY_TEXTS, "G1",
+                        ((("-a", "0", "-b"),) + rows[1:], equalities, inequations))
+    try:
+        with pytest.raises(ValueError, match="Jacobi") as err:
+            make_group("G1")
+        assert str(err.value).endswith("J(e1, e2, e3) = -2*a^2*e1-2*a*b*e2")
+        assert cli.main(["compute", "--family", "G1", "--connection", "bott"]) == 2
+        assert "Jacobi" in capsys.readouterr().err
+    finally:
+        # before monkeypatch restores the texts: no group built from them stays
+        liealg._symbolic_group.cache_clear()
 
 
 def test_family_json_shape():

@@ -706,7 +706,10 @@ def test_parse_caps_nesting():
     # rejected before the recursion limit, which raised a bare RecursionError
     for bad in ("(" * (cap + 1) + "a" + ")" * (cap + 1), "-" * (cap + 1) + "a",
                 "+" * (cap + 1) + "a", "-(" * half + "-a" + ")" * half,
-                "(" * 300 + "a" + ")" * 300, "-" * 1000 + "a"):
+                "(" * 300 + "a" + ")" * 300, "-" * 1000 + "a",
+                # a closed level must not leave room for an extra one
+                "(a)+" + "(" * (cap + 1) + "a" + ")" * (cap + 1),
+                "(a)*" + "-" * (cap + 1) + "a"):
         with pytest.raises(PolyParseError, match=f"nesting deeper than {cap}"):
             parse(bad)
 
