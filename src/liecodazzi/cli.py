@@ -11,6 +11,7 @@ published tables against recomputation.  Exit codes are limited to
 import argparse
 import json
 import os
+import re
 import sys
 
 from .poly import quoted
@@ -62,10 +63,10 @@ def _parse_eta(text):
 
 
 def _int(text) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+    # an optional sign and ASCII digits only: int() also reads "1_0" and "١"
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text, re.ASCII):
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}")
+    return int(text)
 
 
 def _trials(text):

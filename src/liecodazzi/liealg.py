@@ -80,6 +80,7 @@ class FrameVector:
 
     def __setattr__(self, *_):
         raise AttributeError("FrameVector is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as for Polynomial
@@ -253,14 +254,6 @@ def bracket(L: LieAlgebra, X: FrameVector, Y: FrameVector) -> FrameVector:
     return _bilinear(L.brackets, X, Y)
 
 
-def metric(X: FrameVector, Y: FrameVector) -> Polynomial:
-    """g(X,Y) with the fixed signature (+,+,-); e3 is timelike."""
-    out = Polynomial.zero()
-    for eps, x, y in zip(METRIC_SIGNATURE, X.c, Y.c):
-        out = out + (x * y).scale(eps)
-    return out
-
-
 # -- groups --------------------------------------------------------------
 
 def make_group(family: str, eta: Optional[int] = None,
@@ -310,21 +303,6 @@ def _symbolic_group(family: str, eta: Optional[int]) -> LieAlgebra:
     if not J.is_zero():
         raise ValueError(f"{L.label()} breaks the Jacobi identity: J(e1, e2, e3) = {J.text()}")
     return L
-
-
-def _raw_algebra(b12: FrameVector, b13: FrameVector, b23: FrameVector,
-                 constraints: ConstraintSet = ConstraintSet(),
-                 family: str = "raw") -> LieAlgebra:
-    # test-only entry point: arbitrary structure constants, no validation
-    return LieAlgebra(family=family, eta=None,
-                      brackets=_antisymmetric(dict(zip(PAIRS, (b12, b13, b23)))),
-                      constraints=constraints)
-
-
-def abelian() -> LieAlgebra:
-    """All brackets zero; handy flat test case."""
-    z = FrameVector.zero()
-    return _raw_algebra(z, z, z, family="abelian")
 
 
 # -- constraint-variety sampling ----------------------------------------
@@ -417,8 +395,8 @@ def jacobiator(L: LieAlgebra) -> FrameVector:
     """J(e1, e2, e3) = [e1,[e2,e3]] + [e2,[e3,e1]] + [e3,[e1,e2]], each
     component reduced modulo the equalities by Polynomial.remainder, as
     in check_on_family; no point is drawn.  It needs an antisymmetric
-    table, which _antisymmetric makes for every group, numeric instance
-    and _raw_algebra: the Jacobiator is then alternating and trilinear,
+    table, which _antisymmetric makes for every group and numeric
+    instance: the Jacobiator is then alternating and trilinear,
     so in dimension 3 it vanishes on every basis triple exactly when it
     vanishes on this one.  The zero vector means a Lie bracket on the
     constraint variety."""

@@ -135,6 +135,7 @@ class Point(Mapping):
 
     def __setattr__(self, *_):
         raise AttributeError("Point is immutable")
+    __delattr__ = __setattr__
 
     def __getitem__(self, name: str) -> Fraction:
         i = 2 * _VAR_INDEX[name]
@@ -228,6 +229,7 @@ class Polynomial:
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # copy and pickle rebuild from the integer form; __setattr__

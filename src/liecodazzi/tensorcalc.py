@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .connection import Connection, apply
-from .liealg import BASIS, PAIRS, FrameVector, _antisymmetric, metric
+from .liealg import BASIS, PAIRS, FrameVector, _antisymmetric
 from .poly import Polynomial
 
 
@@ -88,17 +88,3 @@ def torsion(C: Connection) -> dict:
     for i, j in PAIRS:
         t[(i, j)] = C.gamma[(i, j)] - C.gamma[(j, i)] - C.algebra.brackets[i, j]
     return _antisymmetric(t)
-
-
-def metric_tensor02() -> dict:
-    """The flat Lorentzian metric as a (0,2)-tensor table."""
-    w = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            w[(i, j)] = metric(BASIS[i - 1], BASIS[j - 1])
-    return w
-
-
-def cov_deriv_metric(C: Connection) -> dict:
-    """nabla g; identically zero exactly when C is metric-compatible."""
-    return cov_deriv_02(C, metric_tensor02())

@@ -1,8 +1,10 @@
-"""Shared helpers: the eight groups, seeded random rationals and
-polynomials for property tests, the walk that compiled condition tests
-are checked against, and the command line in a fresh interpreter.  Each
-test and each test module's import run under one time limit, so a fault
-that loops fails the suite instead of hanging it."""
+"""Shared helpers: the eight groups, bracket tables the families do not
+give (raw_algebra, abelian), the metric g and its frame table, seeded
+random rationals and polynomials for property tests, the walk that
+compiled condition tests are checked against, and the command line in a
+fresh interpreter.  Each test and each test module's import run under
+one time limit, so a fault that loops fails the suite instead of
+hanging it."""
 
 import contextlib
 import os
@@ -14,7 +16,10 @@ from fractions import Fraction
 import pytest
 
 import liecodazzi
-from liecodazzi.liealg import FAMILIES, branches, make_group
+from liecodazzi.liealg import (
+    FAMILIES, METRIC_SIGNATURE, PAIRS, ConstraintSet, FrameVector, LieAlgebra, _antisymmetric,
+    branches, make_group,
+)
 from liecodazzi.poly import VARS, Polynomial
 
 
@@ -62,6 +67,34 @@ def pytest_make_collect_report(collector):
 def all_groups():
     """The eight symbolic groups: G1..G7, with G4 once per metric sign."""
     return [make_group(f, eta=e) for f in FAMILIES for e in branches(f)]
+
+
+def raw_algebra(b12, b13, b23, constraints=ConstraintSet(), family="raw"):
+    """A group with the brackets [e1,e2] = b12, [e1,e3] = b13 and
+    [e2,e3] = b23 (FrameVectors), filled in by antisymmetry: arbitrary
+    structure constants, with no Jacobi or constraint check."""
+    return LieAlgebra(family=family, eta=None,
+                      brackets=_antisymmetric(dict(zip(PAIRS, (b12, b13, b23)))),
+                      constraints=constraints)
+
+
+def abelian():
+    """All brackets zero: the flat case."""
+    z = FrameVector.zero()
+    return raw_algebra(z, z, z, family="abelian")
+
+
+def metric(X, Y):
+    """g(X, Y) with the fixed signature (+, +, -); e3 is timelike."""
+    out = Polynomial.zero()
+    for eps, x, y in zip(METRIC_SIGNATURE, X.c, Y.c):
+        out = out + (x * y).scale(eps)
+    return out
+
+
+# the metric as a (0,2)-tensor table, METRIC_TABLE[i, j] = g(e_i, e_j)
+METRIC_TABLE = {(i, j): Polynomial.const(eps if i == j else 0)
+                for i, eps in enumerate(METRIC_SIGNATURE, 1) for j in (1, 2, 3)}
 
 
 def walk_violated(constraints, point):

@@ -11,13 +11,13 @@ import random
 
 import pytest
 
-from conftest import random_poly
+from conftest import METRIC_TABLE, random_poly
 from liecodazzi.poly import Polynomial
 from liecodazzi.liealg import (
     BASIS, bracket, jacobiator, make_group, sample_constraint_point)
 from liecodazzi.connection import apply, make_connection
 from liecodazzi.tensorcalc import (
-    PAIRS, cov_deriv_02, cov_deriv_metric, curvature, ricci, symmetrize,
+    PAIRS, cov_deriv_02, curvature, ricci, symmetrize,
     torsion)
 from liecodazzi.classify import (
     GarbledValue,
@@ -320,7 +320,7 @@ def test_criterion_6_structural_identities_hold():
     for L in groups:
         C = make_connection(L, "levi_civita")
         assert all(v.is_zero() for v in torsion(C).values())
-        nabla_g = cov_deriv_metric(C)
+        nabla_g = cov_deriv_02(C, METRIC_TABLE)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 for k in (1, 2, 3):

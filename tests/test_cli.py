@@ -361,6 +361,13 @@ def test_sample_bad_seed_env_is_usage_error(capsys, monkeypatch):
     assert "argument --seed: invalid int value: 'zzz'" in err
 
 
+def test_underscored_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LIECODAZZI_SEED", "1_0")
+    code, out, err = run(capsys, *SAMPLE_CASE, "--trials", "5")
+    assert code == 2 and out == ""
+    assert "argument --seed: invalid int value: '1_0'" in err
+
+
 @pytest.mark.parametrize("command", [SAMPLE_CASE, ("audit",)], ids=["sample", "audit"])
 def test_negative_seed_env_is_usage_error(capsys, monkeypatch, command):
     monkeypatch.setenv("LIECODAZZI_SEED", "-7")
@@ -472,6 +479,11 @@ HOSTILE = {
                              "argument --seed: must be an integer >= 0"),
     "negative-audit-seed": (("audit", "--seed", "-7", "--json"), 2,
                             "argument --seed: must be an integer >= 0"),
+    # int() reads both as numbers; an integer option takes ASCII digits only
+    "underscored-trials": ((*SAMPLE_CASE, "--trials", "1_0"), 2,
+                           "argument --trials: invalid int value: '1_0'"),
+    "arabic-indic-seed": (("audit", "--seed", "\u0661", "--json"), 2,
+                          "argument --seed: invalid int value: '\u0661'"),
 }
 
 

@@ -5,17 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_groups
+from conftest import METRIC_TABLE, abelian, all_groups, metric, raw_algebra
 from liecodazzi.classify import table_names
 from liecodazzi.connection import (
     apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
 )
 from liecodazzi.liealg import (
-    BASIS, E1, E2, E3, FrameVector, _raw_algebra, abelian, bracket,
-    make_group, metric, sample_constraint_point,
+    BASIS, E1, E2, E3, FrameVector, bracket, make_group, sample_constraint_point,
 )
 from liecodazzi.poly import Polynomial, PolyError, parse
-from liecodazzi.tensorcalc import cov_deriv_metric, torsion
+from liecodazzi.tensorcalc import cov_deriv_02, torsion
 
 
 def fv(c1, c2, c3):
@@ -45,7 +44,7 @@ def test_levi_civita_torsion_free_and_metric_compatible():
     for L in all_groups():
         lc = levi_civita(L)
         assert all(v.is_zero() for v in torsion(lc).values()), L.label()
-        dg = cov_deriv_metric(lc)
+        dg = cov_deriv_02(lc, METRIC_TABLE)
         assert all(v.is_zero() for v in dg.values()), L.label()
 
 
@@ -147,7 +146,7 @@ def raw_algebras(count, seed):
         return "+".join(f"{rng.randint(-3, 3)}*{v}" for v in ("1", "a", rng.choice("bgd")))
 
     for _ in range(count):
-        yield _raw_algebra(*(fv(entry(), entry(), entry()) for _ in range(3)))
+        yield raw_algebra(*(fv(entry(), entry(), entry()) for _ in range(3)))
 
 
 def oracle_cases():

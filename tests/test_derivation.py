@@ -8,7 +8,7 @@ import random
 import sys
 import weakref
 
-from conftest import all_groups, run_cli
+from conftest import all_groups, metric, run_cli
 from liecodazzi import classify, connection, liealg
 from liecodazzi.classify import (
     _STAGES, OBJECTS, STRUCTURES, _derived, build_system, compute_object, register_json,
@@ -19,7 +19,7 @@ from liecodazzi.connection import (
     KINDS, Connection, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
     resolve_kind,
 )
-from liecodazzi.liealg import BASIS, FrameVector, make_group, metric, sample_constraint_point
+from liecodazzi.liealg import BASIS, FrameVector, make_group, sample_constraint_point
 from liecodazzi.poly import Polynomial
 from liecodazzi.tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 

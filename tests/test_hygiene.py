@@ -1,5 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is read,
-every private module-level definition of the package is read, zero tests
+every private module-level definition of the package is read, every
+public module-level function and class of the package is read by the
+package or named by the benchmark, zero tests
 go through vanishes_at, term merges seed no zero, the package runs
 generated code in one place and compiles kernels for the condition
 tests alone, only the sampling entry points build a random generator,
@@ -10,6 +12,7 @@ package reads no Polynomial.terms view."""
 import ast
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -50,10 +53,10 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unused_private_definitions(sources: dict) -> list:
-    """Module-level functions, classes and constants with a private name
-    (a leading underscore, not a dunder) that no module in `sources` (name
-    -> source text) reads, by name or as an attribute; as (module, line, name)."""
+def definitions_and_reads(sources: dict) -> tuple:
+    """The module-level functions, classes and constants of the modules in
+    `sources` (name -> source text), as (module, line, name, node), and
+    the names any of them reads, by name or as an attribute."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -65,15 +68,23 @@ def unused_private_definitions(sources: dict) -> list:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            defined += [(module, node.lineno, name) for name in names
-                        if name.startswith("_")
-                        and not (name.startswith("__") and name.endswith("__"))]
+            defined += [(module, node.lineno, name, node) for name in names]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 read.add(node.attr)
-    return sorted(d for d in defined if d[2] not in read)
+    return defined, read
+
+
+def unused_private_definitions(sources: dict) -> list:
+    """Module-level functions, classes and constants with a private name
+    (a leading underscore, not a dunder) that no module in `sources` (name
+    -> source text) reads, by name or as an attribute; as (module, line, name)."""
+    defined, read = definitions_and_reads(sources)
+    return sorted((module, line, name) for module, line, name, _ in defined
+                  if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+                  and name not in read)
 
 
 def test_scan_finds_unused_private_definitions():
@@ -85,9 +96,55 @@ def test_scan_finds_unused_private_definitions():
     assert unused_private_definitions(sources) == [("a", 6, "_left_over"), ("a", 8, "_Old")]
 
 
+def unused_public_definitions(sources: dict, outside=frozenset()) -> list:
+    """Module-level functions and classes with a public name (no leading
+    underscore) that no module in `sources` (name -> source text) reads,
+    by name or as an attribute, and that `outside` does not name as
+    "module.name"; as (module, line, name).  Methods are not scanned: a
+    read by name cannot tell which class's method it reaches."""
+    defined, read = definitions_and_reads(sources)
+    return sorted((module, line, name) for module, line, name, node in defined
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not name.startswith("_") and name not in read
+                  and f"{module}.{name}" not in outside)
+
+
+def benchmark_names() -> set:
+    """Every "module.name" string written in perfbench/run.py: the names
+    whose calls and times the benchmark, the package's one outside caller,
+    reports.  The tracer's own list of hot names is left out: it may name
+    a function the package no longer has, and would let that function
+    come back unread."""
+    text = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+    return set(re.findall(r'"(\w+\.\w+)"', text))
+
+
+def test_scan_finds_unused_public_definitions():
+    sources = {
+        "a": ("LIMIT = 3\ndef helper():\n    return LIMIT\ndef left_over():\n    pass\n"
+              "class Old:\n    def method(self):\n        pass\n"
+              "async def waited():\n    pass\ndef sampled():\n    pass\ndef _own():\n    pass\n"),
+        "b": ("import a\nfrom a import helper\nhelper()\nprint(a.Old)\na.left_over = 1\n"
+              "class Fresh:\n    pass\n"),
+    }
+    # b.left_over names no definition of a; only a.sampled is read from outside
+    outside = {"a.sampled", "b.left_over"}
+    assert unused_public_definitions(sources, outside) == [
+        ("a", 4, "left_over"), ("a", 9, "waited"), ("b", 6, "Fresh")]
+    assert ("a", 11, "sampled") in unused_public_definitions(sources)
+
+
 def test_no_unused_private_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unused_private_definitions(sources) == []
+
+
+def test_no_unused_public_definitions():
+    # the package ships what it runs: a function or class that only the
+    # tests read belongs in tests/conftest.py
+    assert "liealg.sample_constraint_point" in benchmark_names()
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unused_public_definitions(sources, benchmark_names()) == []
 
 
 def zero_tests_through_eval_at(source: str) -> list:

@@ -1,4 +1,4 @@
-"""Family construction, brackets, metric, constraint sampling, Jacobi."""
+"""Family construction, brackets, constraint sampling, Jacobi."""
 
 import copy
 import pickle
@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_groups, random_point, random_poly, walk_violated
+from conftest import abelian, all_groups, random_point, random_poly, raw_algebra, walk_violated
 from liecodazzi import cli, liealg
 from liecodazzi.liealg import (
     BASIS, ConstraintSet, ConstraintViolation, E1, E2, FrameVector,
-    SamplerStarvation, _admissible_ints, _bilinear, _rand_pairs, _raw_algebra, abelian, bracket, jacobiator,
-    make_group, metric, sample_constraint_point,
+    SamplerStarvation, _admissible_ints, _bilinear, _rand_pairs, bracket, jacobiator,
+    make_group, sample_constraint_point,
 )
 from liecodazzi.poly import VARS, ZERO, Point, Polynomial, PolyError, parse
 
@@ -109,11 +109,11 @@ def test_numeric_instance_substitutes_brackets():
 
 def bracket_tables():
     """Every kind of group: the eight symbolic ones, a numeric instance,
-    abelian() and a _raw_algebra table that is not a Lie algebra."""
+    abelian() and a raw_algebra table that is not a Lie algebra."""
     yield from all_groups()
     yield make_group("G2", numeric_params={"a": 2, "b": Fraction(1, 2), "g": 3, "d": 0})
     yield abelian()
-    yield _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector(2, 0, 3))
+    yield raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0), FrameVector(2, 0, 3))
 
 
 def test_bracket_table_holds_all_nine_antisymmetric_entries():
@@ -220,26 +220,6 @@ def test_bilinear_matches_the_plain_double_sum():
         assert all(all(c != 0 for c in comp.terms.values()) for comp in out.c)
 
 
-# -- metric ----------------------------------------------------------------
-
-
-def test_metric_gram_matrix():
-    expected = {(0, 0): 1, (1, 1): 1, (2, 2): -1}
-    for i in range(3):
-        for j in range(3):
-            want = Polynomial.const(expected.get((i, j), 0))
-            assert metric(BASIS[i], BASIS[j]) == want
-
-
-def test_metric_symmetric_bilinear():
-    rng = random.Random(203)
-    for _ in range(10):
-        X = FrameVector(random_poly(rng), random_poly(rng), random_poly(rng))
-        Y = FrameVector(random_poly(rng), random_poly(rng), random_poly(rng))
-        assert metric(X, Y) == metric(Y, X)
-        assert metric(X + Y, X) == metric(X, X) + metric(Y, X)
-
-
 # -- sampling ----------------------------------------------------------------
 
 
@@ -315,7 +295,7 @@ def test_sample_deterministic_for_seed():
 def test_sampler_starvation():
     # the inequation 0 != 0 holds at no point
     z = FrameVector.zero()
-    L = _raw_algebra(z, z, z, ConstraintSet(inequations=(Polynomial.zero(),)))
+    L = raw_algebra(z, z, z, ConstraintSet(inequations=(Polynomial.zero(),)))
     with pytest.raises(SamplerStarvation):
         sample_constraint_point(L, random.Random(1))
 
@@ -397,7 +377,7 @@ def unconstrained(L):
     """L's bracket table with no equalities, so its Jacobiator is reduced
     by nothing."""
     b = L.brackets
-    return _raw_algebra(b[1, 2], b[1, 3], b[2, 3])
+    return raw_algebra(b[1, 2], b[1, 3], b[2, 3])
 
 
 def test_jacobi_g1_identically_zero():
@@ -423,8 +403,8 @@ def test_jacobi_abelian():
 
 def test_jacobi_detects_broken_structure():
     # a deliberately non-Lie bracket table must fail
-    bad = _raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0),
-                       FrameVector.zero())
+    bad = raw_algebra(FrameVector(1, 0, 0), FrameVector(0, 1, 0),
+                      FrameVector.zero())
     assert jacobiator(bad) == FrameVector(0, -1, 0)
 
 
@@ -434,8 +414,8 @@ A = Polynomial.var("a")
 def off_grid_table():
     """A non-Lie table whose equality a = 11 no sampled point meets: draws
     are n/m with |n| <= 10 and 1 <= m <= 10."""
-    return _raw_algebra(FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero(),
-                        ConstraintSet(equalities=(parse("a-11"),)))
+    return raw_algebra(FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero(),
+                       ConstraintSet(equalities=(parse("a-11"),)))
 
 
 def test_jacobi_decides_where_the_sampler_starves():
@@ -449,8 +429,8 @@ def test_jacobi_decides_where_the_sampler_starves():
 def test_jacobi_passes_residuals_in_the_equalities():
     # not a Lie algebra for a != 0, but J(e1, e2, e3) = -a^2 e2 lies in <a>
     rows = FrameVector(A, 0, 0), FrameVector(0, A, 0), FrameVector.zero()
-    assert jacobiator(_raw_algebra(*rows)) == FrameVector(0, -A * A, 0)
-    assert jacobiator(_raw_algebra(*rows, ConstraintSet(equalities=(A,)))) == FrameVector.zero()
+    assert jacobiator(raw_algebra(*rows)) == FrameVector(0, -A * A, 0)
+    assert jacobiator(raw_algebra(*rows, ConstraintSet(equalities=(A,)))) == FrameVector.zero()
 
 
 def test_jacobi_draws_no_point(monkeypatch):
@@ -489,8 +469,8 @@ def bracket_text_edits():
                     for edit in (f"-({text})",) + (("a",) if text == "0" else ()):
                         texts = [list(x) for x in rows]
                         texts[r][c] = edit
-                        yield _raw_algebra(*(FrameVector(*(parse(t, names) for t in x))
-                                             for x in texts), constraints, family)
+                        yield raw_algebra(*(FrameVector(*(parse(t, names) for t in x))
+                                            for x in texts), constraints, family)
 
 
 def test_one_triple_decides_as_every_triple_does():

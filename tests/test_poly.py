@@ -831,6 +831,23 @@ def test_immutability():
         A.terms = {}
 
 
+@pytest.mark.parametrize("value, names", [
+    (parse("a^2/3-b*g/5+d/2"), ("_nums", "_den")), (ZERO, ("_nums", "_den")),
+    (Point({"a": 1, "b": Fraction(-2, 3), "g": 0, "d": 5}), ("_ints",)),
+    (FrameVector(A, Fraction(1, 2), 0), ("c",)), (E1, ("c",)),
+], ids=["polynomial", "zero", "point", "frame-vector", "e1"])
+def test_stored_attributes_cannot_be_deleted(value, names):
+    # ZERO, E1 and every cached table entry are shared, so a deletion
+    # would break every later reader of them
+    before = copy.deepcopy(value)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        del value.anything
+    assert value == before
+
+
 def test_copies_and_pickles_equal_their_original():
     L = make_group("G1")
     build_system(L, "bott", "codazzi")  # fills L.derived

@@ -2,10 +2,10 @@
 
 import random
 
-from conftest import all_groups
+from conftest import abelian, all_groups
 from liecodazzi.connection import bott, canonical, kobayashi_nomizu, levi_civita, make_connection
 from liecodazzi.liealg import (
-    FrameVector, abelian, make_group, sample_constraint_point,
+    FrameVector, make_group, sample_constraint_point,
 )
 from liecodazzi.poly import Polynomial, parse
 from liecodazzi.tensorcalc import (
