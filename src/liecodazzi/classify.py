@@ -317,11 +317,20 @@ def _derived(L: LieAlgebra, kind: str, name: str) -> dict:
 
 @dataclass(frozen=True)
 class PolySystem:
-    """Nine labeled residuals over the pairs (x, y) with x < y."""
+    """Nine labeled residuals over the pairs (x, y) with x < y.
+
+    "Every residual vanishes" is a ConstraintSet built on first use and
+    kept with the system, so its test compiles once per system, however
+    often the system is sampled; a pickle carries the set without its
+    compiled test (see ConstraintSet)."""
 
     case_id: str
     entries: Mapping[tuple, Polynomial]
     algebra: LieAlgebra
+
+    @cached_property
+    def _residuals(self) -> ConstraintSet:
+        return ConstraintSet(equalities=tuple(self.entries.values()))
 
     def nonzero(self):
         return [(key, p) for key, p in sorted(self.entries.items()) if not p.is_zero()]
@@ -474,7 +483,7 @@ def sample_necessity(system: PolySystem, excluded: Iterable[SolutionFamily],
     stream per call, as its eight ints, and decides it by compiled tests
     of them (see ConstraintSet): it is skipped when the test of some
     excluded family admits it, and otherwise the system holds there when
-    the test of "every residual vanishes", built once per call, admits
+    the test of "every residual vanishes", built once per system, admits
     it.  A Point is built only for the witness and the counterexample.
     trials is an int >= 1 and the seed an int >= 0, else ValueError."""
     _check_trials(trials)
@@ -482,7 +491,7 @@ def sample_necessity(system: PolySystem, excluded: Iterable[SolutionFamily],
     excluded = tuple(excluded)  # read twice: for the tests and by a starvation message
     next_ints = _admissible_ints(system.algebra, random.Random(seed)).__next__
     on_excluded = tuple(f._conditions._admits for f in excluded)
-    holds = ConstraintSet(equalities=tuple(system.entries.values()))._admits
+    holds = system._residuals._admits
     evaluated = violations = satisfied = 0
     witness = witness_res = counterexample = None
     attempts = 0

@@ -307,7 +307,7 @@ def _symbolic_group(family: str, eta: Optional[int]) -> LieAlgebra:
 
 # -- constraint-variety sampling ----------------------------------------
 
-# draws _admissible_ints makes for one point before it gives up on a group
+# draws since its last point that _admissible_ints may miss before it gives up
 _SAMPLE_ATTEMPTS = 1000
 
 
@@ -345,42 +345,43 @@ def _admissible_ints(L: LieAlgebra, rng: random.Random):
     and inequations, each as the eight ints n0, d0, ..., n3, d3 of
     Point._of_ints.  Equalities are met by explicit parameterization:
     G5/G6 solve for delta when the beta coefficient is nonzero, G7
-    samples the alpha=0 and gamma=0 branches.  Each draw is tested by one
-    call of the group's compiled test; SamplerStarvation after
-    _SAMPLE_ATTEMPTS draws for one point.  Like _rand_pairs, it draws
-    only when it is resumed."""
+    samples the alpha=0 and gamma=0 branches.  Each step of one loop
+    takes four pairs of one _rand_pairs stream (zip draws them in the
+    order alpha, beta, gamma, delta) and the G7 coin after them, and is
+    tested by one call of the group's compiled test; a G5/G6 draw with
+    beta = 0 is a miss without a test.  SamplerStarvation after
+    _SAMPLE_ATTEMPTS misses since the last point.  Like _rand_pairs, it
+    draws only when it is resumed."""
     admits = L.constraints._admits
-    draw = _rand_pairs(rng).__next__
+    pairs = _rand_pairs(rng)
     solve = L.family in ("G5", "G6")
     # delta = -alpha*gamma/beta on G5 and +alpha*gamma/beta on G6
     flip = L.family == "G6"
     coin = rng.random if L.family == "G7" else None
-    while True:
-        for _ in range(_SAMPLE_ATTEMPTS):
-            a, ad = draw()
-            b, bd = draw()
-            g, gd = draw()
-            d, dd = draw()
-            if solve:
-                if not b:
-                    continue
+    misses = 0
+    for (a, ad), (b, bd), (g, gd), (d, dd) in zip(pairs, pairs, pairs, pairs):
+        if solve:
+            if b:
                 # delta as a pair in lowest terms with the sign on the numerator
                 d, dd = a * g * bd, ad * gd * b
                 if (dd < 0) == flip:
                     d = -d
                 k = gcd(d, dd)
                 d, dd = d // k, abs(dd) // k
-            elif coin is not None:
-                if coin() < 0.5:
-                    a, ad = 0, 1
-                else:
-                    g, gd = 0, 1
-            if admits(a, ad, b, bd, g, gd, d, dd):
-                yield a, ad, b, bd, g, gd, d, dd
-                break
+        elif coin is not None:
+            if coin() < 0.5:
+                a, ad = 0, 1
+            else:
+                g, gd = 0, 1
+        # a G5/G6 draw with beta = 0 has no delta
+        if (b or not solve) and admits(a, ad, b, bd, g, gd, d, dd):
+            misses = 0
+            yield a, ad, b, bd, g, gd, d, dd
         else:
-            raise SamplerStarvation(
-                f"no admissible point for {L.label()} in {_SAMPLE_ATTEMPTS} attempts")
+            misses += 1
+            if misses >= _SAMPLE_ATTEMPTS:
+                raise SamplerStarvation(
+                    f"no admissible point for {L.label()} in {_SAMPLE_ATTEMPTS} attempts")
 
 
 def sample_constraint_point(L: LieAlgebra, rng: random.Random) -> Point:

@@ -1,5 +1,6 @@
 """Tests for the residual systems, family checks, sampling and audits."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -308,6 +309,11 @@ def test_families_pickle_after_their_tests_ran():
     twin = pickle.loads(pickle.dumps(fam))
     assert twin == fam
     assert sample_necessity(system, [twin], 20, 1) == report
+    # the system keeps its residual test after sampling, and still copies
+    for copied in (copy.copy(system), copy.deepcopy(system),
+                   pickle.loads(pickle.dumps(system))):
+        assert copied == system
+        assert sample_necessity(copied, [fam], 20, 1) == report
 
 
 # -- deciding on families ----------------------------------------------------

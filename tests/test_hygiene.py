@@ -371,14 +371,16 @@ def test_scan_finds_generator_draws():
 
 
 def test_only_the_three_samplers_draw():
-    # the draw stream has one implementation: the _rand_pairs generator,
-    # the G7 branch coin of _admissible_ints and the zero coin of
-    # sample_family_member; a copy of _rand_pairs elsewhere would have to
+    # the draw stream has one implementation: the bits of the _rand_pairs
+    # generator; the other two samplers read only their coins, the G7
+    # branch coin of _admissible_ints and the zero coin of
+    # sample_family_member.  A copy of _rand_pairs elsewhere would have to
     # repeat its rejection rules exactly
-    draws = {(path.name, function) for path in PACKAGE
-             for _, function, _ in generator_draws(path.read_text(encoding="utf-8"))}
-    assert draws == {("liealg.py", "_rand_pairs"), ("liealg.py", "_admissible_ints"),
-                     ("classify.py", "sample_family_member")}
+    draws = {(path.name, function, method) for path in PACKAGE
+             for _, function, method in generator_draws(path.read_text(encoding="utf-8"))}
+    assert draws == {("liealg.py", "_rand_pairs", "getrandbits"),
+                     ("liealg.py", "_admissible_ints", "random"),
+                     ("classify.py", "sample_family_member", "random")}
 
 
 # the Polynomial methods (and their module helper) that do the ring

@@ -365,6 +365,56 @@ def test_constraint_points_repeat_the_reference_sampler():
                 assert rng.getstate() == ref.getstate(), L.label()
 
 
+def budgeted_reference_points(L, rng, budget):
+    """reference_constraint_point as a stream with an attempt budget:
+    SamplerStarvation once `budget` draws in a row since the last point
+    give none, a G5/G6 draw with beta = 0 counting as one."""
+    misses = 0
+    while True:
+        pt = {v: reference_rand_rational(rng) for v in VARS}
+        point = None
+        if L.family in ("G5", "G6"):
+            if pt["b"] != 0:
+                pt["d"] = (-1 if L.family == "G5" else 1) * pt["a"] * pt["g"] / pt["b"]
+                point = Point(pt)
+        else:
+            if L.family == "G7":
+                pt["a" if rng.random() < 0.5 else "g"] = Fraction(0)
+            point = Point(pt)
+        if point is not None and L.constraints.violated(point) is None:
+            misses = 0
+            yield point
+        else:
+            misses += 1
+            if misses == budget:
+                raise SamplerStarvation
+
+
+def test_the_attempt_budget_counts_misses_since_the_last_point(monkeypatch):
+    # with a budget of 1 to 3 misses, the same points, the same generator
+    # state after each, and starvation after the same draw as the reference
+    starved = 0
+    for budget in (1, 2, 3):
+        monkeypatch.setattr(liealg, "_SAMPLE_ATTEMPTS", budget)
+        for L in all_groups():
+            for seed in range(25):
+                new, ref = random.Random(seed), random.Random(seed)
+                points, want = _admissible_ints(L, new), budgeted_reference_points(L, ref, budget)
+                for _ in range(12):
+                    try:
+                        expected = next(want)
+                    except SamplerStarvation:
+                        with pytest.raises(SamplerStarvation,
+                                           match=f"in {budget} attempts"):
+                            next(points)
+                        assert new.getstate() == ref.getstate(), (L.label(), seed)
+                        starved += 1
+                        break
+                    assert Point._of_ints(next(points)) == expected, (L.label(), seed)
+                    assert new.getstate() == ref.getstate(), (L.label(), seed)
+    assert starved
+
+
 # -- Jacobi -------------------------------------------------------------------
 
 
