@@ -32,10 +32,8 @@ name table of their branch (table_names: the sign h and the
 abbreviations m1..m3, n1..n3); --solution text knows the sign h only.
 """
 
-import dataclasses
 import json
 import random
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
@@ -51,6 +49,7 @@ from .liealg import (
     FrameVector,
     LieAlgebra,
     SamplerStarvation,
+    _Record,
     _admissible_ints,
     _rand_pairs,
     branches,
@@ -157,29 +156,27 @@ def _var_name(text: str, names: Mapping[str, Polynomial]) -> str:
     raise PolyError(f"not a parameter name: {quoted(text.strip())}")
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(_Record):
     """A partial parameter assignment cutting out a family of groups.
 
     assignment maps a variable to a polynomial in the remaining free
-    variables.  extra_inequations are polynomials required nonzero on
-    the family.  quadratic_relations are pairs (lhs, rhs): the relation
-    lhs = rhs holds on the family, which then has no rational
-    parametrization to sample.
+    variables (none: a new empty dict).  extra_inequations are
+    polynomials required nonzero on the family.  quadratic_relations are
+    pairs (lhs, rhs): the relation lhs = rhs holds on the family, which
+    then has no rational parametrization to sample.
     """
 
-    assignment: Mapping[str, Polynomial] = field(default_factory=dict)
-    extra_inequations: tuple = ()
-    quadratic_relations: tuple = ()
-
-    def __post_init__(self):
-        for var in self.assignment:
+    def __init__(self, assignment: Optional[Mapping[str, Polynomial]] = None,
+                 extra_inequations: tuple = (), quadratic_relations: tuple = ()):
+        assignment = {} if assignment is None else assignment
+        for var in assignment:
             if var not in VARS:
                 raise PolyError(f"unknown variable {var!r} in assignment")
-        bad = [v for p in self.assignment.values() for v in p.variables()
-               if v in self.assignment]
+        bad = [v for p in assignment.values() for v in p.variables() if v in assignment]
         if bad:
             raise PolyError(f"assignment values must use free variables only; saw {bad}")
+        vars(self).update(assignment=assignment, extra_inequations=extra_inequations,
+                          quadratic_relations=quadratic_relations)
 
     @classmethod
     def from_spec(cls, spec: Mapping, eta: Optional[int] = None) -> "SolutionFamily":
@@ -315,8 +312,7 @@ def _derived(L: LieAlgebra, kind: str, name: str) -> dict:
 # -- residual systems ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(_Record):
     """Nine labeled residuals over the pairs (x, y) with x < y.
 
     "Every residual vanishes" is a ConstraintSet built on first use and
@@ -324,9 +320,8 @@ class PolySystem:
     often the system is sampled; a pickle carries the set without its
     compiled test (see ConstraintSet)."""
 
-    case_id: str
-    entries: Mapping[tuple, Polynomial]
-    algebra: LieAlgebra
+    def __init__(self, case_id: str, entries: Mapping[tuple, Polynomial], algebra: LieAlgebra):
+        vars(self).update(case_id=case_id, entries=entries, algebra=algebra)
 
     @cached_property
     def _residuals(self) -> ConstraintSet:
@@ -368,10 +363,9 @@ def build_system(L: LieAlgebra, kind: str, structure: str) -> PolySystem:
 # -- deciding a system on a family ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    holds: bool
-    residuals: Mapping[tuple, Polynomial]
+class CheckResult(_Record):
+    def __init__(self, holds: bool, residuals: Mapping[tuple, Polynomial]):
+        vars(self).update(holds=holds, residuals=residuals)
 
     def to_json(self) -> dict:
         return {
@@ -435,16 +429,18 @@ def sample_family_member(L: LieAlgebra, family: SolutionFamily,
         f"in {_MEMBER_ATTEMPTS} attempts")
 
 
-@dataclass(frozen=True)
-class SampleReport:
-    """Outcome of rejection sampling outside a set of excluded families."""
+class SampleReport(_Record):
+    """Outcome of rejection sampling outside a set of excluded families:
+    the witness is the first point with a nonzero residual, with the
+    residual values there, and the counterexample the first point where
+    the system holds."""
 
-    trials: int
-    violations: int
-    satisfied: int
-    witness: Optional[Point]            # first point with a nonzero residual
-    witness_residuals: Optional[dict]   # residual values at the witness
-    counterexample: Optional[Point]     # first point where the system holds
+    def __init__(self, trials: int, violations: int, satisfied: int,
+                 witness: Optional[Point], witness_residuals: Optional[dict],
+                 counterexample: Optional[Point]):
+        vars(self).update(trials=trials, violations=violations, satisfied=satisfied,
+                          witness=witness, witness_residuals=witness_residuals,
+                          counterexample=counterexample)
 
     def to_json(self) -> dict:
         out = {
@@ -530,34 +526,31 @@ def sample_necessity(system: PolySystem, excluded: Iterable[SolutionFamily],
 # -- discrepancy register ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegisterEntry:
+class RegisterEntry(_Record):
     """One print that recomputation contradicts: where it stands, the
     printed and recomputed values as text, and one of SEVERITIES."""
 
-    location: str
-    printed: str
-    recomputed: str
-    severity: str
-
-    def __post_init__(self):
-        if self.severity not in SEVERITIES:
+    def __init__(self, location: str, printed: str, recomputed: str, severity: str):
+        if severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}")
+        vars(self).update(location=location, printed=printed, recomputed=recomputed,
+                          severity=severity)
 
 
 def register_json(register: Iterable[RegisterEntry]) -> dict:
     """The register as a report: each row's fields, under the report schema."""
-    return {"schema": REPORT_SCHEMA, "entries": [dataclasses.asdict(e) for e in register]}
+    return {"schema": REPORT_SCHEMA,
+            "entries": [{f: getattr(e, f) for f in e._fields} for e in register]}
 
 
 # -- published data ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GarbledValue:
+class GarbledValue(_Record):
     """A print too damaged to parse; carries the raw source text."""
 
-    raw: str
+    def __init__(self, raw: str):
+        vars(self).update(raw=raw)
 
     def text(self) -> str:
         """The raw text: a register row shows it as the print of the value."""
@@ -601,14 +594,12 @@ class _Published:
         return branches(self.family)
 
 
-@dataclass(frozen=True)
-class PrintedTable(_Published):
-    id: str
-    family: str
-    connection: str
-    kind: str
-    entries: Mapping[str, object] = field(default_factory=dict)
-    all_zero: bool = False
+class PrintedTable(_Published, _Record):
+    def __init__(self, id: str, family: str, connection: str, kind: str,
+                 entries: Optional[Mapping[str, object]] = None, all_zero: bool = False):
+        # no entries: a new empty dict
+        vars(self).update(id=id, family=family, connection=connection, kind=kind,
+                          entries={} if entries is None else entries, all_zero=all_zero)
 
     def materialize(self, eta: Optional[int]):
         """The entries on one branch, each read by _printed; an all-zero
@@ -620,13 +611,11 @@ class PrintedTable(_Published):
         return {key: _printed(value, eta) for key, value in entries.items()}
 
 
-@dataclass(frozen=True)
-class PrintedSystem(_Published):
-    id: str
-    family: str
-    connection: str
-    structure: str
-    equations: tuple
+class PrintedSystem(_Published, _Record):
+    def __init__(self, id: str, family: str, connection: str, structure: str,
+                 equations: tuple):
+        vars(self).update(id=id, family=family, connection=connection, structure=structure,
+                          equations=equations)
 
     def materialize(self, eta: Optional[int]):
         """(position, Polynomial | GarbledValue) pairs on one branch,
@@ -634,30 +623,25 @@ class PrintedSystem(_Published):
         return [(pos, _printed(eq, eta)) for pos, eq in enumerate(self.equations, start=1)]
 
 
-@dataclass(frozen=True)
-class Claim(_Published):
-    family: str
-    connection: str
-    structure: str
-    anchor: str
-    status: str
-    families: tuple = ()
-    recomputed_families: tuple = ()
-
-    def __post_init__(self):
-        case = f"claim {self.family}/{self.connection}/{self.structure}"
-        if self.status not in ("always", "families", "never"):
-            raise ValueError(f"{case}: unknown status {self.status!r}; "
+class Claim(_Published, _Record):
+    def __init__(self, family: str, connection: str, structure: str, anchor: str,
+                 status: str, families: tuple = (), recomputed_families: tuple = ()):
+        case = f"claim {family}/{connection}/{structure}"
+        if status not in ("always", "families", "never"):
+            raise ValueError(f"{case}: unknown status {status!r}; "
                              "expected always, families or never")
-        if self.status == "families" and not self.families:
+        if status == "families" and not families:
             raise ValueError(f"{case}: a families claim lists no families")
-        if self.status != "families" and self.families:
-            raise ValueError(f"{case}: a claim of status {self.status!r} lists families")
+        if status != "families" and families:
+            raise ValueError(f"{case}: a claim of status {status!r} lists families")
+        vars(self).update(family=family, connection=connection, structure=structure,
+                          anchor=anchor, status=status, families=families,
+                          recomputed_families=recomputed_families)
 
 
 def _load_rows(name: str, key: str, cls) -> list:
     """The rows under key in a data file as cls records, lists as tuples."""
-    known = {f.name for f in dataclasses.fields(cls)}
+    known = set(cls._fields)
     rows = []
     for row in _load_json(name)[key]:
         unknown = sorted(set(row) - known)
@@ -784,27 +768,22 @@ def audit_printed_systems(systems: Iterable[PrintedSystem]) -> list:
 # -- verdicts ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
-    case_id: str
-    anchor: str
-    status: str
-    families_desc: tuple = ()
-    witness: Optional[Point] = None
-    residuals: Optional[dict] = None   # residual values at the witness, by index tuple
-    explanation: str = ""
-    paper_claim: str = ""
-    recomputed_claim: str = ""
-
-    def __post_init__(self):
-        if self.status not in ("holds-always", "holds-on-family",
-                               "never-holds", "paper-discrepancy"):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "never-holds" and not self.explanation:
+class Verdict(_Record):
+    # residuals: the values at the witness, by index tuple
+    def __init__(self, case_id: str, anchor: str, status: str, families_desc: tuple = (),
+                 witness: Optional[Point] = None, residuals: Optional[dict] = None,
+                 explanation: str = "", paper_claim: str = "", recomputed_claim: str = ""):
+        if status not in ("holds-always", "holds-on-family",
+                          "never-holds", "paper-discrepancy"):
+            raise ValueError(f"unknown status {status!r}")
+        if status == "never-holds" and not explanation:
             raise ValueError("a never-holds verdict needs an explanation")
-        if self.status == "paper-discrepancy" and not (
-                self.paper_claim and self.recomputed_claim):
+        if status == "paper-discrepancy" and not (paper_claim and recomputed_claim):
             raise ValueError("a paper-discrepancy verdict carries both claims")
+        vars(self).update(case_id=case_id, anchor=anchor, status=status,
+                          families_desc=families_desc, witness=witness, residuals=residuals,
+                          explanation=explanation, paper_claim=paper_claim,
+                          recomputed_claim=recomputed_claim)
 
     def to_json(self) -> dict:
         out = {
@@ -924,8 +903,8 @@ def _audit_claim(claim: Claim, index: int, trials: int, seed: int):
     if len(verdicts) == 2 and \
             verdicts[0].status == verdicts[1].status != "paper-discrepancy":
         v = verdicts[0]
-        return [dataclasses.replace(
-            v, case_id=case_id(claim.family, claim.connection, claim.structure),
+        return [v._replace(
+            case_id=case_id(claim.family, claim.connection, claim.structure),
             anchor=claim.anchor,
             families_desc=_template_family_desc(claim) if v.families_desc else (),
             explanation=v.explanation + " (both signs of h agree)")]

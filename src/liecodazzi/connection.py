@@ -25,11 +25,10 @@ both slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _bilinear
+from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _bilinear, _Record
 
 # eps_m: e1, e2 are spacelike and e3 is timelike
 _EPS = METRIC_SIGNATURE
@@ -58,12 +57,10 @@ def display_name(kind: str) -> str:
     return resolve_kind(kind).replace("_", "-")
 
 
-@dataclass(frozen=True)
-class Connection:
-    kind: str
-    # gamma[(i, j)] = nabla_{e_i} e_j as a FrameVector, i, j in 1..3
-    gamma: Mapping[tuple, FrameVector]
-    algebra: LieAlgebra
+class Connection(_Record):
+    def __init__(self, kind: str, gamma: Mapping[tuple, FrameVector], algebra: LieAlgebra):
+        # gamma[(i, j)] = nabla_{e_i} e_j as a FrameVector, i, j in 1..3
+        vars(self).update(kind=kind, gamma=gamma, algebra=algebra)
 
 
 def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
@@ -159,8 +158,46 @@ def _antisymmetric(upper: Mapping[tuple, FrameVector]) -> dict:
     return entries
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class _Record:
+    """An immutable record.  Its fields are the parameters of the class's
+    own __init__, which stores them with one vars(self).update(...);
+    _fields lists them in order.  Records of one class compare and hash
+    by their field values, and show as Name(field=value, ...).  They keep
+    a __dict__, so a cached_property can fill it, and copy and pickle
+    restore it without going through __setattr__."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        d = vars(self)
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with some fields changed, built by __init__, so its
+        checks run again."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class ConstraintSet(_Record):
     """Side conditions: the equalities vanish and the inequations do not.
 
     On first use the whole question compiles into one kernel,
@@ -169,8 +206,8 @@ class ConstraintSet:
     Copies and pickles rebuild the set from its conditions and compile
     the kernel again: a generated function cannot be pickled."""
 
-    equalities: tuple = ()
-    inequations: tuple = ()
+    def __init__(self, equalities: tuple = (), inequations: tuple = ()):
+        vars(self).update(equalities=equalities, inequations=inequations)
 
     @functools.cached_property
     def _admits(self):
@@ -196,19 +233,18 @@ class ConstraintSet:
         return None
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    family: str
-    eta: Optional[int]
-    # brackets[(i, j)] = [e_i, e_j] for all i, j in 1..3
-    brackets: Mapping[tuple, FrameVector]
-    constraints: ConstraintSet
-    params: Optional[Point] = None
-    # ("connection", kind) -> Connection, filled by connection.make_connection,
-    # and ("derivation", kind) -> {table name: table}, filled one table at a
-    # time by classify._derived; they live and die with the group and are
-    # shared, so treat them as read-only
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+class LieAlgebra(_Record):
+    def __init__(self, family: str, eta: Optional[int],
+                 brackets: Mapping[tuple, FrameVector], constraints: ConstraintSet,
+                 params: Optional[Point] = None):
+        # brackets[(i, j)] = [e_i, e_j] for all i, j in 1..3.  derived is no
+        # field: ("connection", kind) -> Connection, filled by
+        # connection.make_connection, and ("derivation", kind) -> {table
+        # name: table}, filled one table at a time by classify._derived;
+        # they live and die with the group and are shared, so treat them
+        # as read-only
+        vars(self).update(family=family, eta=eta, brackets=brackets,
+                          constraints=constraints, params=params, derived={})
 
     def label(self) -> str:
         if self.eta is None:

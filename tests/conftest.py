@@ -1,10 +1,10 @@
 """Shared helpers: the eight groups, bracket tables the families do not
 give (raw_algebra, abelian), the metric g and its frame table, seeded
 random rationals and polynomials for property tests, the walk that
-compiled condition tests are checked against, and the command line in a
-fresh interpreter.  Each test and each test module's import run under
-one time limit, so a fault that loops fails the suite instead of
-hanging it."""
+compiled condition tests are checked against, and the command line, or
+any code, in a fresh interpreter.  Each test and each test module's
+import run under one time limit, so a fault that loops fails the suite
+instead of hanging it."""
 
 import contextlib
 import os
@@ -110,15 +110,21 @@ def walk_violated(constraints, point):
     return None
 
 
-def run_cli(*argv, timeout=None):
-    """Run `python -m liecodazzi.cli argv` on this checkout's package,
-    without LIECODAZZI_SEED; the CompletedProcess with bytes output."""
+def run_python(*argv, timeout=None):
+    """Run `python argv` in a fresh interpreter that imports this
+    checkout's package, without LIECODAZZI_SEED; the CompletedProcess
+    with bytes output."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(liecodazzi.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env.pop("LIECODAZZI_SEED", None)
-    return subprocess.run([sys.executable, "-m", "liecodazzi.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, env=env, timeout=timeout, check=False)
+
+
+def run_cli(*argv, timeout=None):
+    """Run `python -m liecodazzi.cli argv` by run_python."""
+    return run_python("-m", "liecodazzi.cli", *argv, timeout=timeout)
 
 
 def random_rational(rng, lo=-10, hi=10, max_den=10):

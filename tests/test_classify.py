@@ -1,7 +1,6 @@
 """Tests for the residual systems, family checks, sampling and audits."""
 
 import copy
-import dataclasses
 import hashlib
 import json
 import pickle
@@ -851,7 +850,7 @@ def test_audit_printed_tables_rows_of_a_correct_and_a_garbled_print():
         id="(0.1)", family="G1", connection="bott", kind="connection",
         entries={key: [c.text() for c in v.c] for key, v in engine.items()})
     assert classify.audit_printed_tables([table]) == []
-    garbled = dataclasses.replace(table, entries={**table.entries, "2,3": {"raw": "\\Gamma_{2"}})
+    garbled = table._replace(entries={**table.entries, "2,3": {"raw": "\\Gamma_{2"}})
     assert classify.audit_printed_tables([garbled]) == [RegisterEntry(
         "(0.1) entry (2,3)", "\\Gamma_{2", engine["2,3"].text(), "typo-suspected")]
 
@@ -864,7 +863,7 @@ def test_audit_printed_systems_rows_of_a_correct_and_a_garbled_print():
     printed = classify.PrintedSystem(id="(0.2)", family="G2", connection="bott",
                                      structure="codazzi", equations=texts)
     assert classify.audit_printed_systems([printed]) == []
-    garbled = dataclasses.replace(printed, equations=texts[:-1] + ({"raw": "a^2-"},))
+    garbled = printed._replace(equations=texts[:-1] + ({"raw": "a^2-"},))
     assert classify.audit_printed_systems([garbled]) == [RegisterEntry(
         f"(0.2) equation {len(texts)}", "a^2-",
         "recomputed system: " + "; ".join(texts), "typo-suspected")]

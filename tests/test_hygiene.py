@@ -6,8 +6,8 @@ go through vanishes_at, term merges seed no zero, the package runs
 generated code in one place and compiles kernels for the condition
 tests alone, only the sampling entry points build a random generator,
 only the three samplers draw from one, the ring operations and the
-evaluator of Polynomial and the span comparison name no Fraction, and the
-package reads no Polynomial.terms view."""
+evaluator of Polynomial and the span comparison name no Fraction, the
+package reads no Polynomial.terms view, and it imports no dataclasses."""
 
 import ast
 import pathlib
@@ -474,3 +474,28 @@ def test_the_package_reads_no_terms_view(path):
     # span comparison read _nums and _den, and terms is built anew on
     # each read, for callers outside the package
     assert terms_reads(path.read_text(encoding="utf-8")) == []
+
+
+def dataclasses_imports(source: str) -> list:
+    """Lines that import the dataclasses module, or a name from it."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "dataclasses")
+
+
+def test_scan_finds_dataclasses_imports():
+    source = ("import os, dataclasses\nfrom dataclasses import dataclass, field\n"
+              "def late():\n    import dataclasses as dc\n    return dc\n"
+              "from typing import Optional\nfrom .dataclasses import x\n"
+              "dataclass = None\nimport dataclasses_json\n")
+    assert dataclasses_imports(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_the_package_imports_no_dataclasses(path):
+    # importing dataclasses (and the inspect module it loads) was the
+    # largest part of a cold start that the package controls; records
+    # derive from liealg._Record instead
+    assert dataclasses_imports(path.read_text(encoding="utf-8")) == []

@@ -14,15 +14,21 @@ On the frame both sides are trilinear, so e1, e2, e3 is the one triple
 to check; the second identity is checked on each e_w.  Every table has
 constant frame components, so nabla_X of a computed vector is the
 bilinear extension of the connection table.
+
+The two signs of G4 are one group up to an isometry: the frame change
+e3 -> -e3 preserves g and J and takes G4(eta=+1) at (alpha, beta) to
+G4(eta=-1) at (-alpha, -beta), so every table of one sign is the other's
+with each entry signed by the number of 3s in its index.
 """
 
 from itertools import product
 
 import pytest
 
-from liecodazzi.classify import STRUCTURES, build_system, compute_object
-from liecodazzi.connection import KINDS
+from liecodazzi.classify import STRUCTURES, _STAGES, _derived, build_system, compute_object
+from liecodazzi.connection import KINDS, make_connection
 from liecodazzi.liealg import BASIS, FAMILIES, FrameVector, branches, make_group
+from liecodazzi.poly import Polynomial
 
 GROUPS = [(f, e) for f in FAMILIES for e in branches(f)]
 E1, E2, E3 = BASIS
@@ -138,3 +144,36 @@ def test_residuals_are_homogeneous_of_degree_3(group):
         for structure in STRUCTURES:
             for key, p in build_system(L, kind, structure).entries.items():
                 assert {sum(exps) for exps in p.terms} <= {3}, (kind, structure, key, p)
+
+
+def indexed_entries(table):
+    """The polynomial entries of a frame table by index tuple; the
+    component m of a frame-vector entry at key is the entry at key + (m,)."""
+    out = {}
+    for key, v in table.items():
+        if isinstance(v, FrameVector):
+            out.update({(*key, m): comp for m, comp in enumerate(v.c, start=1)})
+        else:
+            out[key] = v
+    return out
+
+
+# (alpha, beta) -> (-alpha, -beta)
+_FLIP = {"a": -Polynomial.var("a"), "b": -Polynomial.var("b")}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_g4_sign_branches_are_one_group_up_to_an_isometry(kind):
+    plus, minus = make_group("G4", eta=1), make_group("G4", eta=-1)
+    signed = 0
+    for name in ("connection", *_STAGES):
+        tables = [make_connection(L, kind).gamma if name == "connection"
+                  else _derived(L, kind, name) for L in (plus, minus)]
+        want, got = map(indexed_entries, tables)
+        assert got.keys() == want.keys(), name
+        for key, p in want.items():
+            sign = (-1) ** key.count(3)
+            assert got[key] == p.substitute(_FLIP).scale(sign), (name, key)
+            signed += sign < 0 and not p.is_zero()
+    # the sign is not idle: entries with an odd number of 3s are nonzero
+    assert signed
