@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _bilinear, _Record
+from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _Record
 
 # eps_m: e1, e2 are spacelike and e3 is timelike
 _EPS = METRIC_SIGNATURE
@@ -61,11 +61,6 @@ class Connection(_Record):
     def __init__(self, kind: str, gamma: Mapping[tuple, FrameVector], algebra: LieAlgebra):
         # gamma[(i, j)] = nabla_{e_i} e_j as a FrameVector, i, j in 1..3
         vars(self).update(kind=kind, gamma=gamma, algebra=algebra)
-
-
-def apply(C: Connection, X: FrameVector, Y: FrameVector) -> FrameVector:
-    """nabla_X Y by bilinear extension of the coefficient table."""
-    return _bilinear(C.gamma, X, Y)
 
 
 def levi_civita(L: LieAlgebra) -> Connection:

@@ -14,7 +14,11 @@ product inserts n1*n2 for each new exponent tuple over the product of
 the denominators; numerators are added only where two terms meet, a sum
 that cancels is deleted, and each result is brought to canonical form
 by one ``gcd`` of its denominator and numerators.  p + 0, 0 + p and
-p - 0 return p itself, with no copy.  The integer form is the only
+p - 0 return p itself, with no copy.  A sum of products (the index
+formulas of curvature and covariant derivatives) is one call of
+``_sum_of_products``: every product goes into one numerator map and
+the sum takes one ``gcd``, where a fold of binary operations takes one
+per step.  The integer form is the only
 stored form: rendering and hashing read it, and ``terms``, the
 read-only ``{exponent tuple: Fraction}`` view for callers, is built
 anew on each read.  Evaluation is exact integer
@@ -574,6 +578,43 @@ def _normal(nums: dict, den: int) -> Polynomial:
             nums = {e: n // g for e, n in nums.items()}
             den //= g
     return _raw(nums, den)
+
+
+def _sum_of_products(terms) -> Polynomial:
+    """sum of s*p*q over the (p, q, s) triples terms, p and q polynomials
+    and s an int, in one numerator map: each product of two nonzero
+    factors is inserted term by term, as in __mul__, over the running lcm
+    of the products' denominators (the map is rescaled when it grows); a
+    triple with a zero factor or s = 0 is skipped, and one gcd brings the
+    sum to canonical form, so it equals the fold of binary * and +."""
+    acc: dict = {}
+    den = 1
+    for p, q, s in terms:
+        left, right = p._nums, q._nums
+        if not left or not right or not s:
+            continue
+        d = p._den * q._den
+        if d != den:
+            g = gcd(den, d)
+            if d != g:
+                grow = d // g
+                acc = {e: n * grow for e, n in acc.items()}
+                den *= grow
+            s *= den // d
+        right = right.items()
+        for (x0, x1, x2, x3), n1 in left.items():
+            n1 *= s
+            for (y0, y1, y2, y3), n2 in right:
+                exps = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
+                if exps in acc:
+                    t = acc[exps] + n1 * n2
+                    if t:
+                        acc[exps] = t
+                    else:
+                        del acc[exps]
+                else:
+                    acc[exps] = n1 * n2
+    return _normal(acc, den)
 
 
 def _ratio(c: Rational) -> tuple:

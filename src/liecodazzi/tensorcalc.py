@@ -1,10 +1,12 @@
 """Curvature, Ricci, symmetrization, covariant derivatives, torsion.
 
-Each object is the paper's index formula on the frame e1, e2, e3: an
-argument that is a basis vector is read from its table (the connection
-coefficients C.gamma[(i, j)] = nabla_{e_i} e_j, the brackets
-L.brackets[(i, j)] = [e_i, e_j], R(e_i, e_j) e_k), and connection.apply
-extends the connection only to computed vectors.
+Each object is the paper's index formula on the frame e1, e2, e3, read
+from the tables of its inputs: the connection coefficients
+C.gamma[(i, j)] = nabla_{e_i} e_j, with Gamma_ij^m its component m, the
+brackets L.brackets[(i, j)] = [e_i, e_j], with c_ij^m its component m,
+and R(e_i, e_j) e_k.  Curvature and the covariant derivative are sums of
+products of those components, each computed as one sum by
+poly._sum_of_products, which skips a product with a zero factor.
 Every result is a plain dict of frame components keyed by index tuple,
 read as table[key] like C.gamma: R[(i, j, k)] = R(e_i, e_j) e_k,
 T[(i, j)] = T(e_i, e_j), omega[(i, j)] = omega(e_i, e_j) and
@@ -22,23 +24,30 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .connection import Connection, apply
-from .liealg import BASIS, PAIRS, FrameVector, _antisymmetric
-from .poly import Polynomial
+from .connection import Connection
+from .liealg import PAIRS, FrameVector, _antisymmetric
+from .poly import Polynomial, _sum_of_products
 
 
 def curvature(C: Connection) -> dict:
-    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k."""
-    L = C.algebra
+    """R(e_i,e_j)e_k = nabla_i nabla_j e_k - nabla_j nabla_i e_k - nabla_{[e_i,e_j]} e_k,
+    on components R(e_i,e_j)e_k^m = sum_l (Gamma_jk^l Gamma_il^m - Gamma_ik^l Gamma_jl^m
+    - c_ij^l Gamma_lk^m): the frame coefficients are constant, so nabla_i
+    moves onto the frame vectors alone."""
+    gamma = {key: v.c for key, v in C.gamma.items()}
+    brackets = C.algebra.brackets
     r = {}
     for i, j in PAIRS:
-        ei, ej = BASIS[i - 1], BASIS[j - 1]
-        lie = L.brackets[i, j]
+        gi, gj = (gamma[i, 1], gamma[i, 2], gamma[i, 3]), (gamma[j, 1], gamma[j, 2], gamma[j, 3])
+        cij = brackets[i, j].c
         for k in (1, 2, 3):
-            ek = BASIS[k - 1]
-            r[(i, j, k)] = (apply(C, ei, C.gamma[(j, k)])
-                            - apply(C, ej, C.gamma[(i, k)])
-                            - apply(C, lie, ek))
+            gjk, gik = gamma[j, k], gamma[i, k]
+            glk = (gamma[1, k], gamma[2, k], gamma[3, k])
+            r[(i, j, k)] = FrameVector(*(_sum_of_products(
+                term for l in range(3) for term in ((gjk[l], gi[l][m], 1),
+                                                    (gik[l], gj[l][m], -1),
+                                                    (cij[l], glk[l][m], -1)))
+                for m in range(3)))
     return _antisymmetric(r)
 
 
@@ -63,8 +72,7 @@ def symmetrize(rho: Mapping[tuple, Polynomial]) -> dict:
 
 def cov_deriv_02(C: Connection, omega: Mapping[tuple, Polynomial]) -> dict:
     """(nabla_{e_i} omega)(e_j, e_k) = -sum_m [G_ij^m omega(e_m, e_k) + G_ik^m omega(e_j, e_m)],
-    with G_ij^m component m of nabla_{e_i} e_j; a product with a zero
-    factor is skipped.
+    with G_ij^m component m of nabla_{e_i} e_j, as one sum of six products.
 
     The term e_i[omega(e_j, e_k)] is zero: omega has constant frame components.
     """
@@ -73,12 +81,9 @@ def cov_deriv_02(C: Connection, omega: Mapping[tuple, Polynomial]) -> dict:
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 gij, gik = C.gamma[(i, j)].c, C.gamma[(i, k)].c
-                total = Polynomial.zero()
-                for m in (1, 2, 3):
-                    for g, w in ((gij[m - 1], omega[(m, k)]), (gik[m - 1], omega[(j, m)])):
-                        if g and w:
-                            total = total - g * w
-                d[(i, j, k)] = total
+                d[(i, j, k)] = _sum_of_products(
+                    term for m in (1, 2, 3) for term in ((gij[m - 1], omega[(m, k)], -1),
+                                                         (gik[m - 1], omega[(j, m)], -1)))
     return d
 
 

@@ -1,6 +1,8 @@
 """Shared helpers: the eight groups, bracket tables the families do not
-give (raw_algebra, abelian), the metric g and its frame table, seeded
-random rationals and polynomials for property tests, the walk that
+give (raw_algebra, abelian), a connection applied to any two frame
+vectors (apply), the metric g and its frame table, seeded
+random rationals and polynomials for property tests, polynomials that
+log the reads of their terms (tracked), the walk that
 compiled condition tests are checked against, and the command line, or
 any code, in a fresh interpreter.  Each test and each test module's
 import run under one time limit, so a fault that loops fails the suite
@@ -18,9 +20,9 @@ import pytest
 import liecodazzi
 from liecodazzi.liealg import (
     FAMILIES, METRIC_SIGNATURE, PAIRS, ConstraintSet, FrameVector, LieAlgebra, _antisymmetric,
-    branches, make_group,
+    _bilinear, branches, make_group,
 )
-from liecodazzi.poly import VARS, Polynomial
+from liecodazzi.poly import VARS, Polynomial, _raw
 
 
 # the wall seconds that one test, or the import of one test module, may
@@ -84,6 +86,13 @@ def abelian():
     return raw_algebra(z, z, z, family="abelian")
 
 
+def apply(C, X, Y):
+    """nabla_X Y for the connection C by bilinear extension of its
+    coefficient table C.gamma: the definition that the index formulas of
+    tensorcalc are checked against."""
+    return _bilinear(C.gamma, X, Y)
+
+
 def metric(X, Y):
     """g(X, Y) with the fixed signature (+, +, -); e3 is timelike."""
     out = Polynomial.zero()
@@ -141,3 +150,45 @@ def random_poly(rng, max_terms=5, max_exp=3):
         exps = tuple(rng.randint(0, max_exp) for _ in VARS)
         terms[exps] = terms.get(exps, 0) + random_rational(rng)
     return Polynomial(terms)
+
+
+class _LoggedNums(dict):
+    """A numerator map that appends itself to log on each read of its
+    terms (iteration, keys, values, items or a lookup); a truth test or
+    len() reads no term and is not logged."""
+
+    __slots__ = ("log",)
+
+    def __iter__(self):
+        self.log.append(self)
+        return super().__iter__()
+
+    def keys(self):
+        self.log.append(self)
+        return super().keys()
+
+    def values(self):
+        self.log.append(self)
+        return super().values()
+
+    def items(self):
+        self.log.append(self)
+        return super().items()
+
+    def __getitem__(self, exps):
+        self.log.append(self)
+        return super().__getitem__(exps)
+
+
+def tracked(p, log):
+    """A copy of the polynomial p whose numerator map appends itself to
+    the list log each time a term of it is read, so a test sees which
+    factors a ring operation multiplied out: log holds copy._nums."""
+    nums = _LoggedNums(p._nums)
+    nums.log = log
+    return _raw(nums, p._den)
+
+
+def read_in(log, p):
+    """Whether the numerator map of the tracked polynomial p is in log."""
+    return any(nums is p._nums for nums in log)

@@ -11,11 +11,11 @@ import random
 
 import pytest
 
-from conftest import METRIC_TABLE, random_poly
+from conftest import METRIC_TABLE, apply, random_poly
 from liecodazzi.poly import Polynomial
 from liecodazzi.liealg import (
     BASIS, bracket, jacobiator, make_group, sample_constraint_point)
-from liecodazzi.connection import apply, make_connection
+from liecodazzi.connection import make_connection
 from liecodazzi.tensorcalc import (
     PAIRS, cov_deriv_02, curvature, ricci, symmetrize,
     torsion)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import METRIC_TABLE, abelian, all_groups, metric, raw_algebra
+from conftest import METRIC_TABLE, abelian, all_groups, apply, metric, raw_algebra
 from liecodazzi.classify import table_names
 from liecodazzi.connection import (
-    apply, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
+    bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
 )
 from liecodazzi.liealg import (
     BASIS, E1, E2, E3, FrameVector, bracket, make_group, sample_constraint_point,

@@ -7,8 +7,9 @@ import json
 import random
 import sys
 import weakref
+from fractions import Fraction
 
-from conftest import all_groups, metric, run_cli
+from conftest import all_groups, apply, metric, read_in, run_cli, tracked
 from liecodazzi import classify, connection, liealg
 from liecodazzi.classify import (
     _STAGES, OBJECTS, STRUCTURES, _derived, build_system, compute_object, register_json,
@@ -19,8 +20,8 @@ from liecodazzi.connection import (
     KINDS, Connection, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
     resolve_kind,
 )
-from liecodazzi.liealg import BASIS, FrameVector, make_group, sample_constraint_point
-from liecodazzi.poly import Polynomial
+from liecodazzi.liealg import BASIS, FrameVector, bracket, make_group, sample_constraint_point
+from liecodazzi.poly import Polynomial, _sum_of_products
 from liecodazzi.tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 
 AUDITED_BUILDERS = (bott, canonical, kobayashi_nomizu)
@@ -105,22 +106,28 @@ def test_connection_request_derives_nothing_else(monkeypatch):
     assert len(curvatures) == 1
 
 
+def patch_everywhere(monkeypatch, fn, wrapper):
+    """Patch fn by wrapper in every package module namespace holding it, as
+    the tracer patches, so a caller that kept the function it saw at import
+    calls the wrapper too."""
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("liecodazzi.") and module is not None:
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 def test_each_stage_runs_once_per_distinct_connection_table(monkeypatch):
     # patched where the tracer patches: in every module namespace holding
     # the function, so a stage that kept the function it saw at import
     # would count nothing here, and nothing in a traced run either
-    modules = [m for name, m in sorted(sys.modules.items())
-               if name.startswith("liecodazzi.") and m is not None]
     stages = (curvature, ricci, symmetrize, cov_deriv_02, torsion)
     calls = {fn.__name__: [] for fn in stages}
     for fn in stages:
         def wrapper(*args, _fn=fn):
             calls[_fn.__name__].append(args)
             return _fn(*args)
-        for module in modules:
-            for attr, obj in list(vars(module).items()):
-                if obj is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+        patch_everywhere(monkeypatch, fn, wrapper)
     rng = random.Random(0)
     for symbolic in all_groups():
         point = sample_constraint_point(symbolic, rng)
@@ -159,36 +166,56 @@ def test_warm_requests_hash_no_polynomial(monkeypatch):
     assert hashes == []
 
 
-def test_cold_derivation_multiplies_no_zero(monkeypatch):
-    # every product in the chain connection -> curvature -> Ricci -> nabla
-    # omega -> residual systems has two nonzero factors
-    liealg._symbolic_group.cache_clear()  # start from a cold store
-    operands = []
-    mul = Polynomial.__mul__
-
-    def recording(p, q):
-        operands.append((p, q))
-        return mul(p, q)
-
-    monkeypatch.setattr(Polynomial, "__mul__", recording)
-    monkeypatch.setattr(Polynomial, "__rmul__", recording)
+def derive_everything_cold():
+    """Every object and system of the eight symbolic groups, from a cold
+    store."""
+    liealg._symbolic_group.cache_clear()
     for L in all_groups():
         for kind in KINDS:
             for obj in OBJECTS:
                 compute_object(L, kind, obj)
             for structure in STRUCTURES:
                 build_system(L, kind, structure)
-    assert operands
-    assert [(p, q) for p, q in operands if not p or not q] == []
+
+
+def test_cold_derivation_multiplies_no_zero(monkeypatch):
+    # every product in the chain connection -> curvature -> Ricci -> nabla
+    # omega -> residual systems has two nonzero factors: the binary ones
+    # and those the sum-of-products kernel multiplies out, which it is
+    # given as tracked copies to see which factors it reads term by term
+    operands, kernel_pairs = [], []
+    mul = Polynomial.__mul__
+
+    def recording(p, q):
+        operands.append((p, q))
+        return mul(p, q)
+
+    def tracking(terms):
+        log = []
+        copies = [(tracked(p, log), tracked(q, log), s) for p, q, s in terms]
+        out = _sum_of_products(copies)
+        kernel_pairs.extend((p, q) for p, q, _ in copies if read_in(log, p) or read_in(log, q))
+        return out
+
+    monkeypatch.setattr(Polynomial, "__mul__", recording)
+    monkeypatch.setattr(Polynomial, "__rmul__", recording)
+    patch_everywhere(monkeypatch, _sum_of_products, tracking)
+    derive_everything_cold()
+    assert operands and kernel_pairs
+    assert [(p, q) for p, q in operands + kernel_pairs if not p or not q] == []
 
 
 def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
-    # the README's counts: building the eight symbolic groups (74 products
-    # and 80 sums of them are the Jacobi guard) and deriving all 256
-    # objects and systems from a cold store; a faster ring must make each
-    # operation cheaper, not make fewer of them
-    liealg._symbolic_group.cache_clear()
-    counts = {"mul": 0, "add": 0}
+    # the README's counts: building the eight symbolic groups (81 products
+    # and 84 sums, 74 and 80 of them the Jacobi guard) and deriving all
+    # 256 objects and systems from a cold store.  Curvature and nabla
+    # omega are sums of products in _sum_of_products, which multiplies
+    # out each pair of nonzero factors and makes no binary sum.  The count
+    # fell from 2,057 products and 2,054 sums when curvature applied the
+    # connection to basis vectors: about 700 of those products multiplied
+    # by the unit coefficient of e_i, which the index formula never makes.
+    # The pins catch a change that brings such idle operations back
+    counts = {"mul": 0, "add": 0, "kernel_mul": 0}
     for name, methods in (("mul", ("__mul__", "__rmul__")), ("add", ("__add__", "__radd__"))):
         original = getattr(Polynomial, methods[0])
 
@@ -198,13 +225,15 @@ def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
 
         for method in methods:
             monkeypatch.setattr(Polynomial, method, counted)
-    for L in all_groups():
-        for kind in KINDS:
-            for what in OBJECTS:
-                compute_object(L, kind, what)
-            for structure in STRUCTURES:
-                build_system(L, kind, structure)
-    assert counts == {"mul": 2057, "add": 2054}
+
+    def counted_kernel(terms):
+        terms = list(terms)
+        counts["kernel_mul"] += sum(1 for p, q, s in terms if p and q and s)
+        return _sum_of_products(terms)
+
+    patch_everywhere(monkeypatch, _sum_of_products, counted_kernel)
+    derive_everything_cold()
+    assert counts == {"mul": 136, "add": 1435, "kernel_mul": 1223}
 
 
 def test_compute_object_returns_fresh_dicts():
@@ -325,3 +354,32 @@ def test_ricci_and_cov_deriv_match_bilinear_oracles():
                             want = -(pair_oracle(omega, C.gamma[(i, j)], ek)
                                      + pair_oracle(omega, ej, C.gamma[(i, k)]))
                             assert D[i, j, k] == want, (L.label(), kind, i, j, k)
+
+
+def random_components(rng):
+    """Three seeded nonzero rationals: the components of a frame vector
+    that is no multiple of a basis vector."""
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            for _ in range(3)]
+
+
+def test_curvature_matches_its_definition_at_non_basis_vectors():
+    # R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z, built
+    # from the connection table by bilinear extension, against the
+    # trilinear extension of the index-formula table
+    rng = random.Random(320)
+    for L in all_groups():
+        for kind in KINDS:
+            C = make_connection(L, kind)
+            R = curvature(C)
+            for _ in range(2):
+                xs, ys, zs = (random_components(rng) for _ in range(3))
+                X, Y, Z = FrameVector(*xs), FrameVector(*ys), FrameVector(*zs)
+                want = (apply(C, X, apply(C, Y, Z)) - apply(C, Y, apply(C, X, Z))
+                        - apply(C, bracket(L, X, Y), Z))
+                got = FrameVector.zero()
+                for i, x in enumerate(xs, 1):
+                    for j, y in enumerate(ys, 1):
+                        for k, z in enumerate(zs, 1):
+                            got = got + R[i, j, k].scale(x * y * z)
+                assert got == want, (L.label(), kind, xs, ys, zs)

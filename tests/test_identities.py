@@ -19,16 +19,25 @@ The two signs of G4 are one group up to an isometry: the frame change
 e3 -> -e3 preserves g and J and takes G4(eta=+1) at (alpha, beta) to
 G4(eta=-1) at (-alpha, -beta), so every table of one sign is the other's
 with each entry signed by the number of 3s in its index.
+
+More generally, every table is a tensor: a constant frame change
+f_a = sum_i P_ai e_i that preserves g and J (a rotation or reflection
+of the e1-e2 plane, e3 -> -e3) takes the group to one with the brackets
+of the new frame, and each of its tables to the old one with every index
+transformed by P.  The connection table is one too, its frame
+coefficients being constant.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from conftest import raw_algebra
 from liecodazzi.classify import STRUCTURES, _STAGES, _derived, build_system, compute_object
 from liecodazzi.connection import KINDS, make_connection
-from liecodazzi.liealg import BASIS, FAMILIES, FrameVector, branches, make_group
-from liecodazzi.poly import Polynomial
+from liecodazzi.liealg import BASIS, FAMILIES, PAIRS, FrameVector, branches, make_group
+from liecodazzi.poly import ZERO, Polynomial
 
 GROUPS = [(f, e) for f in FAMILIES for e in branches(f)]
 E1, E2, E3 = BASIS
@@ -177,3 +186,66 @@ def test_the_g4_sign_branches_are_one_group_up_to_an_isometry(kind):
             signed += sign < 0 and not p.is_zero()
     # the sign is not idle: entries with an odd number of 3s are nonzero
     assert signed
+
+
+def _orthogonal(c, s, flip):
+    """Rows P_a of the frame change f_a = sum_i P_ai e_i: f1, f2 turned by
+    the angle with cosine c and sine s, mirrored when flip is -1, and f3 = e3."""
+    return ((c, s, 0), (-s * flip, c * flip, 0), (0, 0, 1))
+
+
+# isometries of g that preserve J, with rational entries from Pythagorean
+# triples: a rotation, a reflection of the e1-e2 plane, and e3 -> -e3
+FRAMES = {
+    "rotation": _orthogonal(Fraction(3, 5), Fraction(4, 5), 1),
+    "reflection": _orthogonal(Fraction(5, 13), Fraction(12, 13), -1),
+    "e3-flip": ((1, 0, 0), (0, 1, 0), (0, 0, -1)),
+}
+
+
+def full_entries(table):
+    """indexed_entries of a table, with the entries (y, x, j) of a residual
+    table, kept for x < y only, filled by antisymmetry."""
+    entries = indexed_entries(table)
+    if len(entries) < 3 ** len(next(iter(entries))):
+        for (x, y, *rest), p in list(entries.items()):
+            entries[(y, x, *rest)] = -p
+            entries[(x, x, *rest)] = entries[(y, y, *rest)] = ZERO
+    return entries
+
+
+def in_frame(entries, P):
+    """The nonzero entries of a tensor in the frame f_a = sum_i P_ai e_i:
+    every index transformed by P, one index at a time (P is orthogonal,
+    so a vector's components transform by P as well)."""
+    for t in range(len(next(iter(entries)))):
+        out = {}
+        for key, p in entries.items():
+            for a, row in enumerate(P, start=1):
+                if p and row[key[t] - 1]:
+                    new = (*key[:t], a, *key[t + 1:])
+                    out[new] = out.get(new, ZERO) + p.scale(row[key[t] - 1])
+        entries = out
+    return {key: p for key, p in entries.items() if p}
+
+
+@pytest.mark.parametrize("frame", FRAMES)
+def test_every_table_transforms_as_a_tensor_under_the_isometries(frame):
+    P = FRAMES[frame]
+    moved = 0
+    for family, eta in GROUPS:
+        L = make_group(family, eta=eta)
+        brackets = in_frame(indexed_entries(L.brackets), P)
+        new = raw_algebra(*(FrameVector(*(brackets.get((i, j, m), 0) for m in (1, 2, 3)))
+                            for i, j in PAIRS))
+        for kind in KINDS:
+            for name in ("connection", *_STAGES):
+                old_table, new_table = (make_connection(G, kind).gamma if name == "connection"
+                                        else _derived(G, kind, name) for G in (L, new))
+                old = {k: p for k, p in full_entries(old_table).items() if p}
+                want = in_frame(old, P) if old else {}
+                got = {k: p for k, p in full_entries(new_table).items() if p}
+                assert got == want, (group_id((family, eta)), kind, name)
+                moved += got != old
+    # the check is not idle: the frame change moves some tables
+    assert moved

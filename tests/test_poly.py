@@ -11,12 +11,13 @@ from math import gcd
 
 import pytest
 
-from conftest import random_point, random_poly, random_rational
+from conftest import random_point, random_poly, random_rational, read_in, tracked
 from liecodazzi import poly
 from liecodazzi.classify import _point_json, build_system
 from liecodazzi.liealg import E1, ConstraintSet, FrameVector, make_group
 from liecodazzi.poly import (
-    A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError, parse,
+    A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError, _sum_of_products,
+    parse,
 )
 
 
@@ -144,6 +145,80 @@ def test_mul_matches_evaluation_oracle():
     for _ in range(20):
         pt = random_point(rng)
         assert lhs.eval_at(pt) == (A - B).eval_at(pt) * (A + B).eval_at(pt)
+
+
+# -- sum of products ---------------------------------------------------
+
+
+def fold(terms):
+    """sum of s*p*q over the triples (p, q, s) by binary * and +."""
+    total = ZERO
+    for p, q, s in terms:
+        total = total + s * (p * q)
+    return total
+
+
+def checked_sum_of_products(terms):
+    """_sum_of_products(terms) of tracked copies of the factors, asserted
+    canonical, equal to the fold of binary * and +, and multiplying out
+    exactly the triples with two nonzero factors and s != 0."""
+    log = []
+    copies = [(tracked(p, log), tracked(q, log), s) for p, q, s in terms]
+    out = _sum_of_products(copies)
+    assert_canonical(out)
+    assert out == fold(terms)
+    for p, q, s in copies:
+        multiplied = bool(p and q and s)
+        assert read_in(log, p) == read_in(log, q) == multiplied, (p, q, s)
+    return out
+
+
+def test_sum_of_products_matches_the_fold_of_binary_operations():
+    rng = random.Random(132)
+    for _ in range(200):
+        terms = [(random_poly(rng), random_poly(rng), rng.randint(-3, 3))
+                 for _ in range(rng.randint(1, 6))]
+        checked_sum_of_products(terms)
+
+
+def test_sum_of_products_brings_mixed_denominators_to_one():
+    half, third = Polynomial.const(Fraction(1, 2)), Polynomial.const(Fraction(-2, 3))
+    quarter_a = A.scale(Fraction(1, 4))
+    terms = [(half, A, 1), (third, B, -1), (quarter_a, half, 2),
+             (A, B.scale(Fraction(5, 6)), 1)]
+    out = checked_sum_of_products(terms)
+    assert out == (A.scale(Fraction(3, 4)) + B.scale(Fraction(2, 3))
+                   + (A * B).scale(Fraction(5, 6)))
+    assert out._den == 12
+    # constants with denominators whose products sum to an integer
+    terms = [(half, half, 2), (third, Polynomial.const(Fraction(3, 4)), -1)]
+    assert checked_sum_of_products(terms) == Polynomial.const(1)
+    # a denominator that a later product shares in part: 4, then 6, then 12
+    terms = [(quarter_a, ONE, 1), (B.scale(Fraction(1, 6)), ONE, 1),
+             (G, Polynomial.const(Fraction(1, 12)), 1)]
+    assert checked_sum_of_products(terms)._den == 12
+
+
+def test_sum_of_products_that_cancels_is_zero():
+    rng = random.Random(133)
+    for _ in range(50):
+        p, q, r = random_poly(rng), random_poly(rng), random_poly(rng)
+        assert checked_sum_of_products([(p, q, 1), (q, p, -1)]) is ZERO
+        # p(q + r) - pq - pr, with the halves of a product cancelling apart
+        terms = [(p, q + r, 2), (q, p, -2), (r.scale(2), p, -1)]
+        assert checked_sum_of_products(terms) is ZERO
+    # cancelling terms before the rest: a^2 - a^2 + b
+    assert checked_sum_of_products([(A, A, 1), (A, A, -1), (B, ONE, 1)]) == B
+
+
+def test_sum_of_products_of_nothing_or_of_zero_factors_is_zero():
+    assert _sum_of_products([]) is ZERO
+    assert _sum_of_products(iter(())) is ZERO
+    assert checked_sum_of_products([(ZERO, ZERO, 1), (ZERO, A, -1), (B + 1, ZERO, 2)]) is ZERO
+    assert checked_sum_of_products([(A, B, 0)]) is ZERO
+    # the zero triples are skipped among nonzero ones
+    terms = [(ZERO, A, 1), (A, B, 3), (G, ZERO, -1), (B, A, 0)]
+    assert checked_sum_of_products(terms) == (A * B).scale(3)
 
 
 # -- scale -------------------------------------------------------------
