@@ -231,11 +231,6 @@ class SolutionFamily(_Record):
         vanish += tuple(lhs - rhs for lhs, rhs in self.quadratic_relations)
         return ConstraintSet(equalities=vanish, inequations=self.extra_inequations)
 
-    def contains(self, point: Mapping[str, Fraction]) -> bool:
-        """Whether the point lies on the family: one call of the compiled
-        test of its conditions (see ConstraintSet)."""
-        return self._conditions._admits(*Point.of(point)._ints)
-
     def describe(self, greek: bool = False) -> str:
         parts = []
         for var in sorted(self.assignment):
@@ -575,8 +570,8 @@ def _load_json(name: str) -> dict:
 
 _VECTOR_KINDS = ("connection", "curvature", "torsion")
 
-# the index tuples of each object, in table order
-_KIND_KEYS = {
+# the index tuples of each object, in table order, each with its key text
+_KIND_KEYS = {kind: tuple((key, _key_text(key)) for key in keys) for kind, keys in {
     "connection": [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
     "curvature": [(x, y, k) for x, y in PAIRS for k in (1, 2, 3)],
     "ricci": [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)],
@@ -584,7 +579,7 @@ _KIND_KEYS = {
     "nabla-ricci-sym": [(p, q, j) for x, y in PAIRS for j in (1, 2, 3)
                         for p, q in ((x, y), (y, x))],
     "torsion": PAIRS,
-}
+}.items()}
 
 
 class _Published:
@@ -607,7 +602,7 @@ class PrintedTable(_Published, _Record):
         entries = self.entries
         if self.all_zero:
             zero = ("0", "0", "0") if self.kind in _VECTOR_KINDS else "0"
-            entries = dict.fromkeys(map(_key_text, _KIND_KEYS[self.kind]), zero)
+            entries = dict.fromkeys([text for _, text in _KIND_KEYS[self.kind]], zero)
         return {key: _printed(value, eta) for key, value in entries.items()}
 
 
@@ -674,7 +669,7 @@ def compute_object(L: LieAlgebra, kind: str, obj: str) -> dict:
     if obj not in OBJECTS:
         raise ValueError(f"unknown object {obj!r}; expected one of {OBJECTS}")
     table = make_connection(L, kind).gamma if obj == "connection" else _derived(L, kind, obj)
-    return {_key_text(key): table[key] for key in _KIND_KEYS[obj]}
+    return {text: table[key] for key, text in _KIND_KEYS[obj]}
 
 
 def audit_printed_tables(tables: Iterable[PrintedTable]) -> list:

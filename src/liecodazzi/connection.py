@@ -28,10 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _Record
+from .liealg import METRIC_SIGNATURE, FrameVector, LieAlgebra, _frame, _Record
+from .poly import Polynomial, _sum_of_products
 
 # eps_m: e1, e2 are spacelike and e3 is timelike
 _EPS = METRIC_SIGNATURE
+# the constant factor 1/2 of the Koszul formula
+_HALF = Polynomial.const(Fraction(1, 2))
 
 KINDS = ("levi_civita", "bott", "canonical", "kobayashi_nomizu")
 # command-line aliases, resolved by resolve_kind
@@ -67,14 +70,18 @@ def levi_civita(L: LieAlgebra) -> Connection:
     """The Koszul formula on components, with c_ij^k component k of [e_i,e_j]:
 
     Gamma_ij^k = (1/2)(c_ij^k - eps_k eps_i c_jk^i + eps_k eps_j c_ki^j)
+
+    Each component is one poly._sum_of_products call, each of its three
+    terms multiplied by the constant polynomial 1/2.
     """
     c = {key: v.c for key, v in L.brackets.items()}
     gamma = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            gamma[(i, j)] = FrameVector(*(
-                (c[i, j][k - 1] - c[j, k][i - 1].scale(_EPS[k - 1] * _EPS[i - 1])
-                 + c[k, i][j - 1].scale(_EPS[k - 1] * _EPS[j - 1])).scale(Fraction(1, 2))
+            gamma[(i, j)] = _frame(tuple(_sum_of_products((
+                (c[i, j][k - 1], _HALF, 1),
+                (c[j, k][i - 1], _HALF, -_EPS[k - 1] * _EPS[i - 1]),
+                (c[k, i][j - 1], _HALF, _EPS[k - 1] * _EPS[j - 1])))
                 for k in (1, 2, 3)))
     return Connection(kind="levi_civita", gamma=gamma, algebra=L)
 

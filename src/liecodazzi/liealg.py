@@ -96,7 +96,7 @@ class FrameVector:
         return FrameVector(*(x - y for x, y in zip(self.c, other.c)))
 
     def __neg__(self) -> "FrameVector":
-        return FrameVector(*(-x for x in self.c))
+        return _frame(tuple([-x for x in self.c]))
 
     def scale(self, s) -> "FrameVector":
         return FrameVector(*(x * s for x in self.c))
@@ -136,6 +136,14 @@ class FrameVector:
 
     def to_json(self) -> list:
         return [comp.to_json() for comp in self.c]
+
+
+def _frame(c: tuple) -> FrameVector:
+    """The frame vector with the three Polynomial components c, unchecked:
+    for components the program built itself."""
+    v = object.__new__(FrameVector)
+    object.__setattr__(v, "c", c)
+    return v
 
 
 E1 = FrameVector(1, 0, 0)

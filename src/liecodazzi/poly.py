@@ -280,6 +280,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
+        if not self._nums:
+            return self
         return _raw({e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other) -> "Polynomial":
@@ -390,10 +392,6 @@ class Polynomial:
     def _lead(self) -> tuple:
         # exponents of the graded-lex leading term of a nonzero polynomial
         return max(self._nums, key=_term_key)
-
-    def leading_coeff(self) -> Fraction:
-        """Coefficient of the graded-lex leading term; 0 for zero."""
-        return Fraction(self._nums[self._lead()], self._den) if self._nums else _FRACTION_ZERO
 
     def monic(self) -> "Polynomial":
         """Divide by the leading coefficient (zero stays zero)."""

@@ -1,6 +1,8 @@
 """Shared helpers: the eight groups, bracket tables the families do not
 give (raw_algebra, abelian), a connection applied to any two frame
-vectors (apply), the metric g and its frame table, seeded
+vectors (apply), the metric g and its frame table, membership of a
+solution family (contains), the graded-lex leading coefficient
+(leading_coeff), seeded
 random rationals and polynomials for property tests, polynomials that
 log the reads of their terms (tracked), the walk that
 compiled condition tests are checked against, and the command line, or
@@ -22,7 +24,7 @@ from liecodazzi.liealg import (
     FAMILIES, METRIC_SIGNATURE, PAIRS, ConstraintSet, FrameVector, LieAlgebra, _antisymmetric,
     _bilinear, branches, make_group,
 )
-from liecodazzi.poly import VARS, Polynomial, _raw
+from liecodazzi.poly import _FRACTION_ZERO, VARS, Point, Polynomial, _raw
 
 
 # the wall seconds that one test, or the import of one test module, may
@@ -104,6 +106,18 @@ def metric(X, Y):
 # the metric as a (0,2)-tensor table, METRIC_TABLE[i, j] = g(e_i, e_j)
 METRIC_TABLE = {(i, j): Polynomial.const(eps if i == j else 0)
                 for i, eps in enumerate(METRIC_SIGNATURE, 1) for j in (1, 2, 3)}
+
+
+def contains(family, point):
+    """Whether the point lies on the SolutionFamily: one call of the
+    compiled test of its conditions (see ConstraintSet)."""
+    return family._conditions._admits(*Point.of(point)._ints)
+
+
+def leading_coeff(p):
+    """Coefficient of the graded-lex leading term of the Polynomial p; 0
+    for zero."""
+    return Fraction(p._nums[p._lead()], p._den) if p._nums else _FRACTION_ZERO
 
 
 def walk_violated(constraints, point):

@@ -208,14 +208,25 @@ def test_cold_derivation_multiplies_no_zero(monkeypatch):
 def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
     # the README's counts: building the eight symbolic groups (81 products
     # and 84 sums, 74 and 80 of them the Jacobi guard) and deriving all
-    # 256 objects and systems from a cold store.  Curvature and nabla
-    # omega are sums of products in _sum_of_products, which multiplies
-    # out each pair of nonzero factors and makes no binary sum.  The count
-    # fell from 2,057 products and 2,054 sums when curvature applied the
-    # connection to basis vectors: about 700 of those products multiplied
-    # by the unit coefficient of e_i, which the index formula never makes.
-    # The pins catch a change that brings such idle operations back
-    counts = {"mul": 0, "add": 0, "kernel_mul": 0}
+    # 256 objects and systems from a cold store.  Levi-Civita, curvature
+    # and nabla omega are sums of products in _sum_of_products, which
+    # multiplies out each pair of nonzero factors and makes no binary sum.
+    # Curvature and nabla omega hand it only the triples whose connection
+    # (and, for curvature, bracket) components are nonzero, and nabla of
+    # the symmetric Ricci tensor computes each entry (i, j, k) with j <= k
+    # once: 1,907 triples, against 9,720 when every index triple was
+    # handed over and the kernel skipped the zero ones.  So the kernel's
+    # products went from 1,223 to 1,229: Levi-Civita's 252 joined them,
+    # and nabla omega's shared entries took 246 away.  The sums fell from
+    # 1,435 to 1,075: Levi-Civita no longer merges its three terms (216
+    # sums and 216 differences, the latter not counted here) and
+    # symmetrization sums only its three entries i < j (72, not 216).
+    # Earlier the count fell from 2,057 products and 2,054 sums when
+    # curvature applied the connection to basis vectors: about 700 of
+    # those products multiplied by the unit coefficient of e_i, which the
+    # index formula never makes.  The pins catch a change that brings
+    # such idle operations or idle triples back
+    counts = {"mul": 0, "add": 0, "kernel_mul": 0, "kernel_triples": 0}
     for name, methods in (("mul", ("__mul__", "__rmul__")), ("add", ("__add__", "__radd__"))):
         original = getattr(Polynomial, methods[0])
 
@@ -228,12 +239,13 @@ def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
 
     def counted_kernel(terms):
         terms = list(terms)
+        counts["kernel_triples"] += len(terms)
         counts["kernel_mul"] += sum(1 for p, q, s in terms if p and q and s)
         return _sum_of_products(terms)
 
     patch_everywhere(monkeypatch, _sum_of_products, counted_kernel)
     derive_everything_cold()
-    assert counts == {"mul": 136, "add": 1435, "kernel_mul": 1223}
+    assert counts == {"mul": 136, "add": 1075, "kernel_mul": 1229, "kernel_triples": 1907}
 
 
 def test_compute_object_returns_fresh_dicts():

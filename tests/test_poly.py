@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_point, random_poly, random_rational, read_in, tracked
+from conftest import leading_coeff, random_point, random_poly, random_rational, read_in, tracked
 from liecodazzi import poly
 from liecodazzi.classify import _point_json, build_system
 from liecodazzi.liealg import E1, ConstraintSet, FrameVector, make_group
@@ -806,7 +806,7 @@ def test_to_json_format():
 
 def test_monic_and_leading_coeff():
     p = (A ** 2).scale(-2) + B
-    assert p.leading_coeff() == -2
+    assert leading_coeff(p) == -2
     assert p.monic() == A ** 2 - B.scale(Fraction(1, 2))
     assert ZERO.monic() == ZERO
 
@@ -829,14 +829,14 @@ def test_no_operation_leaves_a_float_coefficient():
     for what, p in results.items():
         assert_canonical(p)
         assert all(type(c) is Fraction for c in p.terms.values()), what
-        assert all(type(c) is Fraction for c in (p.leading_coeff(), p.monic().leading_coeff())), what
+        assert all(type(c) is Fraction for c in (leading_coeff(p), leading_coeff(p.monic()))), what
     assert results["monic"] == A + half and results["parse division"] == A.scale(half)
     assert results["monic of a negative lead"] == A - Fraction(2, 15)
     assert results["monic of a constant"] == ONE
     assert results["scale by an int"] == parse("3*a/2+b")
     assert results["parse division by a fraction"] == parse("4*b/3-1/2")
     assert results["remainder by a fraction lead"] == parse("9*b*d^2/4+9*g*d/2")
-    for c in (parse("9/6").constant_value(), ZERO.constant_value(), ZERO.leading_coeff()):
+    for c in (parse("9/6").constant_value(), ZERO.constant_value(), leading_coeff(ZERO)):
         assert type(c) is Fraction
 
 
@@ -904,6 +904,32 @@ def test_errors_quote_at_most_60_characters_of_the_input():
 def test_immutability():
     with pytest.raises(AttributeError):
         A.terms = {}
+
+
+def test_negation_of_zero_is_zero_itself():
+    assert -ZERO is ZERO
+    zero = Polynomial({(1, 0, 0, 0): 0})
+    assert -zero is zero and zero == ZERO
+    assert -(-A) == A and (-A)._nums == {(1, 0, 0, 0): -1}
+
+
+def test_a_negated_frame_vector_is_an_immutable_value():
+    # FrameVector.__neg__ builds its result without re-checking the
+    # components; it must still be a FrameVector like one built by __init__
+    v = FrameVector(A, Fraction(1, 2), 0)
+    neg = -v
+    assert type(neg) is FrameVector and neg == FrameVector(-A, Fraction(-1, 2), 0)
+    assert neg.c[2] is ZERO and -neg == v and hash(-neg) == hash(v)
+    with pytest.raises(AttributeError):
+        neg.c = (A, A, A)
+    with pytest.raises(AttributeError):
+        del neg.c
+    with pytest.raises(AttributeError):
+        neg.other = 1
+    assert neg == FrameVector(-A, Fraction(-1, 2), 0)
+    for twin in (copy.copy(neg), copy.deepcopy(neg), pickle.loads(pickle.dumps(neg))):
+        assert type(twin) is FrameVector and twin == neg and hash(twin) == hash(neg)
+        assert type(twin.c) is tuple and all(type(x) is Polynomial for x in twin.c)
 
 
 @pytest.mark.parametrize("value, names", [

@@ -3,11 +3,14 @@
 import random
 
 from conftest import abelian, all_groups
-from liecodazzi.connection import bott, canonical, kobayashi_nomizu, levi_civita, make_connection
+from liecodazzi import tensorcalc
+from liecodazzi.connection import (
+    KINDS, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
+)
 from liecodazzi.liealg import (
     FrameVector, make_group, sample_constraint_point,
 )
-from liecodazzi.poly import Polynomial, parse
+from liecodazzi.poly import Polynomial, _sum_of_products, parse
 from liecodazzi.tensorcalc import (
     PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion,
 )
@@ -118,6 +121,59 @@ def test_cov_deriv_zero_connection():
     srho = symmetrize(ricci(curvature(bott(levi_civita(make_group("G1"))))))
     nabla = cov_deriv_02(C, srho)
     assert all(v.is_zero() for v in nabla.values())
+
+
+def recorded_kernel_calls(monkeypatch):
+    """The triples of each call of _sum_of_products from tensorcalc, as
+    lists, appended to the returned list as the calls are made."""
+    calls = []
+
+    def record(terms):
+        calls.append(list(terms))
+        return _sum_of_products(calls[-1])
+
+    monkeypatch.setattr(tensorcalc, "_sum_of_products", record)
+    return calls
+
+
+def test_curvature_hands_the_kernel_only_nonzero_products(monkeypatch):
+    # curvature reads the support of the connection and bracket tables, so
+    # every triple it hands the kernel has two nonzero factors; each
+    # component of each entry i < j is one call, even with no triple
+    calls = recorded_kernel_calls(monkeypatch)
+    triples = 0
+    for L in all_groups():
+        for kind in KINDS:
+            del calls[:]
+            curvature(make_connection(L, kind))
+            assert len(calls) == 3 * 3 * 3, (L.label(), kind)
+            assert all(p and q and s for terms in calls for p, q, s in terms), (L.label(), kind)
+            triples += sum(map(len, calls))
+    assert triples
+
+
+def test_cov_deriv_hands_the_kernel_nonzero_connection_factors(monkeypatch):
+    # a symmetric omega (the symmetrized Ricci tensor) costs one call per
+    # entry j <= k, which (i, k, j) shares; an asymmetric one (rho on G1
+    # Bott) costs all 27.  Every triple's connection factor is nonzero
+    calls = recorded_kernel_calls(monkeypatch)
+    rho_g1 = ricci(curvature(bott(levi_civita(make_group("G1")))))
+    assert rho_g1[2, 3] != rho_g1[3, 2]
+    for L in all_groups():
+        for kind in KINDS:
+            C = make_connection(L, kind)
+            rho = ricci(curvature(C))
+            for omega in (symmetrize(rho), rho):
+                symmetric = all(omega[i, j] == omega[j, i] for i, j in PAIRS)
+                del calls[:]
+                D = cov_deriv_02(C, omega)
+                assert len(calls) == (18 if symmetric else 27), (L.label(), kind)
+                assert all(p and s == -1 for terms in calls for p, _, s in terms)
+                if symmetric:
+                    assert all(D[i, j, k] is D[i, k, j] for i, j, k in D), (L.label(), kind)
+    del calls[:]
+    cov_deriv_02(bott(levi_civita(make_group("G1"))), rho_g1)
+    assert len(calls) == 27
 
 
 # -- torsion -------------------------------------------------------------------------
