@@ -18,10 +18,10 @@ p - 0 return p itself, with no copy.  A sum of products (the index
 formulas of curvature and covariant derivatives) is one call of
 ``_sum_of_products``: every product goes into one numerator map and
 the sum takes one ``gcd``, where a fold of binary operations takes one
-per step.  The integer form is the only
-stored form: rendering and hashing read it, and ``terms``, the
-read-only ``{exponent tuple: Fraction}`` view for callers, is built
-anew on each read.  Evaluation is exact integer
+per step.  The integer form is the only stored form: parsing builds it
+through the ring operations, rendering and hashing read it, and
+``terms``, the read-only ``{exponent tuple: Fraction}`` view for
+callers, is built anew on each read.  Evaluation is exact integer
 arithmetic: one pass over the numerators computes the polynomial's
 integer form, its value with every denominator cleared, from the
 point's numerators and denominators.  A zero test (``vanishes_at``) is
@@ -31,16 +31,18 @@ The same integer forms, as source text, write the condition kernels
 (``_condition_kernel``): one compiled boolean function of the point's
 integers per question "these vanish, those do not", so a side-condition
 set or a family tests a point in one call of the sampling loops.
-Polynomials are evaluated at a :class:`Point`,
-which stores its coordinates as integer pairs only; ``eval_at`` builds
-one from any other mapping.
+Polynomials are evaluated at a :class:`Point`, which stores its
+coordinates as integer pairs only; ``eval_at`` builds one from any
+other mapping.
 
 Printed output orders terms graded-lexicographically (total degree
-first, then exponent tuple), descending, so rendering is deterministic.
-The human text form (``-(a^2+b^2)``) round-trips through :func:`parse`;
-``Polynomial.to_json`` writes a term list for JSON output.  parse reads
-all formula text; other words than the variables come from the name
-table it is given (liealg.sign_names, classify.table_names).
+first, then exponent tuple), descending, so rendering is deterministic;
+each coefficient is its numerator over the denominator, reduced by one
+``gcd``.  The human text form (``-(a^2+b^2)``) round-trips through
+:func:`parse`, which reads all formula text in one operator-precedence
+pass over the characters; other words than the variables come from the
+name table it is given (liealg.sign_names, classify.table_names).
+``Polynomial.to_json`` writes a term list for JSON output.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from typing import Union
 
 VARS = ("a", "b", "g", "d")
 GREEK = {"a": "α", "b": "β", "g": "γ", "d": "δ"}
+_GREEK_NAMES = tuple(GREEK[v] for v in VARS)
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 # Spelled-out and Greek aliases accepted on input.
 _VAR_ALIASES = {
@@ -518,27 +521,29 @@ class Polynomial:
 
     # -- rendering -------------------------------------------------------
 
-    def sorted_terms(self):
-        """(exponent tuple, Fraction coefficient) pairs in descending
-        graded-lex order."""
-        den = self._den
-        return [(e, Fraction(self._nums[e], den))
-                for e in sorted(self._nums, key=_term_key, reverse=True)]
-
     def text(self, greek: bool = False) -> str:
-        if not self._nums:
+        nums = self._nums
+        if not nums:
             return "0"
-        names = [GREEK[v] if greek else v for v in VARS]
-        terms = self.sorted_terms()
-        if len(terms) > 1 and all(c < 0 for _, c in terms):
-            return "-(" + (-self).text(greek=greek) + ")"
+        names = _GREEK_NAMES if greek else VARS
+        order = sorted(nums, key=_term_key, reverse=True)
+        # the -(...) form when every coefficient is negative
+        sign = -1 if len(order) > 1 and all(n < 0 for n in nums.values()) else 1
         parts = []
-        for exps, coeff in terms:
-            s = _term_text(exps, coeff, names)
-            if parts and not s.startswith("-"):
+        for exps in order:
+            n = sign * nums[exps]
+            if parts and n > 0:
                 parts.append("+")
-            parts.append(s)
-        return "".join(parts)
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            coeff = _coeff_text(n, self._den)
+            if not factors:
+                parts.append(coeff)
+            elif coeff in ("1", "-1"):
+                # a unit coefficient shows as its sign alone
+                parts.append(coeff[:-1] + "*".join(factors))
+            else:
+                parts.append(coeff + "*" + "*".join(factors))
+        return "".join(parts) if sign == 1 else "-(" + "".join(parts) + ")"
 
     def __str__(self):
         return self.text()
@@ -547,13 +552,15 @@ class Polynomial:
         return f"Polynomial({self.text()})"
 
     def to_json(self) -> list:
-        out = []
-        for exps, coeff in self.sorted_terms():
-            out.append({
-                "coeff": str(coeff),
-                "exps": {v: e for v, e in zip(VARS, exps) if e},
-            })
-        return out
+        return [{"coeff": _coeff_text(self._nums[exps], self._den),
+                 "exps": {v: e for v, e in zip(VARS, exps) if e}}
+                for exps in sorted(self._nums, key=_term_key, reverse=True)]
+
+
+def _coeff_text(n: int, den: int) -> str:
+    """n/den in lowest terms as "n" or "n/d", as str of a Fraction."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _raw(nums: dict, den: int) -> Polynomial:
@@ -629,23 +636,6 @@ def _coerce(x) -> "Polynomial":
     return NotImplemented
 
 
-def _term_text(exps, coeff, names) -> str:
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    if not factors:
-        return str(coeff)
-    body = "*".join(factors)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
-
-
 _CONST = (0, 0, 0, 0)
 ZERO = _raw({}, 1)
 ONE = _raw({_CONST: 1}, 1)
@@ -668,158 +658,165 @@ MAX_DEGREE = 12
 # Longest number parse reads, far below CPython's 4,300-digit int() limit.
 MAX_DIGITS = 100
 # Deepest nesting of parentheses and unary signs together that parse
-# reads, far below the recursion limit; the transcribed tables reach 2.
+# reads; the transcribed tables reach 2.
 MAX_NESTING = 50
 # only the ASCII digits make numbers: int() would reject "²" with a bare ValueError
 _DIGITS = "0123456789"
 
+# what parse reads next: an operand; "^" after an atom (a number, a name
+# or a parenthesized group); the exponent after "^"; an operator
+_OPERAND, _ATOM, _EXPONENT, _FACTOR = range(4)
+# the operators that one of + - (or the end, or ")") and one of * / apply
+# first: unary signs bind tighter than both, and all four group to the left
+_BINARY, _PRODUCTS = ("u-", "u+", "+", "-", "*", "/"), ("u-", "u+", "*", "/")
 
-def _tokenize(text: str, names: Mapping[str, Polynomial] | None):
-    """Tokens (kind, source text, value); a word is a variable or alias,
-    else an entry of names, else an unknown name."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+
+def _word(text: str, i: int, names) -> tuple:
+    """(end, (value, degree)) of the word that starts at text[i]: a
+    variable or alias, else an entry of names, else an unknown name."""
+    j, n = i + 1, len(text)
+    # digits after a letter belong to the word: "a2" is a name, not 2*a
+    while j < n and (text[j].isalpha() or text[j] in _DIGITS):
+        j += 1
+    word = text[i:j]
+    k = _NAME_INDEX.get(word)
+    if k is not None:
+        return j, (_VARIABLES[k], 1)
+    if names and word in names:
+        value = names[word]
+        return j, (value, value.degree())
+    raise PolyParseError(f"unknown name {quoted(word)} in {quoted(text)}")
+
+
+def _number(text: str, i: int) -> tuple:
+    """(end, value) of the run of ASCII digits that starts at text[i]."""
+    j, n = i + 1, len(text)
+    while j < n and text[j] in _DIGITS:
+        j += 1
+    if j - i > MAX_DIGITS:
+        raise PolyParseError(f"a number of {j - i} digits; at most {MAX_DIGITS}")
+    return j, int(text[i:j])
+
+
+def _reduce(operands: list, ops: list, operators: tuple, text: str) -> None:
+    """Apply the operators on top of ops while they are in operators: a
+    unary sign to the top (polynomial, degree) operand, a binary
+    operator to the top two."""
+    while ops and ops[-1] in operators:
+        op = ops.pop()
+        if op[0] == "u":
+            if op == "u-":
+                value, degree = operands[-1]
+                operands[-1] = -value, degree
             continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, None))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j - i > MAX_DIGITS:
-                raise PolyParseError(f"a number of {j - i} digits; at most {MAX_DIGITS}")
-            tokens.append(("num", text[i:j], int(text[i:j])))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            # digits after a letter belong to the word: "a2" is a name, not 2*a
-            while j < n and (text[j].isalpha() or text[j] in _DIGITS):
-                j += 1
-            word = text[i:j]
-            if word in _NAME_INDEX:
-                value = Polynomial.var(word)
-            elif names and word in names:
-                value = names[word]
-            else:
-                raise PolyParseError(f"unknown name {quoted(word)} in {quoted(text)}")
-            tokens.append(("word", word, value))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r} in {quoted(text)}")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, source):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = quoted(source)  # as error messages show it
-        self.depth = 0  # open parentheses and unary signs
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise PolyParseError(f"expected {kind!r}, got {quoted(tok[1])} in {self.source}")
-        return tok
-
-    def nested(self, parse) -> Polynomial:
-        """parse() one level deeper, inside a parenthesis or a unary sign."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise PolyParseError(f"nesting deeper than {MAX_NESTING} in {self.source}")
-        out = parse()
-        self.depth -= 1
-        return out
-
-    def parse_expr(self) -> Polynomial:
-        out = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.parse_term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
-        if left.degree() + right.degree() > MAX_DEGREE:
-            raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source}")
-        return left * right
-
-    def parse_term(self) -> Polynomial:
-        out = self.parse_factor()
-        while True:
-            kind = self.peek()[0]
-            if kind in ("*", "/"):
-                op = self.next()[0]
-                rhs = self.parse_factor()
-                if op == "*":
-                    out = self.product(out, rhs)
-                else:
-                    if not rhs.is_constant() or rhs.is_zero():
-                        raise PolyParseError(
-                            f"division only by nonzero constants in {self.source}")
-                    out = out.scale(Fraction(1) / rhs.constant_value())
-            elif kind in ("num", "word", "("):
-                # implicit multiplication, e.g. "2a" or "a(b+g)"
-                out = self.product(out, self.parse_factor())
-            else:
-                return out
-
-    def parse_factor(self) -> Polynomial:
-        kind = self.peek()[0]
-        if kind in ("-", "+"):
-            self.next()
-            inner = self.nested(self.parse_factor)
-            return -inner if kind == "-" else inner
-        base = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.next()
-            if self.peek()[0] == "-":
-                raise PolyParseError(f"negative exponent in {self.source}")
-            tok = self.expect("num")
-            if tok[2] > MAX_DEGREE or base.degree() * tok[2] > MAX_DEGREE:
-                raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source}")
-            return base ** tok[2]
-        return base
-
-    def parse_atom(self) -> Polynomial:
-        kind, word, val = self.next()
-        if kind == "num":
-            return Polynomial.const(val)
-        if kind == "word":
-            return val
-        if kind == "(":
-            inner = self.nested(self.parse_expr)
-            self.expect(")")
-            return inner
-        raise PolyParseError(f"unexpected {quoted(word)} in {self.source}")
+        right, dr = operands.pop()
+        left, dl = operands[-1]
+        if op == "*":
+            if dl + dr > MAX_DEGREE:
+                raise PolyParseError(f"degree above {MAX_DEGREE} in {quoted(text)}")
+            operands[-1] = left * right, (dl + dr if dl >= 0 and dr >= 0 else -1)
+        elif op == "/":
+            if dr:  # degree 0 is a nonzero constant
+                raise PolyParseError(f"division only by nonzero constants in {quoted(text)}")
+            # times the reciprocal den/num of the constant, in integer form
+            num = right._nums[_CONST]
+            operands[-1] = left * _raw({_CONST: right._den if num > 0 else -right._den},
+                                       abs(num)), dl
+        else:
+            value = left + right if op == "+" else left - right
+            # a sum of equal degrees may cancel its top terms
+            operands[-1] = value, (max(dl, dr) if dl != dr
+                                   else max(map(sum, value._nums), default=-1))
 
 
 def parse(text: str, names: Mapping[str, Polynomial] | None = None) -> Polynomial:
     """Parse the human text form (also accepts alpha/beta/gamma/delta and Greek).
 
     names maps further words to their values, e.g. the G4 sign h
-    (liealg.sign_names); a variable name cannot be redefined."""
-    tokens = _tokenize(text, names)
-    if not tokens:
-        raise PolyParseError("empty polynomial text")
-    parser = _Parser(tokens, text)
-    out = parser.parse_expr()
-    if parser.pos != len(tokens):
-        raise PolyParseError(f"trailing input in {quoted(text)}")
-    return out
+    (liealg.sign_names); a variable name cannot be redefined.
 
+    One operator-precedence loop reads the characters once: operands,
+    (polynomial, degree) pairs, wait on one stack and operators on
+    another: "(", unary signs and + - * /, with a product where an
+    operand follows an operand or ")".  ^ takes a number and applies at
+    once, so a sign applies to the atom after it and that atom's power."""
+    operands, ops = [], []
+    state = _OPERAND
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if state == _OPERAND:
+            if ch in _DIGITS:
+                i, k = _number(text, i)
+                operands.append((_raw({_CONST: k}, 1), 0) if k else (ZERO, -1))
+                state = _ATOM
+                continue
+            if ch.isalpha():
+                i, operand = _word(text, i, names)
+                operands.append(operand)
+                state = _ATOM
+                continue
+            if ch in "(+-":
+                # the nesting is the number of open "(" and waiting signs
+                if ops.count("(") + ops.count("u-") + ops.count("u+") >= MAX_NESTING:
+                    raise PolyParseError(f"nesting deeper than {MAX_NESTING} in {quoted(text)}")
+                ops.append(ch if ch == "(" else "u" + ch)
+                i += 1
+                continue
+            if ch in ")*/^":
+                raise PolyParseError(f"unexpected {quoted(ch)} in {quoted(text)}")
+        elif state == _EXPONENT:
+            if ch in _DIGITS:
+                i, k = _number(text, i)
+                base, d = operands[-1]
+                if k > MAX_DEGREE or d * k > MAX_DEGREE:
+                    raise PolyParseError(f"degree above {MAX_DEGREE} in {quoted(text)}")
+                operands[-1] = base ** k, (d * k if d >= 0 else -1) if k else 0
+                state = _FACTOR
+                continue
+            if ch == "-":
+                raise PolyParseError(f"negative exponent in {quoted(text)}")
+            if ch in "+*/^()" or ch.isalpha():
+                got = text[i:_word(text, i, names)[0]] if ch.isalpha() else ch
+                raise PolyParseError(f"expected a number, got {quoted(got)} in {quoted(text)}")
+        elif ch == "^" and state == _ATOM:
+            state = _EXPONENT
+            i += 1
+            continue
+        # a factor is complete: an operator, or a product before an operand
+        elif ch in "+-*/":
+            if ops and ops[-1] in _BINARY:
+                _reduce(operands, ops, _BINARY if ch in "+-" else _PRODUCTS, text)
+            ops.append(ch)
+            state = _OPERAND
+            i += 1
+            continue
+        elif ch in _DIGITS or ch.isalpha() or ch == "(":
+            if ops and ops[-1] in _PRODUCTS:
+                _reduce(operands, ops, _PRODUCTS, text)
+            ops.append("*")
+            state = _OPERAND
+            continue
+        elif ch in ")^":
+            _reduce(operands, ops, _BINARY, text)
+            if not ops:
+                raise PolyParseError(f"trailing input in {quoted(text)}")
+            if ch == "^":
+                raise PolyParseError(f"expected ')', got '^' in {quoted(text)}")
+            ops.pop()
+            state = _ATOM
+            i += 1
+            continue
+        if not ch.isspace():
+            raise PolyParseError(f"unexpected character {ch!r} in {quoted(text)}")
+        i += 1
+    if state == _OPERAND:
+        if not ops:
+            raise PolyParseError("empty polynomial text")
+        raise PolyParseError(f"expected a number, a name or '(' before the end of {quoted(text)}")
+    if state == _EXPONENT:
+        raise PolyParseError(f"expected a number before the end of {quoted(text)}")
+    _reduce(operands, ops, _BINARY, text)
+    if ops:
+        raise PolyParseError(f"expected ')' before the end of {quoted(text)}")
+    return operands[0][0]

@@ -5,8 +5,10 @@ solution family (contains), the graded-lex leading coefficient
 (leading_coeff), seeded
 random rationals and polynomials for property tests, polynomials that
 log the reads of their terms (tracked), the walk that
-compiled condition tests are checked against, and the command line, or
-any code, in a fresh interpreter.  Each test and each test module's
+compiled condition tests are checked against, the recursive-descent
+parser and the Fraction renderer that poly.parse and Polynomial.text
+are checked against (reference_parse, reference_text), and the command
+line, or any code, in a fresh interpreter.  Each test and each test module's
 import run under one time limit, so a fault that loops fails the suite
 instead of hanging it."""
 
@@ -24,7 +26,10 @@ from liecodazzi.liealg import (
     FAMILIES, METRIC_SIGNATURE, PAIRS, ConstraintSet, FrameVector, LieAlgebra, _antisymmetric,
     _bilinear, branches, make_group,
 )
-from liecodazzi.poly import _FRACTION_ZERO, VARS, Point, Polynomial, _raw
+from liecodazzi.poly import (
+    _DIGITS, _FRACTION_ZERO, _NAME_INDEX, GREEK, MAX_DEGREE, MAX_DIGITS, MAX_NESTING, VARS, Point,
+    Polynomial, PolyParseError, _raw, _term_key, quoted,
+)
 
 
 # the wall seconds that one test, or the import of one test module, may
@@ -206,3 +211,200 @@ def tracked(p, log):
 def read_in(log, p):
     """Whether the numerator map of the tracked polynomial p is in log."""
     return any(nums is p._nums for nums in log)
+
+
+# -- reference parser and renderer ----------------------------------------
+#
+# A tokenizer with a recursive descent over its tokens, and a renderer
+# with Fraction coefficients: the references that poly.parse, one loop
+# over the characters, and Polynomial.text, on the integer form, are
+# checked against.
+
+
+def _tokenize(text, names):
+    """Tokens (kind, source text, value); a word is a variable or alias,
+    else an entry of names, else an unknown name."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^()":
+            tokens.append((ch, ch, None))
+            i += 1
+            continue
+        if ch in _DIGITS:
+            j = i
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            if j - i > MAX_DIGITS:
+                raise PolyParseError(f"a number of {j - i} digits; at most {MAX_DIGITS}")
+            tokens.append(("num", text[i:j], int(text[i:j])))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            # digits after a letter belong to the word: "a2" is a name, not 2*a
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS):
+                j += 1
+            word = text[i:j]
+            if word in _NAME_INDEX:
+                value = Polynomial.var(word)
+            elif names and word in names:
+                value = names[word]
+            else:
+                raise PolyParseError(f"unknown name {quoted(word)} in {quoted(text)}")
+            tokens.append(("word", word, value))
+            i = j
+            continue
+        raise PolyParseError(f"unexpected character {ch!r} in {quoted(text)}")
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens, source):
+        self.tokens = tokens
+        self.pos = 0
+        self.source = quoted(source)  # as error messages show it
+        self.depth = 0  # open parentheses and unary signs
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
+
+    def next(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise PolyParseError(f"expected {kind!r}, got {quoted(tok[1])} in {self.source}")
+        return tok
+
+    def nested(self, parse) -> Polynomial:
+        """parse() one level deeper, inside a parenthesis or a unary sign."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError(f"nesting deeper than {MAX_NESTING} in {self.source}")
+        out = parse()
+        self.depth -= 1
+        return out
+
+    def parse_expr(self) -> Polynomial:
+        out = self.parse_term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            rhs = self.parse_term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def product(self, left: Polynomial, right: Polynomial) -> Polynomial:
+        if left.degree() + right.degree() > MAX_DEGREE:
+            raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source}")
+        return left * right
+
+    def parse_term(self) -> Polynomial:
+        out = self.parse_factor()
+        while True:
+            kind = self.peek()[0]
+            if kind in ("*", "/"):
+                op = self.next()[0]
+                rhs = self.parse_factor()
+                if op == "*":
+                    out = self.product(out, rhs)
+                else:
+                    if not rhs.is_constant() or rhs.is_zero():
+                        raise PolyParseError(
+                            f"division only by nonzero constants in {self.source}")
+                    out = out.scale(Fraction(1) / rhs.constant_value())
+            elif kind in ("num", "word", "("):
+                # implicit multiplication, e.g. "2a" or "a(b+g)"
+                out = self.product(out, self.parse_factor())
+            else:
+                return out
+
+    def parse_factor(self) -> Polynomial:
+        kind = self.peek()[0]
+        if kind in ("-", "+"):
+            self.next()
+            inner = self.nested(self.parse_factor)
+            return -inner if kind == "-" else inner
+        base = self.parse_atom()
+        if self.peek()[0] == "^":
+            self.next()
+            if self.peek()[0] == "-":
+                raise PolyParseError(f"negative exponent in {self.source}")
+            tok = self.expect("num")
+            if tok[2] > MAX_DEGREE or base.degree() * tok[2] > MAX_DEGREE:
+                raise PolyParseError(f"degree above {MAX_DEGREE} in {self.source}")
+            return base ** tok[2]
+        return base
+
+    def parse_atom(self) -> Polynomial:
+        kind, word, val = self.next()
+        if kind == "num":
+            return Polynomial.const(val)
+        if kind == "word":
+            return val
+        if kind == "(":
+            inner = self.nested(self.parse_expr)
+            self.expect(")")
+            return inner
+        raise PolyParseError(f"unexpected {quoted(word)} in {self.source}")
+
+
+def reference_parse(text, names=None):
+    """poly.parse as a tokenizer and a recursive descent over the tokens."""
+    tokens = _tokenize(text, names)
+    if not tokens:
+        raise PolyParseError("empty polynomial text")
+    parser = _Parser(tokens, text)
+    out = parser.parse_expr()
+    if parser.pos != len(tokens):
+        raise PolyParseError(f"trailing input in {quoted(text)}")
+    return out
+
+
+def reference_sorted_terms(p):
+    """(exponent tuple, Fraction coefficient) pairs of the polynomial p
+    in descending graded-lex order."""
+    den = p._den
+    return [(e, Fraction(p._nums[e], den))
+            for e in sorted(p._nums, key=_term_key, reverse=True)]
+
+
+def _term_text(exps, coeff, names):
+    factors = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    if not factors:
+        return str(coeff)
+    body = "*".join(factors)
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return f"{coeff}*{body}"
+
+
+def reference_text(p, greek=False):
+    """Polynomial.text with Fraction coefficients."""
+    if not p._nums:
+        return "0"
+    names = [GREEK[v] if greek else v for v in VARS]
+    terms = reference_sorted_terms(p)
+    if len(terms) > 1 and all(c < 0 for _, c in terms):
+        return "-(" + reference_text(-p, greek=greek) + ")"
+    parts = []
+    for exps, coeff in terms:
+        s = _term_text(exps, coeff, names)
+        if parts and not s.startswith("-"):
+            parts.append("+")
+        parts.append(s)
+    return "".join(parts)

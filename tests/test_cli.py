@@ -236,6 +236,13 @@ def test_check_malformed_solution(capsys):
     assert code == 2 and "error" in err
 
 
+def test_check_solution_cut_short_names_the_end_of_the_text(capsys):
+    code, out, err = run(capsys, "check", "--family", "G1", "--connection",
+                         "bott", "--structure", "codazzi", "--solution", "a=(b")
+    assert code == 2 and not out
+    assert "expected ')' before the end of '(b'" in err and "None" not in err
+
+
 # -- sample ------------------------------------------------------------------
 
 
