@@ -41,7 +41,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .poly import GREEK, VARS, Point, Polynomial, PolyError, parse, quoted
+from .poly import GREEK, VARS, Point, Polynomial, PolyError, _sum_of_products, parse, quoted
 from .liealg import (
     PAIRS,
     ConstraintSet,
@@ -256,15 +256,13 @@ class SolutionFamily(_Record):
 
 
 def _quasistatistical(f: Mapping, T: Mapping, omega: Mapping) -> dict:
+    """f(x, y, j) + omega(T(e_x, e_y), e_j): the pairing sum_k T_xy^k omega_kj
+    is one poly._sum_of_products call, of the k with both factors nonzero."""
     out = {}
     for (x, y, j), fxyj in f.items():
-        # omega(T(e_x, e_y), e_j), skipping the products with a zero factor
-        pairing = Polynomial.zero()
-        for k, t in enumerate(T[(x, y)].c, start=1):
-            w = omega[(k, j)]
-            if t and w:
-                pairing = pairing + t * w
-        out[(x, y, j)] = fxyj + pairing
+        t = T[(x, y)].c
+        out[(x, y, j)] = fxyj + _sum_of_products(
+            [(tk, omega[(k, j)], 1) for k, tk in enumerate(t, 1) if tk and omega[(k, j)]])
     return out
 
 

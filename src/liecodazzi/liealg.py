@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional
 
-from .poly import ZERO, Point, Polynomial, Rational, _condition_kernel, parse
+from .poly import Point, Polynomial, Rational, _condition_kernel, _sum_of_products, parse
 
 # each family as printed: the component texts of [e1,e2], [e1,e3] and
 # [e2,e3], then the texts of its equalities and of its inequations
@@ -277,20 +277,14 @@ class LieAlgebra(_Record):
 
 def _bilinear(table: Mapping[tuple, FrameVector], X: FrameVector,
               Y: FrameVector) -> FrameVector:
-    """sum_ij X^i Y^j table[i, j], component by component; a product
-    with a zero factor is skipped, so only nonzero terms are computed."""
-    out = [ZERO, ZERO, ZERO]
-    for i, xi in enumerate(X.c, start=1):
-        if not xi:
-            continue
-        for j, yj in enumerate(Y.c, start=1):
-            if not yj:
-                continue
-            s = xi * yj
-            for m, t in enumerate(table[i, j].c):
-                if t:
-                    out[m] = out[m] + t * s
-    return FrameVector(*out)
+    """sum_ij X^i Y^j table[i, j], each component one poly._sum_of_products
+    call over the pairs i, j of nonzero coordinates, handed only the
+    nonzero components of table[i, j], so no product has a zero factor."""
+    pairs = [(table[i, j].c, xi * yj)
+             for i, xi in enumerate(X.c, start=1) if xi
+             for j, yj in enumerate(Y.c, start=1) if yj]
+    return _frame(tuple(_sum_of_products([(c[m], s, 1) for c, s in pairs if c[m]])
+                        for m in range(3)))
 
 
 def bracket(L: LieAlgebra, X: FrameVector, Y: FrameVector) -> FrameVector:

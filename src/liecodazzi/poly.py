@@ -9,19 +9,19 @@ numerators is 1), so equality is a plain comparison and "is zero" is
 "map empty".  No floating point appears anywhere.  The ring operations
 do integer arithmetic only: a sum or difference brings both numerator
 maps to the lcm of the denominators, copies the left one and inserts
-each term of the right one as it is (negated for a difference), and a
-product inserts n1*n2 for each new exponent tuple over the product of
-the denominators; numerators are added only where two terms meet, a sum
-that cancels is deleted, and each result is brought to canonical form
-by one ``gcd`` of its denominator and numerators.  p + 0, 0 + p and
-p - 0 return p itself, with no copy.  A sum of products (the index
-formulas of curvature and covariant derivatives) is one call of
-``_sum_of_products``: every product goes into one numerator map and
-the sum takes one ``gcd``, where a fold of binary operations takes one
-per step.  The integer form is the only stored form: parsing builds it
-through the ring operations, rendering and hashing read it, and
-``terms``, the read-only ``{exponent tuple: Fraction}`` view for
-callers, is built anew on each read.  Evaluation is exact integer
+each term of the right one as it is (negated for a difference).  Every
+product is a call of ``_sum_of_products``, the one loop that multiplies
+numerator maps: a sum of products s*p*q (the index formulas of
+curvature and covariant derivatives) inserts each s*n1*n2 into one map
+over the lcm of the products' denominators, and p*q is the sum of the
+one triple (p, q, 1).  Numerators are added only where two terms meet,
+a sum that cancels is deleted, and one ``gcd`` brings each result to
+canonical form, where a fold of binary operations takes one per step.
+p + 0, 0 + p and p - 0 return p itself, with no copy.  The integer
+form is the only stored form: parsing builds it through the ring
+operations, rendering and hashing read it, and ``terms``, the
+read-only ``{exponent tuple: Fraction}`` view for callers, is built
+anew on each read.  Evaluation is exact integer
 arithmetic: one pass over the numerators computes the polynomial's
 integer form, its value with every denominator cleared, from the
 point's numerators and denominators.  A zero test (``vanishes_at``) is
@@ -332,20 +332,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod: dict = {}
-        right = other._nums.items()
-        for (x0, x1, x2, x3), n1 in self._nums.items():
-            for (y0, y1, y2, y3), n2 in right:
-                exps = (x0 + y0, x1 + y1, x2 + y2, x3 + y3)
-                if exps in prod:
-                    s = prod[exps] + n1 * n2
-                    if s:
-                        prod[exps] = s
-                    else:
-                        del prod[exps]
-                else:
-                    prod[exps] = n1 * n2
-        return _normal(prod, self._den * other._den)
+        return _sum_of_products(((self, other, 1),))
 
     __rmul__ = __mul__
 
@@ -588,10 +575,10 @@ def _normal(nums: dict, den: int) -> Polynomial:
 def _sum_of_products(terms) -> Polynomial:
     """sum of s*p*q over the (p, q, s) triples terms, p and q polynomials
     and s an int, in one numerator map: each product of two nonzero
-    factors is inserted term by term, as in __mul__, over the running lcm
-    of the products' denominators (the map is rescaled when it grows); a
-    triple with a zero factor or s = 0 is skipped, and one gcd brings the
-    sum to canonical form, so it equals the fold of binary * and +."""
+    factors is inserted term by term over the running lcm of the
+    products' denominators (the map is rescaled when it grows); a triple
+    with a zero factor or s = 0 is skipped, and one gcd brings the sum to
+    canonical form.  p * q is the call with the one triple (p, q, 1)."""
     acc: dict = {}
     den = 1
     for p, q, s in terms:

@@ -20,7 +20,9 @@ from liecodazzi.connection import (
     KINDS, Connection, bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
     resolve_kind,
 )
-from liecodazzi.liealg import BASIS, FrameVector, bracket, make_group, sample_constraint_point
+from liecodazzi.liealg import (
+    BASIS, FrameVector, bracket, jacobiator, make_group, sample_constraint_point,
+)
 from liecodazzi.poly import Polynomial, _sum_of_products
 from liecodazzi.tensorcalc import cov_deriv_02, curvature, ricci, symmetrize, torsion
 
@@ -205,28 +207,14 @@ def test_cold_derivation_multiplies_no_zero(monkeypatch):
     assert [(p, q) for p, q in operands + kernel_pairs if not p or not q] == []
 
 
-def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
-    # the README's counts: building the eight symbolic groups (81 products
-    # and 84 sums, 74 and 80 of them the Jacobi guard) and deriving all
-    # 256 objects and systems from a cold store.  Levi-Civita, curvature
-    # and nabla omega are sums of products in _sum_of_products, which
-    # multiplies out each pair of nonzero factors and makes no binary sum.
-    # Curvature and nabla omega hand it only the triples whose connection
-    # (and, for curvature, bracket) components are nonzero, and nabla of
-    # the symmetric Ricci tensor computes each entry (i, j, k) with j <= k
-    # once: 1,907 triples, against 9,720 when every index triple was
-    # handed over and the kernel skipped the zero ones.  So the kernel's
-    # products went from 1,223 to 1,229: Levi-Civita's 252 joined them,
-    # and nabla omega's shared entries took 246 away.  The sums fell from
-    # 1,435 to 1,075: Levi-Civita no longer merges its three terms (216
-    # sums and 216 differences, the latter not counted here) and
-    # symmetrization sums only its three entries i < j (72, not 216).
-    # Earlier the count fell from 2,057 products and 2,054 sums when
-    # curvature applied the connection to basis vectors: about 700 of
-    # those products multiplied by the unit coefficient of e_i, which the
-    # index formula never makes.  The pins catch a change that brings
-    # such idle operations or idle triples back
-    counts = {"mul": 0, "add": 0, "kernel_mul": 0, "kernel_triples": 0}
+def ring_operations(monkeypatch, work):
+    """The ring operations that work() makes: its binary products ("mul")
+    and sums ("add"), the triples those products hand _sum_of_products
+    ("binary_triples"), and the triples of every other kernel call
+    ("kernel_triples"), of which "kernel_mul" have two nonzero factors
+    and s != 0, so the kernel multiplies them out."""
+    counts = dict.fromkeys(("mul", "add", "binary_triples", "kernel_mul", "kernel_triples"), 0)
+    mul_code = Polynomial.__mul__.__code__
     for name, methods in (("mul", ("__mul__", "__rmul__")), ("add", ("__add__", "__radd__"))):
         original = getattr(Polynomial, methods[0])
 
@@ -239,13 +227,53 @@ def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
 
     def counted_kernel(terms):
         terms = list(terms)
-        counts["kernel_triples"] += len(terms)
-        counts["kernel_mul"] += sum(1 for p, q, s in terms if p and q and s)
+        # a binary product is the kernel called by Polynomial.__mul__
+        if sys._getframe(1).f_code is mul_code:
+            counts["binary_triples"] += len(terms)
+        else:
+            counts["kernel_triples"] += len(terms)
+            counts["kernel_mul"] += sum(1 for p, q, s in terms if p and q and s)
         return _sum_of_products(terms)
 
     patch_everywhere(monkeypatch, _sum_of_products, counted_kernel)
-    derive_everything_cold()
-    assert counts == {"mul": 136, "add": 1075, "kernel_mul": 1229, "kernel_triples": 1907}
+    work()
+    monkeypatch.undo()
+    return counts
+
+
+def test_building_the_symbolic_groups_makes_the_documented_ring_operations(monkeypatch):
+    # the README's counts: parsing the bracket and side-condition texts
+    # and the Jacobi guard, whose brackets sum each component in one
+    # kernel call (liealg._bilinear), so its only binary products are the
+    # X^i Y^j of the pairs of nonzero coordinates
+    def build():
+        liealg._symbolic_group.cache_clear()
+        all_groups()
+
+    assert ring_operations(monkeypatch, build) == {
+        "mul": 49, "add": 52, "binary_triples": 49, "kernel_mul": 32, "kernel_triples": 32}
+    groups = all_groups()
+    assert ring_operations(monkeypatch, lambda: [jacobiator(L) for L in groups]) == {
+        "mul": 42, "add": 48, "binary_triples": 42, "kernel_mul": 32, "kernel_triples": 32}
+
+
+def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
+    # the README's counts: building the eight symbolic groups (see the
+    # test above) and deriving all 256 objects and systems from a cold
+    # store.  Every product is a _sum_of_products call: a binary product
+    # hands it the one triple (p, q, 1) and is counted apart.
+    # Levi-Civita, curvature, nabla omega and the torsion pairing of the
+    # quasi-statistical residual are one kernel call per entry, so the
+    # derivation itself makes no binary product.  Curvature and nabla
+    # omega hand the kernel only the triples whose connection (and, for
+    # curvature, bracket) components are nonzero, the pairing only those
+    # with two nonzero factors, and nabla of the symmetric Ricci tensor
+    # computes each entry (i, j, k) with j <= k once.  The pins catch a
+    # change that brings idle operations or idle triples back (the
+    # README gives the earlier counts)
+    assert ring_operations(monkeypatch, derive_everything_cold) == {
+        "mul": 49, "add": 988, "binary_triples": 49, "kernel_mul": 1316,
+        "kernel_triples": 1994}
 
 
 def test_compute_object_returns_fresh_dicts():

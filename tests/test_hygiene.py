@@ -2,7 +2,8 @@
 every private module-level definition of the package is read, every
 public module-level function and class of the package is read by the
 package or named by the benchmark, zero tests
-go through vanishes_at, term merges seed no zero, the package runs
+go through vanishes_at, term merges seed no zero, no function but
+poly._sum_of_products adds up products in nested loops, the package runs
 generated code in one place and compiles kernels for the condition
 tests alone, only the sampling entry points build a random generator,
 only the three samplers draw from one, the ring operations and the
@@ -241,6 +242,74 @@ def test_ring_merges_seed_no_zero(path):
     assert zero_seeded_merges(path.read_text(encoding="utf-8")) == []
 
 
+def product_loops(source: str) -> list:
+    """Lines where a product is added up within nested for loops, as
+    (line, enclosing function or None): a + or - with a * operand and an
+    accumulator (a name or subscript) operand, or a += or -= of a *.
+    That is a sum of products computed term by term, which is what
+    poly._sum_of_products is for; a loop of binary ring operations
+    (Polynomial.remainder's while) has one product per step."""
+
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    def accumulates(node):
+        if isinstance(node, ast.AugAssign):
+            return isinstance(node.op, (ast.Add, ast.Sub)) and is_product(node.value)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and any(is_product(a) and isinstance(b, (ast.Name, ast.Subscript))
+                        for a, b in ((node.left, node.right), (node.right, node.left))))
+
+    found = set()
+
+    def visit(node, function, depth):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, 0)
+                continue
+            inner = depth + isinstance(child, ast.For)
+            if inner >= 2 and accumulates(child):
+                found.add((child.lineno, function))
+            visit(child, function, inner)
+
+    visit(ast.parse(source), None, 0)
+    return sorted(found)
+
+
+def test_scan_finds_product_loops():
+    source = ("def mul(p, q):\n"
+              "    for e1, n1 in p.items():\n"
+              "        for e2, n2 in q.items():\n"
+              "            s = prod[e1 + e2] + n1 * n2\n"
+              "def bilinear(X, Y, table):\n"
+              "    for i, x in enumerate(X):\n"
+              "        for j, y in enumerate(Y):\n"
+              "            for m, t in enumerate(table[i, j]):\n"
+              "                out[m] = out[m] + t * (x * y)\n"
+              "def pairing(f, T, w):\n"
+              "    for key in f:\n"
+              "        for k, t in enumerate(T[key]):\n"
+              "            total -= t * w[k]\n"
+              "def remainder(p, divisors):\n"
+              "    for divisor in divisors:\n"
+              "        while p:\n"
+              "            p = p - q * divisor\n"
+              "def flat(nums):\n"
+              "    for e, n in nums:\n"
+              "        total += n * e\n"
+              "        for k in e:\n"
+              "            y = k * 2\n")
+    assert product_loops(source) == [(4, "mul"), (9, "bilinear"), (13, "pairing")]
+
+
+def test_only_the_kernel_adds_up_products():
+    # every product of polynomials is a _sum_of_products call: p * q
+    # hands it one triple, a sum of products one triple per product
+    loops = [(path.name, function) for path in PACKAGE
+             for _, function in product_loops(path.read_text(encoding="utf-8"))]
+    assert loops == [("poly.py", "_sum_of_products")]
+
+
 def nodes_named(source: str, name_of) -> list:
     """Nodes that name_of(node) names, as (line, enclosing function or
     None, name); name_of returns None for any other node."""
@@ -387,7 +456,8 @@ def test_only_the_three_samplers_draw():
 # arithmetic and the evaluation on the stored integer numerators and
 # denominator
 INTEGER_CORE = frozenset({"__add__", "__sub__", "_merge", "__neg__", "__mul__", "scale",
-                          "__pow__", "_normal", "_integer_form", "_integer_value"})
+                          "__pow__", "_normal", "_sum_of_products", "_integer_form",
+                          "_integer_value"})
 
 
 def fraction_name(node) -> str | None:

@@ -151,17 +151,20 @@ def test_mul_matches_evaluation_oracle():
 
 
 def fold(terms):
-    """sum of s*p*q over the triples (p, q, s) by binary * and +."""
+    """sum of s*p*q over the triples (p, q, s) by binary +, each product
+    the Fraction convolution of product_oracle: binary * is itself a
+    _sum_of_products call, so it cannot check the kernel."""
     total = ZERO
     for p, q, s in terms:
-        total = total + s * (p * q)
+        total = total + Polynomial({e: s * c for e, c in product_oracle(p, q).items()})
     return total
 
 
 def checked_sum_of_products(terms):
     """_sum_of_products(terms) of tracked copies of the factors, asserted
-    canonical, equal to the fold of binary * and +, and multiplying out
-    exactly the triples with two nonzero factors and s != 0."""
+    canonical, equal to the fold of oracle products and binary +, and
+    multiplying out exactly the triples with two nonzero factors and
+    s != 0."""
     log = []
     copies = [(tracked(p, log), tracked(q, log), s) for p, q, s in terms]
     out = _sum_of_products(copies)
