@@ -729,31 +729,35 @@ def audit_printed_systems(systems: Iterable[PrintedSystem]) -> list:
     recomputation contradicts, in system order.
 
     Systems are compared as rational linear spans, so scaling and
-    recombination of equations never count as differences.  Each garbled
-    equation gets a row and is excluded; the remaining printed equations
-    must then lie inside the recomputed span.
+    recombination of equations never count as differences: the span of
+    the nonzero residuals is that of the reduced system, which is
+    rendered only for a branch that writes a row.  Each garbled equation
+    gets a row and is excluded; the remaining printed equations must
+    then lie inside the recomputed span.
     """
     rows = []
     for ps in systems:
         for eta in ps.branches():
             system = build_system(make_group(ps.family, eta=eta), ps.connection, ps.structure)
-            engine_eqs = system.reduced()
-            engine_txt = "; ".join(p.text() for p in engine_eqs)
-            parseable = []
-            garbled = False
+            engine_eqs = [p for _, p in system.nonzero()]
+            printed, garbled = [], []
             for pos, eq in ps.materialize(eta):
                 if isinstance(eq, GarbledValue):
-                    garbled = True
-                    rows.append(RegisterEntry(f"{ps.id} equation {pos}{_eta_suffix(eta)}",
-                                              eq.raw, f"recomputed system: {engine_txt}",
-                                              "typo-suspected"))
+                    garbled.append((pos, eq))
                 else:
-                    parseable.append(eq)
+                    printed.append(eq)
             # with unrecoverable lines only containment can be checked
-            if not systems_equivalent(parseable + engine_eqs if garbled else parseable,
-                                      engine_eqs):
+            differs = not systems_equivalent(printed + engine_eqs if garbled else printed,
+                                             engine_eqs)
+            if not garbled and not differs:
+                continue
+            engine_txt = "; ".join(p.text() for p in system.reduced())
+            rows += [RegisterEntry(f"{ps.id} equation {pos}{_eta_suffix(eta)}", eq.raw,
+                                   f"recomputed system: {engine_txt}", "typo-suspected")
+                     for pos, eq in garbled]
+            if differs:
                 rows.append(RegisterEntry(f"{ps.id}{_eta_suffix(eta)}",
-                                          "; ".join(p.text() for p in parseable),
+                                          "; ".join(p.text() for p in printed),
                                           engine_txt, "typo-suspected"))
     return rows
 

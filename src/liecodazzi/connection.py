@@ -71,18 +71,22 @@ def levi_civita(L: LieAlgebra) -> Connection:
 
     Gamma_ij^k = (1/2)(c_ij^k - eps_k eps_i c_jk^i + eps_k eps_j c_ki^j)
 
-    Each component is one poly._sum_of_products call, each of its three
-    terms multiplied by the constant polynomial 1/2.
+    Each component is one poly._sum_of_products call, handed the terms
+    whose bracket component is nonzero, each multiplied by the constant
+    polynomial 1/2: each nonzero c_ab^m is the first term of
+    Gamma_ab^m, the second of Gamma_ma^b and the third of Gamma_bm^a,
+    and the terms are listed in that order.
     """
-    c = {key: v.c for key, v in L.brackets.items()}
-    gamma = {}
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            gamma[(i, j)] = _frame(tuple(_sum_of_products((
-                (c[i, j][k - 1], _HALF, 1),
-                (c[j, k][i - 1], _HALF, -_EPS[k - 1] * _EPS[i - 1]),
-                (c[k, i][j - 1], _HALF, _EPS[k - 1] * _EPS[j - 1])))
-                for k in (1, 2, 3)))
+    live = [(a, b, m, x) for (a, b), v in L.brackets.items() for m, x in enumerate(v.c, 1) if x]
+    terms = {(i, j, k): [] for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)}
+    for a, b, m, x in live:
+        terms[a, b, m].append((x, _HALF, 1))
+    for a, b, m, x in live:
+        terms[m, a, b].append((x, _HALF, -_EPS[b - 1] * _EPS[m - 1]))
+    for a, b, m, x in live:
+        terms[b, m, a].append((x, _HALF, _EPS[a - 1] * _EPS[m - 1]))
+    gamma = {(i, j): _frame(tuple(_sum_of_products(terms[i, j, k]) for k in (1, 2, 3)))
+             for i in (1, 2, 3) for j in (1, 2, 3)}
     return Connection(kind="levi_civita", gamma=gamma, algebra=L)
 
 

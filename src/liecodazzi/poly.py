@@ -30,7 +30,10 @@ divides it by the cleared denominator, for the values a report shows.
 The same integer forms, as source text, write the condition kernels
 (``_condition_kernel``): one compiled boolean function of the point's
 integers per question "these vanish, those do not", so a side-condition
-set or a family tests a point in one call of the sampling loops.
+set or a family tests a point in one call of the sampling loops.  A
+term's text joins factor texts n_i^e*d_i^(top-e), each written once per
+(variable, exponent, top exponent) when first needed (``_factor_text``),
+and a kernel writes a repeated condition once.
 Polynomials are evaluated at a :class:`Point`, which stores its
 coordinates as integer pairs only; ``eval_at`` builds one from any
 other mapping.
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import ge, sub
 from types import MappingProxyType
@@ -167,10 +170,17 @@ class Point(Mapping):
         return Point, (dict(self),)
 
 
-def _power(name: str, e: int) -> list:
-    """The factors of name^e in a kernel: name repeated up to four times,
-    which CPython multiplies faster than it raises small ints to a power."""
-    return [name] * e if e <= 4 else [f"{name}**{e}"]
+@cache
+def _factor_text(i: int, e: int, top: int) -> str:
+    """The text of n_i^e * d_i^(top - e) in a kernel, for 0 <= e <= top
+    and top > 0, so never empty, written once per (i, e, top) when a
+    kernel first needs it: a power is its base repeated up to four times,
+    which CPython multiplies faster than it raises small ints to a power,
+    and base**k above that."""
+    factors = []
+    for name, k in ((f"n{i}", e), (f"d{i}", top - e)):
+        factors += [name] * k if k <= 4 else [f"{name}**{k}"]
+    return "*".join(factors)
 
 
 @lru_cache(maxsize=1024)
@@ -195,11 +205,12 @@ def _condition_kernel(conditions):
     for 0 ("not (form)" for an equality, "form != 0" for an inequation),
     which decides it exactly (see Polynomial._integer_form); the
     conditions run in their given order and stop at the first that
-    fails.  A zero equality is left out, so a set without conditions is
-    met everywhere."""
+    fails, and a repeated test is written once, where it first occurs.
+    A zero equality is left out, so a set without conditions is met
+    everywhere."""
     tests = [f"not ({p._integer_form()})" for p in conditions.equalities if p]
     tests += [f"{q._integer_form()} != 0" for q in conditions.inequations]
-    return _make_kernel(" and ".join(tests) or "True")
+    return _make_kernel(" and ".join(dict.fromkeys(tests)) or "True")
 
 
 def _term_key(exps):
@@ -501,8 +512,7 @@ class Polynomial:
         products = []
         for exps, n in nums.items():
             factors = [] if n == 1 else [str(n)]
-            for i, top in tops:
-                factors += _power(f"n{i}", exps[i]) + _power(f"d{i}", top - exps[i])
+            factors += [_factor_text(i, exps[i], top) for i, top in tops]
             products.append("*".join(factors) or "1")
         return " + ".join(products) or "0"
 

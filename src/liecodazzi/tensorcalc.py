@@ -9,9 +9,11 @@ products of those components, each computed as one sum by
 poly._sum_of_products.  They read the connection and bracket tables as
 their support (_support: per key, the nonzero components with their
 index m), so they hand the kernel only products whose frame-table
-factors are nonzero.  The covariant derivative of a symmetric omega is
-symmetric in its last two indices, so it computes the entries j <= k
-once and shares each with (i, k, j); an asymmetric omega gets all 27.
+factors are nonzero, and the covariant derivative only those whose
+omega entry is nonzero too.  The covariant derivative of a symmetric
+omega is symmetric in its last two indices, so it computes the entries
+j <= k once and shares each with (i, k, j); an asymmetric omega gets
+all 27.
 Every result is a plain dict of frame components keyed by index tuple,
 read as table[key] like C.gamma: R[(i, j, k)] = R(e_i, e_j) e_k,
 T[(i, j)] = T(e_i, e_j), omega[(i, j)] = omega(e_i, e_j) and
@@ -89,21 +91,24 @@ def symmetrize(rho: Mapping[tuple, Polynomial]) -> dict:
 
 def cov_deriv_02(C: Connection, omega: Mapping[tuple, Polynomial]) -> dict:
     """(nabla_{e_i} omega)(e_j, e_k) = -sum_m [G_ij^m omega(e_m, e_k) + G_ik^m omega(e_j, e_m)],
-    with G_ij^m component m of nabla_{e_i} e_j, as one sum over the nonzero
-    G_ij^m and G_ik^m.  The formula is symmetric in j, k when omega is, so
-    a symmetric omega gets the entries j <= k, each shared with (i, k, j).
+    with G_ij^m component m of nabla_{e_i} e_j, as one sum over the terms
+    whose G_ij^m or G_ik^m and omega entry are nonzero.  The formula is
+    symmetric in j, k when omega is, so a symmetric omega gets the
+    entries j <= k, each shared with (i, k, j).
 
     The term e_i[omega(e_j, e_k)] is zero: omega has constant frame components.
     """
     gamma = _support(C.gamma)
     symmetric = all(omega[(i, j)] == omega[(j, i)] for i, j in PAIRS)
+    # a zero entry as None, which the sums test for by identity
+    live = {key: w if w else None for key, w in omega.items()}
     d = {}
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             for k in range(j, 4) if symmetric else (1, 2, 3):
                 d[(i, j, k)] = _sum_of_products(
-                    [(g, omega[(m, k)], -1) for m, g in gamma[i, j]]
-                    + [(g, omega[(j, m)], -1) for m, g in gamma[i, k]])
+                    [(g, w, -1) for m, g in gamma[i, j] if (w := live[m, k]) is not None]
+                    + [(g, w, -1) for m, g in gamma[i, k] if (w := live[j, m]) is not None])
                 if symmetric:
                     d[(i, k, j)] = d[(i, j, k)]
     return d

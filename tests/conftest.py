@@ -7,7 +7,9 @@ random rationals and polynomials for property tests, polynomials that
 log the reads of their terms (tracked), the walk that
 compiled condition tests are checked against, the recursive-descent
 parser and the Fraction renderer that poly.parse and Polynomial.text
-are checked against (reference_parse, reference_text), and the command
+are checked against (reference_parse, reference_text), the kernel
+writer that Polynomial._integer_form is checked against
+(reference_integer_form), and the command
 line, or any code, in a fresh interpreter.  Each test and each test module's
 import run under one time limit, so a fault that loops fails the suite
 instead of hanging it."""
@@ -408,3 +410,22 @@ def reference_text(p, greek=False):
             parts.append("+")
         parts.append(s)
     return "".join(parts)
+
+
+def _power(name, e):
+    """The factors of name^e in a kernel: name repeated up to four times,
+    which CPython multiplies faster than it raises small ints to a power."""
+    return [name] * e if e <= 4 else [f"{name}**{e}"]
+
+
+def reference_integer_form(p):
+    """Polynomial._integer_form with each term's factors written anew."""
+    nums = p._nums
+    tops = tuple((i, top) for i, top in enumerate(map(max, zip(*nums))) if top)
+    products = []
+    for exps, n in nums.items():
+        factors = [] if n == 1 else [str(n)]
+        for i, top in tops:
+            factors += _power(f"n{i}", exps[i]) + _power(f"d{i}", top - exps[i])
+        products.append("*".join(factors) or "1")
+    return " + ".join(products) or "0"

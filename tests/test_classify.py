@@ -5,6 +5,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +18,7 @@ from liecodazzi.liealg import (
     ConstraintSet, ConstraintViolation, SamplerStarvation, make_group, sample_constraint_point,
 )
 from liecodazzi.tensorcalc import PAIRS, cov_deriv_02, curvature, ricci, symmetrize, torsion
-from liecodazzi.connection import make_connection
+from liecodazzi.connection import KINDS, make_connection
 from liecodazzi.classify import (
     RegisterEntry,
     SolutionFamily,
@@ -867,6 +868,34 @@ def test_audit_printed_systems_rows_of_a_correct_and_a_garbled_print():
     assert classify.audit_printed_systems([garbled]) == [RegisterEntry(
         f"(0.2) equation {len(texts)}", "a^2-",
         "recomputed system: " + "; ".join(texts), "typo-suspected")]
+
+
+def test_nonzero_residuals_span_the_reduced_system():
+    # audit_printed_systems compares spans on the nonzero residuals, and
+    # renders the reduced system only for the text of a row
+    systems = [build_system(L, kind, structure) for L in all_groups()
+               for kind in KINDS for structure in classify.STRUCTURES]
+    assert len(systems) == 64
+    for system in systems:
+        assert systems_equivalent([p for _, p in system.nonzero()], system.reduced()), \
+            system.case_id
+
+
+def test_printed_systems_render_the_reduced_system_once_per_branch_with_rows(monkeypatch):
+    calls = []
+    reduced = classify.PolySystem.reduced
+
+    def counted(system):
+        calls.append(system.case_id)
+        return reduced(system)
+
+    monkeypatch.setattr(classify.PolySystem, "reduced", counted)
+    rows = classify.audit_printed_systems(load_printed_systems())
+    # a row's location is its system's id and branch, and for a garbled
+    # line " equation k" after the id
+    branches = {re.sub(r" equation \d+", "", row.location) for row in rows}
+    assert len(calls) == len(branches)
+    assert (len(branches), len(rows)) == (8, 11)
 
 
 @pytest.fixture(scope="module")

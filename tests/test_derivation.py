@@ -264,16 +264,18 @@ def test_cold_derivation_makes_the_documented_ring_operations(monkeypatch):
     # hands it the one triple (p, q, 1) and is counted apart.
     # Levi-Civita, curvature, nabla omega and the torsion pairing of the
     # quasi-statistical residual are one kernel call per entry, so the
-    # derivation itself makes no binary product.  Curvature and nabla
-    # omega hand the kernel only the triples whose connection (and, for
-    # curvature, bracket) components are nonzero, the pairing only those
-    # with two nonzero factors, and nabla of the symmetric Ricci tensor
-    # computes each entry (i, j, k) with j <= k once.  The pins catch a
-    # change that brings idle operations or idle triples back (the
-    # README gives the earlier counts)
+    # derivation itself makes no binary product.  Every one of them hands
+    # the kernel only triples with two nonzero factors: Levi-Civita leaves
+    # out a Koszul term whose bracket component is 0, curvature reads the
+    # connection and bracket components that are nonzero, nabla omega
+    # those of the connection and omega, and the pairing those of T and
+    # omega; so kernel_triples equals kernel_mul.  Nabla of the symmetric
+    # Ricci tensor computes each entry (i, j, k) with j <= k once.  The
+    # pins catch a change that brings idle operations or idle triples
+    # back (the README gives the earlier counts)
     assert ring_operations(monkeypatch, derive_everything_cold) == {
         "mul": 49, "add": 988, "binary_triples": 49, "kernel_mul": 1316,
-        "kernel_triples": 1994}
+        "kernel_triples": 1316}
 
 
 def test_compute_object_returns_fresh_dicts():

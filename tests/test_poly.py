@@ -11,7 +11,10 @@ from math import gcd
 
 import pytest
 
-from conftest import leading_coeff, random_point, random_poly, random_rational, read_in, tracked
+from conftest import (
+    leading_coeff, random_point, random_poly, random_rational, read_in, reference_integer_form,
+    run_python, tracked,
+)
 from liecodazzi import poly
 from liecodazzi.classify import _point_json, build_system
 from liecodazzi.liealg import E1, ConstraintSet, FrameVector, make_group
@@ -468,6 +471,38 @@ def test_evaluation_compiles_no_kernel(monkeypatch):
     assert builds == []
 
 
+def integer_form_test_polys(rng):
+    """Seeded random polynomials with unit, integer and fractional
+    coefficients, exponents up to MAX_DEGREE (above 4 a power is written
+    with **) and top exponents from 1 to MAX_DEGREE, and the constants."""
+    polys = [ZERO, ONE, -ONE, Polynomial.const(7), Polynomial.const(Fraction(-3, 4))]
+    for _ in range(400):
+        top = rng.randint(1, poly.MAX_DEGREE)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(0, top) for _ in VARS)
+            terms[exps] = rng.choice((1, -1, 1, -1, rng.randint(-99, 99),
+                                      Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+        polys.append(Polynomial(terms))
+    return polys
+
+
+def test_integer_form_is_the_reference_writers_text():
+    polys = integer_form_test_polys(random.Random(121))
+    nums = {n for p in polys for n in p._nums.values()}
+    exps = {e for p in polys for t in p._nums for e in t}
+    assert {1, -1} <= nums and {0, 5, poly.MAX_DEGREE} <= exps
+    for p in polys:
+        assert p._integer_form() == reference_integer_form(p), p
+
+
+def test_factor_texts_are_written_on_first_use_not_at_import():
+    # a command that compiles no kernel writes no factor text
+    out = run_python("-c", "import liecodazzi.cli, liecodazzi.poly as p; "
+                           "print(p._factor_text.cache_info().currsize)")
+    assert (out.returncode, out.stdout.split()) == (0, [b"0"]), out.stderr
+
+
 def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
     sources = []
     build = poly._make_kernel
@@ -478,8 +513,19 @@ def test_condition_kernel_source_tests_integer_forms_against_zero(monkeypatch):
     polys = kernel_test_polys(rng) + [ZERO, Polynomial.const(-2)]
     sets = [ConstraintSet(tuple(rng.sample(polys, rng.randint(0, 2))),
                           tuple(rng.sample(polys, rng.randint(0, 2)))) for _ in range(12)]
+    # sets that repeat a condition, as a residual system repeats a residual
+    p, q, r = A - B, G * D - 1, A + D ** 5
+    sets += [ConstraintSet((p, q, p, ZERO, p), (r, r)), ConstraintSet((r, r, r), ()),
+             ConstraintSet((), (q, p, q))]
     kernels = [poly._condition_kernel(s) for s in sets]
     assert len(sources) == len(kernels)
+    # each distinct test once, in first-occurrence order: for a set with no
+    # repeated condition, the text of the reference writer's conditions
+    for s, expression in zip(sets, sources):
+        tests = [f"not ({reference_integer_form(p)})" for p in s.equalities if p]
+        tests += [f"{reference_integer_form(q)} != 0" for q in s.inequations]
+        assert expression == (" and ".join(dict.fromkeys(tests)) or "True")
+    assert [len(e.split(" and ")) for e in sources[-3:]] == [3, 1, 2]
     for kernel in kernels:
         assert tuple(inspect.signature(kernel).parameters) == KERNEL_ARGS
         assert kernel.__code__.co_names == () and kernel.__globals__ == {"__builtins__": {}}
