@@ -98,14 +98,8 @@ class FrameVector:
     def __neg__(self) -> "FrameVector":
         return _frame(tuple([-x for x in self.c]))
 
-    def scale(self, s) -> "FrameVector":
-        return FrameVector(*(x * s for x in self.c))
-
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.c)
-
-    def substitute(self, assignment) -> "FrameVector":
-        return FrameVector(*(x.substitute(assignment) for x in self.c))
 
     def __eq__(self, other):
         return isinstance(other, FrameVector) and self.c == other.c
@@ -303,7 +297,8 @@ def make_group(family: str, eta: Optional[int] = None,
     numeric_params is a Point, or any mapping poly.Point accepts: each
     of the four parameters given once as an exact rational (int or
     Fraction), else PolyError.  The instance is checked against the
-    family's equalities and inequations and keeps the point as params.
+    family's conditions, has the symbolic brackets evaluated at the
+    point (eval_at) and keeps the point as params.
     The symbolic groups are built once per (family, eta) and shared, so
     their derived objects are computed once per process.
     """
@@ -322,7 +317,9 @@ def make_group(family: str, eta: Optional[int] = None,
     broken = symbolic.constraints.violated(params)
     if broken is not None:
         raise ConstraintViolation(*broken)
-    brackets = _antisymmetric({k: symbolic.brackets[k].substitute(params) for k in PAIRS})
+    upper = symbolic.brackets
+    brackets = _antisymmetric({k: FrameVector(*(x.eval_at(params) for x in upper[k].c))
+                               for k in PAIRS})
     return LieAlgebra(family=family, eta=eta, brackets=brackets,
                       constraints=symbolic.constraints, params=params)
 

@@ -13,30 +13,33 @@ each term of the right one as it is (negated for a difference).  Every
 product is a call of ``_sum_of_products``, the one loop that multiplies
 numerator maps: a sum of products s*p*q (the index formulas of
 curvature and covariant derivatives) inserts each s*n1*n2 into one map
-over the lcm of the products' denominators, and p*q is the sum of the
-one triple (p, q, 1).  Numerators are added only where two terms meet,
-a sum that cancels is deleted, and one ``gcd`` brings each result to
-canonical form, where a fold of binary operations takes one per step.
-p + 0, 0 + p and p - 0 return p itself, with no copy.  The integer
-form is the only stored form: parsing builds it through the ring
-operations, rendering and hashing read it, and ``terms``, the
-read-only ``{exponent tuple: Fraction}`` view for callers, is built
-anew on each read.  Evaluation is exact integer
-arithmetic: one pass over the numerators computes the polynomial's
-integer form, its value with every denominator cleared, from the
-point's numerators and denominators.  A zero test (``vanishes_at``) is
-that integer compared with 0 and builds no ``Fraction``; ``eval_at``
-divides it by the cleared denominator, for the values a report shows.
-The same integer forms, as source text, write the condition kernels
-(``_condition_kernel``): one compiled boolean function of the point's
-integers per question "these vanish, those do not", so a side-condition
-set or a family tests a point in one call of the sampling loops.  A
-term's text joins factor texts n_i^e*d_i^(top-e), each written once per
-(variable, exponent, top exponent) when first needed (``_factor_text``),
-and a kernel writes a repeated condition once.
-Polynomials are evaluated at a :class:`Point`, which stores its
-coordinates as integer pairs only; ``eval_at`` builds one from any
-other mapping.
+over the lcm of the products' denominators, p*q is the sum of the one
+triple (p, q, 1), and a substitution is the sum over the terms of each
+one's unassigned monomial times the value of its assigned factors.
+Numerators are added only where two terms meet, a sum that cancels is
+deleted, and one ``gcd`` brings each result to canonical form, where a
+fold of binary operations takes one per step.  p + 0, 0 + p and p - 0
+return p itself, with no copy.  The integer form is the only stored
+form: parsing builds it through the ring operations, rendering and
+hashing read it, and ``terms``, the read-only ``{exponent tuple:
+Fraction}`` view for callers, is built anew on each read.  Evaluation
+is exact integer arithmetic: one pass over the numerators computes the
+polynomial's integer form, its value with every denominator cleared,
+from the point's numerators and denominators.  A zero test
+(``vanishes_at``) is that integer compared with 0 and builds no
+``Fraction``; ``eval_at`` divides it by the cleared denominator, for
+the values a report shows.  The same integer forms, as source text,
+write the condition kernels (``_condition_kernel``): one compiled
+boolean function of the point's integers per question "these vanish,
+those do not", so a side-condition set or a family tests a point in
+one call of the sampling loops.  A term's text joins factor texts
+n_i^e*d_i^(top-e), each written once per (variable, exponent, top
+exponent) when first needed (``_factor_text``), and a kernel writes a
+repeated condition once.  Polynomials are evaluated at a
+:class:`Point`, which stores its coordinates as integer pairs only;
+``eval_at`` builds one from any other mapping.  Points and
+substitutions read variable names and aliases in one place
+(``_read_names``).
 
 Printed output orders terms graded-lexicographically (total degree
 first, then exponent tuple), descending, so rendering is deterministic;
@@ -52,9 +55,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from math import gcd, lcm
-from operator import ge, sub
+from operator import ge, mul, sub
 from types import MappingProxyType
 from typing import Union
 
@@ -79,10 +82,20 @@ class PolyError(ValueError):
     pass
 
 
-def _given_twice(names: Mapping[str, object], i: int) -> PolyError:
-    """The error for a mapping that names variable i under two spellings."""
-    given = [n for n in names if _NAME_INDEX.get(n) == i]
-    return PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+def _read_names(values: Mapping[str, object], convert) -> dict:
+    """{index in VARS: convert(value)} for a mapping keyed by variable
+    names and aliases; PolyError for an unknown name or a variable given
+    twice, under two spellings."""
+    out = {}
+    for name, v in values.items():
+        i = _NAME_INDEX.get(name)
+        if i is None:
+            raise PolyError(f"unknown variable {name!r}")
+        if i in out:
+            given = [n for n in values if _NAME_INDEX.get(n) == i]
+            raise PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+        out[i] = convert(v)
+    return out
 
 
 def quoted(text: str) -> str:
@@ -114,18 +127,11 @@ class Point(Mapping):
     __slots__ = ("_ints",)
 
     def __init__(self, values: Mapping[str, Rational]):
-        coords = [None] * len(VARS)
-        for name, v in values.items():
-            i = _NAME_INDEX.get(name)
-            if i is None:
-                raise PolyError(f"unknown variable {name!r}")
-            if coords[i] is not None:
-                raise _given_twice(values, i)
-            coords[i] = _ratio(v)
-        missing = [v for v, c in zip(VARS, coords) if c is None]
+        coords = _read_names(values, _ratio)
+        missing = [v for i, v in enumerate(VARS) if i not in coords]
         if missing:
             raise PolyError(f"point misses variables {missing}")
-        object.__setattr__(self, "_ints", sum(coords, ()))
+        object.__setattr__(self, "_ints", sum(map(coords.get, range(len(VARS))), ()))
 
     @staticmethod
     def _of_ints(ints: tuple) -> "Point":
@@ -446,29 +452,22 @@ class Polynomial:
     # -- substitution and evaluation ------------------------------------
 
     def substitute(self, assignment: Mapping[str, "Polynomial | Rational"]) -> "Polynomial":
-        """Simultaneous substitution of variables; unassigned pass through.
-
-        Each variable may be named once, under its name or an alias."""
-        if not assignment:
-            return self
-        subs = {}
-        for name, val in assignment.items():
-            i = _NAME_INDEX.get(name)
-            if i is None:
-                raise PolyError(f"unknown variable {name!r}")
-            if i in subs:
-                raise _given_twice(assignment, i)
-            subs[i] = val if isinstance(val, Polynomial) else Polynomial.const(val)
-        out = ZERO
-        den = self._den
+        """Simultaneous substitution of variables, each named once under its
+        name or an alias; unassigned ones pass through.  One
+        _sum_of_products triple per term: its unassigned monomial over
+        _den, the value of its assigned factors (built once per tuple of
+        assigned exponents) and its numerator."""
+        subs = _read_names(
+            assignment, lambda v: v if isinstance(v, Polynomial) else Polynomial.const(v))
+        values, terms = {}, []
         for exps, n in self._nums.items():
-            # the unassigned variables and the coefficient as one monomial
-            term = _normal({tuple(0 if i in subs else e for i, e in enumerate(exps)): n}, den)
-            for i, e in enumerate(exps):
-                if e and i in subs:
-                    term = term * subs[i] ** e
-            out = out + term
-        return out
+            key = tuple([exps[i] for i in subs])
+            if key not in values:
+                powers = [subs[i] ** e for i, e in zip(subs, key) if e]
+                values[key] = reduce(mul, powers) if powers else ONE
+            rest = tuple([0 if i in subs else e for i, e in enumerate(exps)])
+            terms.append((_raw({rest: 1}, self._den), values[key], n))
+        return _sum_of_products(terms)
 
     def eval_at(self, point: Mapping[str, Rational]) -> Fraction:
         """Exact value at a Point, or at any mapping Point accepts: the

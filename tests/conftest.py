@@ -1,6 +1,7 @@
 """Shared helpers: the eight groups, bracket tables the families do not
 give (raw_algebra, abelian), a connection applied to any two frame
-vectors (apply), the metric g and its frame table, membership of a
+vectors (apply), a frame vector times a scalar (scale_frame), the
+metric g and its frame table, membership of a
 solution family (contains), the graded-lex leading coefficient
 (leading_coeff), seeded
 random rationals and polynomials for property tests, polynomials that
@@ -9,7 +10,9 @@ compiled condition tests are checked against, the recursive-descent
 parser and the Fraction renderer that poly.parse and Polynomial.text
 are checked against (reference_parse, reference_text), the kernel
 writer that Polynomial._integer_form is checked against
-(reference_integer_form), and the command
+(reference_integer_form), the term-by-term substitution that
+Polynomial.substitute is checked against (reference_substitute), and
+the command
 line, or any code, in a fresh interpreter.  Each test and each test module's
 import run under one time limit, so a fault that loops fails the suite
 instead of hanging it."""
@@ -29,8 +32,8 @@ from liecodazzi.liealg import (
     _bilinear, branches, make_group,
 )
 from liecodazzi.poly import (
-    _DIGITS, _FRACTION_ZERO, _NAME_INDEX, GREEK, MAX_DEGREE, MAX_DIGITS, MAX_NESTING, VARS, Point,
-    Polynomial, PolyParseError, _raw, _term_key, quoted,
+    _DIGITS, _FRACTION_ZERO, _NAME_INDEX, GREEK, MAX_DEGREE, MAX_DIGITS, MAX_NESTING, VARS, ZERO,
+    Point, Polynomial, PolyError, PolyParseError, _normal, _raw, _term_key, quoted,
 )
 
 
@@ -102,6 +105,12 @@ def apply(C, X, Y):
     return _bilinear(C.gamma, X, Y)
 
 
+def scale_frame(v, s):
+    """The FrameVector v with each component times s, a polynomial or an
+    exact rational."""
+    return FrameVector(*(x * s for x in v.c))
+
+
 def metric(X, Y):
     """g(X, Y) with the fixed signature (+, +, -); e3 is timelike."""
     out = Polynomial.zero()
@@ -125,6 +134,30 @@ def leading_coeff(p):
     """Coefficient of the graded-lex leading term of the Polynomial p; 0
     for zero."""
     return Fraction(p._nums[p._lead()], p._den) if p._nums else _FRACTION_ZERO
+
+
+def reference_substitute(p, assignment):
+    """Polynomial.substitute term by term: each term's unassigned monomial
+    times a binary product per assigned power, added up by binary +."""
+    subs = {}
+    for name, val in assignment.items():
+        i = _NAME_INDEX.get(name)
+        if i is None:
+            raise PolyError(f"unknown variable {name!r}")
+        if i in subs:
+            given = [n for n in assignment if _NAME_INDEX.get(n) == i]
+            raise PolyError(f"variable {VARS[i]!r} is given twice: {given}")
+        subs[i] = val if isinstance(val, Polynomial) else Polynomial.const(val)
+    out = ZERO
+    den = p._den
+    for exps, n in p._nums.items():
+        # the unassigned variables and the coefficient as one monomial
+        term = _normal({tuple(0 if i in subs else e for i, e in enumerate(exps)): n}, den)
+        for i, e in enumerate(exps):
+            if e and i in subs:
+                term = term * subs[i] ** e
+        out = out + term
+    return out
 
 
 def walk_violated(constraints, point):

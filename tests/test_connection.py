@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import METRIC_TABLE, abelian, all_groups, apply, metric, raw_algebra
+from conftest import METRIC_TABLE, abelian, all_groups, apply, metric, raw_algebra, scale_frame
 from liecodazzi.classify import table_names
 from liecodazzi.connection import (
     bott, canonical, kobayashi_nomizu, levi_civita, make_connection,
@@ -129,8 +129,8 @@ def oracle_tables(lc):
                 b = FrameVector(0, 0, bracket(L, ei, ej).c[2])
             else:
                 b = FrameVector(0, 0, lc.gamma[(i, j)].c[2])
-            c = lc.gamma[(i, j)] - nabla_J(lc, ei, J(ej)).scale(Fraction(1, 2))
-            k = c - (nabla_J(lc, ej, J(ei)) - nabla_J(lc, J(ej), ei)).scale(Fraction(1, 4))
+            c = lc.gamma[(i, j)] - scale_frame(nabla_J(lc, ei, J(ej)), Fraction(1, 2))
+            k = c - scale_frame(nabla_J(lc, ej, J(ei)) - nabla_J(lc, J(ej), ei), Fraction(1, 4))
             tables["bott"][(i, j)] = b
             tables["canonical"][(i, j)] = c
             tables["kobayashi_nomizu"][(i, j)] = k

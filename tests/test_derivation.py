@@ -9,7 +9,7 @@ import sys
 import weakref
 from fractions import Fraction
 
-from conftest import all_groups, apply, metric, read_in, run_cli, tracked
+from conftest import all_groups, apply, metric, read_in, run_cli, scale_frame, tracked
 from liecodazzi import classify, connection, liealg
 from liecodazzi.classify import (
     _STAGES, OBJECTS, STRUCTURES, _derived, build_system, compute_object, register_json,
@@ -373,7 +373,7 @@ def ricci_oracle(R, i, j):
     for k, weight in ((1, -1), (2, -1), (3, 1)):
         rv = FrameVector.zero()
         for m in (1, 2, 3):
-            rv = rv + R[i, k, m].scale(BASIS[j - 1].c[m - 1])
+            rv = rv + scale_frame(R[i, k, m], BASIS[j - 1].c[m - 1])
         total = total + metric(rv, BASIS[k - 1]).scale(weight)
     return total
 
@@ -423,5 +423,5 @@ def test_curvature_matches_its_definition_at_non_basis_vectors():
                 for i, x in enumerate(xs, 1):
                     for j, y in enumerate(ys, 1):
                         for k, z in enumerate(zs, 1):
-                            got = got + R[i, j, k].scale(x * y * z)
+                            got = got + scale_frame(R[i, j, k], x * y * z)
                 assert got == want, (L.label(), kind, xs, ys, zs)

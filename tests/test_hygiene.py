@@ -3,7 +3,8 @@ every private module-level definition of the package is read, every
 public module-level function and class of the package is read by the
 package or named by the benchmark, zero tests
 go through vanishes_at, term merges seed no zero, no function but
-poly._sum_of_products adds up products in nested loops, the package runs
+poly._sum_of_products adds up products or builds a product chain in
+nested loops, the package runs
 generated code in one place and compiles kernels for the condition
 tests alone, only the sampling entry points build a random generator,
 only the three samplers draw from one, the ring operations and the
@@ -11,11 +12,15 @@ evaluator of Polynomial and the span comparison name no Fraction, the
 package reads no Polynomial.terms view, and it imports no dataclasses."""
 
 import ast
+import inspect
 import pathlib
 import random
 import re
+import textwrap
 
 import pytest
+
+from conftest import reference_substitute
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "liecodazzi").glob("*.py"))
@@ -243,9 +248,10 @@ def test_ring_merges_seed_no_zero(path):
 
 
 def product_loops(source: str) -> list:
-    """Lines where a product is added up within nested for loops, as
-    (line, enclosing function or None): a + or - with a * operand and an
-    accumulator (a name or subscript) operand, or a += or -= of a *.
+    """Lines where a product is added up, or a product chain is built,
+    within nested for loops, as (line, enclosing function or None): a +
+    or - with a * operand and an accumulator (a name or subscript)
+    operand, a += or -= of a *, and a chain x = x * ... or x *= ....
     That is a sum of products computed term by term, which is what
     poly._sum_of_products is for; a loop of binary ring operations
     (Polynomial.remainder's while) has one product per step."""
@@ -255,7 +261,12 @@ def product_loops(source: str) -> list:
 
     def accumulates(node):
         if isinstance(node, ast.AugAssign):
-            return isinstance(node.op, (ast.Add, ast.Sub)) and is_product(node.value)
+            return (isinstance(node.op, ast.Mult)
+                    or isinstance(node.op, (ast.Add, ast.Sub)) and is_product(node.value))
+        if isinstance(node, ast.Assign):
+            # a chain: the target is a factor of the product it is given
+            return is_product(node.value) and ast.unparse(node.targets[0]) in (
+                ast.unparse(node.value.left), ast.unparse(node.value.right))
         return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
                 and any(is_product(a) and isinstance(b, (ast.Name, ast.Subscript))
                         for a, b in ((node.left, node.right), (node.right, node.left))))
@@ -298,16 +309,36 @@ def test_scan_finds_product_loops():
               "    for e, n in nums:\n"
               "        total += n * e\n"
               "        for k in e:\n"
-              "            y = k * 2\n")
-    assert product_loops(source) == [(4, "mul"), (9, "bilinear"), (13, "pairing")]
+              "            y = k * 2\n"
+              "def substitute(nums, subs):\n"
+              "    for exps, n in nums:\n"
+              "        term = n\n"
+              "        for i, e in enumerate(exps):\n"
+              "            if e and i in subs:\n"
+              "                term = term * subs[i] ** e\n"
+              "            coeff[i] = subs[i] * coeff[i]\n"
+              "            scaled *= e\n"
+              "            other = term * e\n"
+              "    for e in nums:\n"
+              "        out = out * e\n")
+    assert product_loops(source) == [(4, "mul"), (9, "bilinear"), (13, "pairing"),
+                                     (28, "substitute"), (29, "substitute"),
+                                     (30, "substitute")]
+    # the term-by-term substitution that the kernel sum replaced
+    lines, start = inspect.getsourcelines(reference_substitute)
+    chain = next(i for i, line in enumerate(lines, start) if "term = term *" in line)
+    assert product_loops(textwrap.dedent("".join(lines))) == [
+        (chain - start + 1, "reference_substitute")]
 
 
 def test_only_the_kernel_adds_up_products():
     # every product of polynomials is a _sum_of_products call: p * q
-    # hands it one triple, a sum of products one triple per product
+    # hands it one triple, a sum of products one triple per product, and
+    # a substitution one triple per term; the kernel's own two lines are
+    # its sum of n1 * n2 and its chain n1 *= s
     loops = [(path.name, function) for path in PACKAGE
              for _, function in product_loops(path.read_text(encoding="utf-8"))]
-    assert loops == [("poly.py", "_sum_of_products")]
+    assert loops == [("poly.py", "_sum_of_products")] * 2
 
 
 def nodes_named(source: str, name_of) -> list:

@@ -33,7 +33,7 @@ from itertools import product
 
 import pytest
 
-from conftest import raw_algebra
+from conftest import raw_algebra, scale_frame
 from liecodazzi.classify import STRUCTURES, _STAGES, _derived, build_system, compute_object
 from liecodazzi.connection import KINDS, make_connection
 from liecodazzi.liealg import BASIS, FAMILIES, PAIRS, FrameVector, branches, make_group
@@ -71,7 +71,7 @@ def extend(table, *vectors):
             if not coeff:
                 break
         else:
-            out = out + table[idx].scale(coeff)
+            out = out + scale_frame(table[idx], coeff)
     return out
 
 

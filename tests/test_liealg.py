@@ -107,6 +107,23 @@ def test_numeric_instance_substitutes_brackets():
     assert L.brackets[(1, 2)] == FrameVector(0, 3, Fraction(-1, 2))
 
 
+def test_numeric_instances_evaluate_and_substitute_nothing(monkeypatch):
+    # each bracket component of a numeric instance is its symbolic
+    # component evaluated at the point, with no substitution
+    substituted = []
+    substitute = Polynomial.substitute
+    monkeypatch.setattr(Polynomial, "substitute",
+                        lambda p, assignment: substituted.append(p) or substitute(p, assignment))
+    rng = random.Random(139)
+    for symbolic in all_groups():
+        point = sample_constraint_point(symbolic, rng)
+        L = make_group(symbolic.family, eta=symbolic.eta, numeric_params=point)
+        assert L.params is point and L.brackets.keys() == symbolic.brackets.keys()
+        for key, v in symbolic.brackets.items():
+            assert L.brackets[key] == FrameVector(*(x.eval_at(point) for x in v.c))
+    assert substituted == []
+
+
 def bracket_tables():
     """Every kind of group: the eight symbolic ones, a numeric instance,
     abelian() and a raw_algebra table that is not a Lie algebra."""

@@ -6,6 +6,7 @@ import inspect
 import operator
 import pickle
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -13,14 +14,14 @@ import pytest
 
 from conftest import (
     leading_coeff, random_point, random_poly, random_rational, read_in, reference_integer_form,
-    run_python, tracked,
+    reference_substitute, run_python, tracked,
 )
 from liecodazzi import poly
 from liecodazzi.classify import _point_json, build_system
 from liecodazzi.liealg import E1, ConstraintSet, FrameVector, make_group
 from liecodazzi.poly import (
-    A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError, _sum_of_products,
-    parse,
+    GREEK, A, B, D, G, ONE, VARS, ZERO, Point, Polynomial, PolyError, PolyParseError,
+    _sum_of_products, parse,
 )
 
 
@@ -279,6 +280,86 @@ def test_substitute_eval_composition():
         # rational values, and a whole Point, substitute like polynomials
         assert p.substitute({"b": pt["b"]}).eval_at(pt) == p.eval_at(pt)
         assert p.substitute(Point(pt)) == Polynomial.const(p.eval_at(pt))
+
+
+# every spelling of the four variables, in VARS order
+SPELLINGS = (VARS, ("alpha", "beta", "gamma", "delta"), tuple(GREEK[v] for v in VARS))
+
+
+def random_value(rng):
+    """A value to assign: 0 (as an int or ZERO), a rational, a variable
+    (often one that is assigned too, so values swap), or a polynomial."""
+    r = rng.random()
+    if r < 0.25:
+        return rng.choice((0, ZERO))
+    if r < 0.5:
+        return random_rational(rng)
+    if r < 0.75:
+        return Polynomial.var(rng.choice(VARS))
+    return random_poly(rng, max_terms=3, max_exp=2)
+
+
+def random_assignment(rng):
+    """A mapping of one to four variables, in one random spelling each, to
+    random values; every fourth one a whole Point."""
+    if rng.random() < 0.25:
+        return Point(random_point(rng))
+    chosen = rng.sample(range(len(VARS)), rng.randint(1, len(VARS)))
+    return {rng.choice(SPELLINGS)[i]: random_value(rng) for i in chosen}
+
+
+def test_substitute_matches_the_term_by_term_reference():
+    # one kernel sum against a binary product per assigned power and a
+    # binary sum per term, on the integer form itself
+    rng = random.Random(137)
+    for _ in range(2400):
+        p, assignment = random_poly(rng), random_assignment(rng)
+        got, want = p.substitute(assignment), reference_substitute(p, assignment)
+        assert (got._nums, got._den) == (want._nums, want._den), (p, assignment)
+    # substitution is simultaneous: the values read the variables as they were
+    p = A ** 2 * B + 3 * B - G
+    for swap in ({"a": B, "b": A}, {"β": A, "alpha": B}):
+        assert p.substitute(swap) == reference_substitute(p, swap) == B ** 2 * A + 3 * A - G
+    assert p.substitute({"a": B, "b": A + G, "g": 0}) == B ** 2 * (A + G) + 3 * (A + G)
+
+
+def test_substitute_rejects_what_the_reference_rejects():
+    for assignment in ({"x": 1}, {"a": 1, "alpha": 2}, {"δ": A, "b": 0, "d": 1},
+                       {"a": 1.5}, {"g": True}, {"beta": "b"}):
+        with pytest.raises(PolyError) as want:
+            reference_substitute(A + B, assignment)
+        with pytest.raises(PolyError) as got:
+            (A + B).substitute(assignment)
+        assert str(got.value) == str(want.value)
+
+
+def test_substitute_is_one_kernel_call(monkeypatch):
+    # a substitution hands the kernel its whole sum in one call; the only
+    # other calls are the products inside the values, each built once
+    kernel, direct, total = poly._sum_of_products, [], []
+    code = Polynomial.substitute.__code__
+
+    def counted(terms):
+        total.append(1)
+        if sys._getframe(1).f_code is code:
+            direct.append(1)
+        return kernel(terms)
+
+    monkeypatch.setattr(poly, "_sum_of_products", counted)
+    rng = random.Random(138)
+    for _ in range(300):
+        p, assignment = random_poly(rng), random_assignment(rng)
+        del direct[:]
+        p.substitute(assignment)
+        assert len(direct) == 1, (p, assignment)
+    # terms with at most one assigned factor, of degree 1, need no product
+    p, assignment, want = A * B + G * D + B, {"a": B + 1, "gamma": 2}, parse("b^2+2b+2d")
+    del total[:]
+    assert p.substitute(assignment) == want and len(total) == 1
+    # the value (b+g)^2 of the three terms with a^2 is built once, by one product
+    p, assignment, want = parse("a^2*b+a^2*g+a^2"), {"a": B + G}, parse("(b+g)^3+(b+g)^2")
+    del total[:]
+    assert p.substitute(assignment) == want and len(total) == 2
 
 
 # -- eval --------------------------------------------------------------
@@ -696,8 +777,8 @@ def test_substitute_rejects_a_variable_given_twice():
     with pytest.raises(PolyError, match=r"variable 'b' is given twice: \['b', 'beta'\]"):
         (A + B).substitute({"b": A, "beta": 0})
     with pytest.raises(PolyError, match=r"variable 'g' is given twice: \['γ', 'g'\]"):
-        FrameVector(A, G, 0).substitute({"γ": 1, "g": 1})
-    assert FrameVector(A, G, 0).substitute({"gamma": A}) == FrameVector(A, A, 0)
+        (A + G).substitute({"γ": 1, "g": 1})
+    assert (A + G).substitute({"gamma": A}) == A.scale(2)
 
 
 # -- is_zero -----------------------------------------------------------
