@@ -1,11 +1,11 @@
 """Command line interface.
 
-Five subcommands: list the supported groups and cases, compute a
-connection-derived object, check a candidate solution family, sample
-admissible parameter points for a necessity argument, and audit the
-published tables against recomputation.  Exit codes are limited to
-0 (success), 1 (finding reported), 2 (usage or environment error) and
-3 (sampler starvation).
+Five subcommands, each one `_add_command` row with its options and a
+`--json` twin: list the groups and cases, compute a connection-derived
+object, check a candidate solution family, sample admissible points for
+a necessity argument, and audit the published tables by recomputation.
+`main` decides Greek output once and maps exits in one handler: 0 (success),
+1 (finding reported), 2 (usage or environment error), 3 (sampler starvation).
 """
 
 import argparse
@@ -53,8 +53,6 @@ def _greek_ok() -> bool:
 
 
 def _parse_eta(text):
-    if text is None:
-        return None
     if text in ("+1", "1"):
         return 1
     if text == "-1":
@@ -86,7 +84,7 @@ def _seed(text):
 
 
 def _group(args):
-    return make_group(args.family, eta=getattr(args, "eta", None))
+    return make_group(args.family, eta=args.eta)
 
 
 def _report(payload: dict) -> str:
@@ -106,7 +104,6 @@ def _case_rows():
 
 
 def _cmd_list(args) -> int:
-    greek = not args.ascii and _greek_ok()
     groups = [make_group(family, eta=e) for family in FAMILIES for e in branches(family)]
     if args.json:
         _emit({
@@ -119,10 +116,10 @@ def _cmd_list(args) -> int:
     for L in groups:
         print(L.label())
         for x, y in PAIRS:
-            e = "ẽ" if greek else "e"
-            print(f"  [{e}{x},{e}{y}] = {L.brackets[x, y].text(greek=greek)}")
-        conds = [f"{p.text(greek=greek)} = 0" for p in L.constraints.equalities]
-        conds += [f"{p.text(greek=greek)} {'≠' if greek else '!='} 0"
+            e = "ẽ" if args.greek else "e"
+            print(f"  [{e}{x},{e}{y}] = {L.brackets[x, y].text(greek=args.greek)}")
+        conds = [f"{p.text(greek=args.greek)} = 0" for p in L.constraints.equalities]
+        conds += [f"{p.text(greek=args.greek)} {'≠' if args.greek else '!='} 0"
                   for p in L.constraints.inequations]
         if conds:
             print("  where " + ", ".join(conds))
@@ -134,7 +131,6 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_compute(args) -> int:
-    greek = not args.ascii and _greek_ok()
     L = _group(args)
     table = compute_object(L, args.connection, args.object)
     if args.json:
@@ -145,15 +141,14 @@ def _cmd_compute(args) -> int:
             "entries": {key: value.to_json() if isinstance(value, FrameVector)
                         else value.text() for key, value in table.items()},
         })
-        return 0
-    print(f"{args.object} of {L.label()} ({display_name(args.connection)})")
-    for key, value in table.items():
-        print(f"  ({key}): {value.text(greek=greek)}")
+    else:
+        print(f"{args.object} of {L.label()} ({display_name(args.connection)})")
+        for key, value in table.items():
+            print(f"  ({key}): {value.text(greek=args.greek)}")
     return 0
 
 
 def _cmd_check(args) -> int:
-    greek = not args.ascii and _greek_ok()
     L = _group(args)
     system = build_system(L, args.connection, args.structure)
     family = SolutionFamily.from_text(args.solution, eta=L.eta)
@@ -164,11 +159,11 @@ def _cmd_check(args) -> int:
             "solution": family.to_json(),
             **result.to_json(),
         })
-        return 0 if result.holds else 1
-    verb = "holds on" if result.holds else "fails on"
-    print(f"{system.case_id} {verb} [{family.describe(greek=greek)}]")
-    for (x, y, j), p in sorted(result.residuals.items()):
-        print(f"  f({x},{y},{j}) = {p.text(greek=greek)}")
+    else:
+        verb = "holds on" if result.holds else "fails on"
+        print(f"{system.case_id} {verb} [{family.describe(greek=args.greek)}]")
+        for (x, y, j), p in sorted(result.residuals.items()):
+            print(f"  f({x},{y},{j}) = {p.text(greek=args.greek)}")
     return 0 if result.holds else 1
 
 
@@ -248,6 +243,13 @@ def _add_case_arguments(sub, with_structure: bool):
         sub.add_argument("--structure", required=True, choices=STRUCTURES)
 
 
+def _add_command(subs, name: str, text: str, func):
+    """A subcommand with its help text, the shared epilog and its function."""
+    sub = subs.add_parser(name, help=text, epilog=_EPILOG)
+    sub.set_defaults(func=func)
+    return sub
+
+
 def _default_seed():
     return os.environ.get("LIECODAZZI_SEED", "0")
 
@@ -261,46 +263,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ascii", action="store_true",
                         help="force ASCII parameter names in human output")
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = [_add_command(subs, *spec) for spec in (
+        ("list", "show the groups, constraints and case ids", _cmd_list),
+        ("compute", "print one derived object of a connection", _cmd_compute),
+        ("check", "decide a residual system on a solution family", _cmd_check),
+        ("sample", "evaluate a system at random admissible points", _cmd_sample),
+        ("audit", "recompute every published table and verdict", _cmd_audit))]
+    _, compute, check, sample, audit = commands
+    _add_case_arguments(compute, with_structure=False)
+    compute.add_argument("--object", default="connection", choices=OBJECTS)
 
-    p = subs.add_parser("list", help="show the groups, constraints and case ids",
-                        epilog=_EPILOG)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_list)
+    _add_case_arguments(check, with_structure=True)
+    check.add_argument("--solution", required=True,
+                       help='e.g. "a=0,b=0" or "a=2*h,g!=0"; = assigns, != 0 restricts')
 
-    p = subs.add_parser("compute", help="print one derived object of a connection",
-                        epilog=_EPILOG)
-    _add_case_arguments(p, with_structure=False)
-    p.add_argument("--object", default="connection", choices=OBJECTS)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_compute)
+    _add_case_arguments(sample, with_structure=True)
+    sample.add_argument("--exclude", action="append", default=[],
+                        metavar="SOLUTION", help="family to sample outside of; repeatable")
+    sample.add_argument("--trials", type=_trials, default=200)
+    sample.add_argument("--seed", type=_seed, default=_default_seed())
 
-    p = subs.add_parser("check", help="decide a residual system on a solution family",
-                        epilog=_EPILOG)
-    _add_case_arguments(p, with_structure=True)
-    p.add_argument("--solution", required=True,
-                   help='e.g. "a=0,b=0" or "a=2*h,g!=0"; = assigns, != 0 restricts')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    audit.add_argument("--trials", type=_trials, default=200,
+                       help="sampled points per classification case")
+    audit.add_argument("--seed", type=_seed, default=_default_seed())
 
-    p = subs.add_parser("sample", help="evaluate a system at random admissible points",
-                        epilog=_EPILOG)
-    _add_case_arguments(p, with_structure=True)
-    p.add_argument("--exclude", action="append", default=[],
-                   metavar="SOLUTION", help="family to sample outside of; repeatable")
-    p.add_argument("--trials", type=_trials, default=200)
-    p.add_argument("--seed", type=_seed, default=_default_seed())
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sample)
-
-    p = subs.add_parser("audit", help="recompute every published table and verdict",
-                        epilog=_EPILOG)
-    p.add_argument("--trials", type=_trials, default=200,
-                   help="sampled points per classification case")
-    p.add_argument("--seed", type=_seed, default=_default_seed())
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="FILE", help="also write the JSON report here")
-    p.set_defaults(func=_cmd_audit)
-
+    # --json after each subcommand's own options, and audit's --out after it
+    for sub in commands:
+        sub.add_argument("--json", action="store_true")
+    audit.add_argument("--out", metavar="FILE", help="also write the JSON report here")
     return parser
 
 
@@ -310,14 +300,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    args.greek = not args.ascii and _greek_ok()
     try:
         return args.func(args)
-    except SamplerStarvation as exc:
+    except (SamplerStarvation, ValueError) as exc:  # PolyError, ConstraintViolation too
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # PolyError and ConstraintViolation among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SamplerStarvation) else 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Source hygiene: every imported name in the package and the tests is read,
 every private module-level definition of the package is read, every
 public module-level function and class of the package is read by the
-package or named by the benchmark, zero tests
+package or named by the benchmark, every public method and property of
+a package class is read as an attribute by the package or the
+benchmark, zero tests
 go through vanishes_at, term merges seed no zero, no function but
 poly._sum_of_products adds up products or builds a product chain in
 nested loops, the package runs
@@ -106,8 +108,8 @@ def unused_public_definitions(sources: dict, outside=frozenset()) -> list:
     """Module-level functions and classes with a public name (no leading
     underscore) that no module in `sources` (name -> source text) reads,
     by name or as an attribute, and that `outside` does not name as
-    "module.name"; as (module, line, name).  Methods are not scanned: a
-    read by name cannot tell which class's method it reaches."""
+    "module.name"; as (module, line, name).  Methods are left to
+    unused_public_methods."""
     defined, read = definitions_and_reads(sources)
     return sorted((module, line, name) for module, line, name, node in defined
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -151,6 +153,67 @@ def test_no_unused_public_definitions():
     assert "liealg.sample_constraint_point" in benchmark_names()
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unused_public_definitions(sources, benchmark_names()) == []
+
+
+def attribute_reads(source: str) -> set:
+    """The attribute names that `source` reads (a write is no read)."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+
+
+def unused_public_methods(sources: dict, outside=frozenset()) -> list:
+    """Public methods and properties (no leading underscore) of the
+    module-level classes in `sources` (name -> source text) whose name no
+    module in `sources` reads as an attribute and `outside` does not
+    hold; as (module, line, "Class.name").  A read cannot tell which
+    class it reaches, so a name that two classes share counts as read
+    when either is read: the scan errs on the side of keeping code."""
+    read, methods = set(outside), []
+    for module, source in sources.items():
+        read |= attribute_reads(source)
+        methods += [(module, node.lineno, cls.name, node.name)
+                    for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")]
+    return sorted((module, line, f"{cls}.{name}") for module, line, cls, name in methods
+                  if name not in read)
+
+
+def benchmark_attribute_reads() -> set:
+    """The attribute names that perfbench/*.py reads: the benchmark is
+    the package's one outside caller, and its tracer reads
+    Polynomial.terms."""
+    return set().union(*(attribute_reads(path.read_text(encoding="utf-8"))
+                         for path in sorted((ROOT / "perfbench").glob("*.py"))))
+
+
+def test_scan_finds_unused_public_methods():
+    sources = {
+        "a": ("class P:\n    def used(self):\n        return self._own()\n"
+              "    def left(self):\n        pass\n    @property\n    def view(self):\n"
+              "        return 1\n    def _own(self):\n        pass\n"
+              "    def __add__(self, other):\n        pass\n    def shared(self):\n"
+              "        pass\n    def bench(self):\n        pass\n"
+              "class Q:\n    def shared(self):\n        pass\n    async def written(self):\n"
+              "        pass\ndef free():\n    pass\n"),
+        "b": ("from a import P, Q, free\np = P()\np.used()\nQ().shared()\n"
+              "p.written = 1\nfree.view = 2\nview = 3\n"),
+    }
+    # a write, or a read by bare name, keeps no method; Q.shared's read
+    # keeps P.shared too
+    assert unused_public_methods(sources, {"bench"}) == [
+        ("a", 4, "P.left"), ("a", 7, "P.view"), ("a", 20, "Q.written")]
+    assert ("a", 15, "P.bench") in unused_public_methods(sources)
+
+
+def test_no_unused_public_methods():
+    # a method or property that only the tests read belongs in
+    # tests/conftest.py; the benchmark's tracer keeps Polynomial.terms
+    # alive, and nothing else rests on perfbench/ alone
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unused_public_methods(sources, benchmark_attribute_reads()) == []
+    assert [name for _, _, name in unused_public_methods(sources)] == ["Polynomial.terms"]
 
 
 def zero_tests_through_eval_at(source: str) -> list:
